@@ -15,8 +15,7 @@ from .biorth import (HFamily, g0n_eval, gram, h_family, heat_on_poly,
                      psi_phi_eval)
 from .kernel import ExtendedKernelEval, KernelSpec, kernel_eval, s_ops, \
     sbar_epi
-from .fredholm import (DetResult, NystromSystem, build_quadrature,
-                       fredholm_det, rbm_probability)
+from .fredholm import DetResult, NystromSystem, fredholm_det, rbm_probability
 from .simulate import (NoiseField, PathEnsemble, gue_edge_sample, lpp_value,
                        mc_distribution, rbm_reflect, rbm_variational,
                        sample_noise)

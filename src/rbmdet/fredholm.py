@@ -2,8 +2,10 @@
 
 The determinant of the symmetrized matrix I - W^{1/2} K W^{1/2} over
 composite Gauss-Legendre nodes approximates the Fredholm determinant; error
-estimates come from half-order and shrunk-domain reruns (Richardson-style
-comparison, reported, never extrapolated).
+estimates come from a half-order rerun and a shrunk-domain rerun
+(Richardson-style comparison, reported, never extrapolated).  The
+shrunk-domain rerun assembles nothing: its cut is snapped to an existing
+panel edge, so its matrix is a principal submatrix of the full one.
 """
 
 from __future__ import annotations
@@ -15,15 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .kernel import ExtendedKernelEval, KernelSpec, kernel_eval
-from .quad import Scheme, build_scheme
-
-
-def build_quadrature(intervals, order: int = 40, splits=(),
-                     max_panel=None) -> Scheme:
-    """Composite Gauss-Legendre scheme over intervals with mandatory split
-    points (panels never straddle a split)."""
-    return build_scheme(intervals, order=order, splits=splits,
-                        max_panel=max_panel)
+from .quad import build_scheme
 
 
 @dataclass(frozen=True)
@@ -70,16 +64,38 @@ class NystromSystem:
                     roots[i][:, None] * kij * roots[j][None, :]
         return out
 
-    def det(self) -> float:
-        sign, logabs = np.linalg.slogdet(self.matrix())
+    def det(self, matrix: np.ndarray | None = None) -> float:
+        """Determinant of ``matrix``, by default the assembled system."""
+        if matrix is None:
+            matrix = self.matrix()
+        sign, logabs = np.linalg.slogdet(matrix)
         return float(sign * np.exp(logabs))
 
-    def _shrunk(self, amount: float) -> "NystromSystem":
-        if self.pad_side == "lower":
-            iv = tuple((lo + amount, hi) for lo, hi in self.intervals)
-        else:
-            iv = tuple((lo, hi - amount) for lo, hi in self.intervals)
-        return replace(self, intervals=iv, schemes=None)
+    def shrunk_cut(self, amount: float):
+        """Node indices and intervals of the domain shrunk by about
+        ``amount`` at the padded end of every interval.
+
+        The shrink is capped at half of each interval, and the cut is the
+        first panel edge at least that far inside the padded end, so the
+        shrunk system's nodes are a subset of this system's nodes.  An
+        interval with no panel edge past the cut drops out entirely.
+        """
+        keep, intervals = [], []
+        pos = 0
+        for (lo, hi), sch in zip(self.intervals, self.schemes):
+            edges = sch.edges[0]
+            s = min(amount, 0.5 * (hi - lo))
+            if self.pad_side == "lower":
+                p = int(np.searchsorted(edges, lo + s, side="left"))
+                first, last = p * self.order, sch.size
+                intervals.append((float(edges[p]), hi))
+            else:
+                p = int(np.searchsorted(edges, hi - s, side="right")) - 1
+                first, last = 0, p * self.order
+                intervals.append((lo, float(edges[p])))
+            keep.append(np.arange(pos + first, pos + last))
+            pos += sch.size
+        return np.concatenate(keep), tuple(intervals)
 
     def _half_order(self) -> "NystromSystem":
         return replace(self, order=max(4, self.order // 2), schemes=None)
@@ -95,13 +111,22 @@ class DetResult:
 
 def fredholm_det(system: NystromSystem, shrink: float = 2.0) -> DetResult:
     """Determinant of the system with an error estimate from a half-order
-    run and a domain shrunk by ``shrink``."""
-    value = system.det()
+    run and a domain shrunk by ``shrink``.
+
+    The full matrix is assembled once.  The shrunk-domain value is the
+    determinant of its principal submatrix on the nodes past a cut: the
+    first existing panel edge at least ``shrink`` inside the truncated end,
+    with ``shrink`` capped at half of each interval (``shrunk_cut``).
+    """
+    full = system.matrix()
+    value = system.det(full)
     if not math.isfinite(value):
         raise ConvergenceError("singular or non-finite Nystrom determinant",
                                value=value, error_estimate=math.inf)
+    keep, _ = system.shrunk_cut(shrink)
+    v_pad = system.det(full[np.ix_(keep, keep)])
+    del full
     v_half = system._half_order().det()
-    v_pad = system._shrunk(shrink).det()
     err = abs(value - v_half) + abs(value - v_pad)
     pad = min(hi - lo for lo, hi in system.intervals)
     return DetResult(value=value, error_estimate=float(err),

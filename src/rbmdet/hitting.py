@@ -387,13 +387,15 @@ def _trap_weights(y, i_lo, i_hi):
 
 def hitting_law_grid(ic: InitialCondition, eta: float,
                      b_grid: np.ndarray, n_max: int,
-                     leak_tol: float = 1e-3) -> HittingLaw:
+                     leak_tol: float | None = None) -> HittingLaw:
     """Forward one-step recursion of the survivor sub-density on a grid.
 
     Trapezoid quadrature; at every epoch the part at or above the curve is
     recorded as that epoch's component and removed.  Mass unaccounted for at
     the end (grid too coarse or too short) beyond ``leak_tol`` raises with
-    the leaked amount.
+    the leaked amount.  The default bound, 10 h^2 for the widest gap h,
+    sits above the trapezoid's second-order error and below any first-order
+    fault such as a level or eta falling between nodes.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -410,6 +412,8 @@ def hitting_law_grid(ic: InitialCondition, eta: float,
         raise ValueError("grid does not reach the starting point")
 
     h = np.diff(y)
+    if leak_tol is None:
+        leak_tol = 10.0 * float(h.max()) ** 2
     dead = 0.0
     components = {}
     # analytic first step from the point mass at eta

@@ -165,6 +165,15 @@ class ExtendedKernelEval:
     Pure and safe for concurrent evaluation; the discretization backing the
     hitting/operator_step representations is (re)built lazily under a lock
     whenever the requested z-range outgrows the current one.
+
+    In the hitting representation a block factors as A(n_i, z_i)^T
+    B(n_j, z_j) minus the walk term: A holds the weighted S factors on the
+    eta nodes, B the Sbar factors with the per-epoch scatters of the hitting
+    law summed into one matrix.  Both depend on one index line only, so a
+    Nystrom assembly computes each once per line and node set.  The memo
+    keeps one factor per (side, line), replaced whenever its nodes change
+    and emptied whenever the discretization is rebuilt; it is read and
+    written under the lock.
     """
 
     def __init__(self, spec: KernelSpec, eta_order: int = 16,
@@ -178,6 +187,7 @@ class ExtendedKernelEval:
         self._hull = None
         self._evals = 0
         self._opstep_cache = {}
+        self._factors = {}
         self._profile = blocks(spec.ic)
         t, n_max = spec.t, spec.n_max
         # oscillation scales of psi_n: bulk wavelength and edge (Airy) width
@@ -245,6 +255,7 @@ class ExtendedKernelEval:
             hi = max(z_hi, self._hull[1] if self._hull else z_hi)
             self._state = self._build(lo, hi)
             self._hull = (lo, hi)
+            self._factors.clear()
             return self._state
 
     def _build(self, z_lo: float, z_hi: float):
@@ -313,24 +324,53 @@ class ExtendedKernelEval:
     def _st_hitting(self, ni, nj, zi, zj):
         state = self._ensure(float(min(zi.min(), zj.min())),
                              float(max(zi.max(), zj.max())))
-        t = self.spec.t
-        out = np.zeros((zi.size, zj.size))
+        a = self._factor("row", ni, zi, state)
+        b = self._factor("col", nj, zj, state)
+        return a.T @ b
+
+    def _factor(self, side, n, z, state):
+        """Memoized A (side "row") or B (side "col") factor of line n on
+        nodes z under the discretization ``state``."""
+        key = (side, n)
+        with self._lock:
+            hit = self._factors.get(key)
+        if hit is not None and hit[0] is state and np.array_equal(hit[1], z):
+            return hit[2]
+        build = self._row_factor if side == "row" else self._col_factor
+        out = build(n, z, state)
+        with self._lock:
+            if state is self._state:   # never keep a superseded build alive
+                self._factors[key] = (state, z.copy(), out)
+        return out
+
+    def _row_factor(self, ni, zi, state):
+        """Weighted S(t, n_i; eta, z_i) on the atom and law eta nodes."""
+        parts = [np.empty((0, zi.size))]
         if state["atom"] is not None:
             nodes, w = state["atom"]
-            s_i = self._s_matrix(ni, nodes, zi)
-            sb_j = self._sbar_vec(nj, nodes, zj)
-            out += (s_i * w[:, None]).T @ sb_j
+            parts.append(self._s_matrix(ni, nodes, zi) * w[:, None])
         if state["law"] is not None:
-            eta, w_eta, packed = state["law"]
-            s_i = self._s_matrix(ni, eta, zi)
+            eta, w_eta, _ = state["law"]
+            parts.append(self._s_matrix(ni, eta, zi) * w_eta[:, None])
+        return np.concatenate(parts)
+
+    def _col_factor(self, nj, zj, state):
+        """Sbar(t, n_j; eta, z_j) on the atom nodes, then the hitting-law
+        expectation of Sbar(t, n_j - ell; b, z_j) on the law eta nodes,
+        every epoch ell < n_j scattered into one matrix."""
+        parts = [np.empty((0, zj.size))]
+        if state["atom"] is not None:
+            nodes, _ = state["atom"]
+            parts.append(self._sbar_vec(nj, nodes, zj))
+        if state["law"] is not None:
+            eta, _, packed = state["law"]
+            g = np.zeros((eta.size, zj.size))
             for ell, (src, bnodes, wv) in packed.items():
-                if ell >= nj:
-                    continue
-                sb = self._sbar_vec(nj - ell, bnodes, zj) * wv[:, None]
-                g = np.zeros((eta.size, zj.size))
-                np.add.at(g, src, sb)
-                out += (s_i * w_eta[:, None]).T @ g
-        return out
+                if ell < nj:
+                    sb = self._sbar_vec(nj - ell, bnodes, zj) * wv[:, None]
+                    np.add.at(g, src, sb)
+            parts.append(g)
+        return np.concatenate(parts)
 
     # -- operator-factorized representation --------------------------------
 

@@ -23,14 +23,12 @@ def _gl_rule(order: int):
 class Scheme:
     """Quadrature nodes/weights on a union of intervals.
 
-    ``slices[k]`` selects the nodes belonging to input interval k, so block
-    operators can address per-interval sub-matrices; ``edges[k]`` are that
-    interval's panel boundaries (``order`` nodes per panel, in order).
+    ``edges[k]`` are input interval k's panel boundaries (``order`` nodes
+    per panel, in order).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    slices: tuple[slice, ...]
     intervals: tuple[tuple[float, float], ...]
     order: int
     edges: tuple = ()
@@ -79,20 +77,16 @@ def build_scheme(intervals, order=24, splits=(), max_panel=None) -> Scheme:
     ``splits`` are mandatory panel boundaries (applied to every interval they
     fall inside); ``order`` is the node count per panel.
     """
-    nodes, weights, slcs, edges = [], [], [], []
-    pos = 0
+    nodes, weights, edges = [], [], []
     for lo, hi in intervals:
         x, w, e = gauss_legendre_panels(lo, hi, order=order, splits=splits,
                                         max_panel=max_panel)
         nodes.append(x)
         weights.append(w)
         edges.append(e)
-        slcs.append(slice(pos, pos + x.size))
-        pos += x.size
     return Scheme(
         nodes=np.concatenate(nodes),
         weights=np.concatenate(weights),
-        slices=tuple(slcs),
         intervals=tuple((float(a), float(b)) for a, b in intervals),
         order=order,
         edges=tuple(edges),

@@ -145,6 +145,11 @@ class FixedPointKernel:
     block(i, j, ui, uj) returns the kernel matrix between evaluation points
     x_i and x_j; the epigraph operator is the inclusion-exclusion sum over
     wedge subsets of chains of half-line cuts and diffusion-2 propagators.
+
+    Every chain starts with S_fp(T, x_i - a_k; v - u_i) and ends with
+    S_fp(T, a_k - x_j; v - u_j), so the Airy factors depend on one point's
+    nodes and one offset only.  They are kept in a memo with one entry per
+    (point, offset), replaced whenever its u or v nodes change.
     """
 
     def __init__(self, spec: FixedPointSpec, order: int = 24,
@@ -157,6 +162,7 @@ class FixedPointKernel:
             v_pad = T ** (1.0 / 3.0) * 42.0 + 6.0 * span
         self.v_pad = v_pad
         self._schemes = {}
+        self._factors = {}
 
     def _v_scheme(self, upper: float):
         key = round(upper, 9)
@@ -182,16 +188,23 @@ class FixedPointKernel:
             sign = 1.0 if (k + 1) % 2 == 0 else -1.0
             for picks in combinations(range(len(wedges)), k):
                 aks = [wedges[p] for p in picks]
-                left = s_fp(spec.T, xi - aks[0],
-                            nodes[:, None] - ui[None, :])
-                carry = left * w[:, None]
+                carry = self._s_fp(i, xi - aks[0], sch, ui) * w[:, None]
                 for r in range(1, k):
                     g = aks[r - 1] - aks[r]
                     mid = heat2(g, nodes[:, None], nodes[None, :])
                     carry = (carry.T @ mid).T * w[:, None]
-                right = s_fp(spec.T, -xj + aks[-1],
-                             nodes[:, None] - uj[None, :])
+                right = self._s_fp(j, -xj + aks[-1], sch, uj)
                 out += sign * (carry.T @ right)
+        return out
+
+    def _s_fp(self, point, offset, sch, u):
+        """Memoized S_fp(T, offset; v - u) on the v nodes of ``sch``."""
+        key = (point, offset)
+        hit = self._factors.get(key)
+        if hit is not None and hit[0] is sch and np.array_equal(hit[1], u):
+            return hit[2]
+        out = s_fp(self.spec.T, offset, sch.nodes[:, None] - u[None, :])
+        self._factors[key] = (sch, u.copy(), out)
         return out
 
     def __call__(self, a, b) -> float:

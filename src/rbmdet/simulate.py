@@ -93,12 +93,6 @@ class PathEnsemble:
     paths: np.ndarray  # (n_particles, n_steps + 1)
     construction: str
 
-    def at_time(self, t: float) -> np.ndarray:
-        i = int(round(t / self.dt))
-        if not 0 <= i < self.paths.shape[1]:
-            raise ValueError(f"t={t} off the grid")
-        return self.paths[:, i]
-
     def is_ordered(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.diff(self.paths, axis=0) <= tol))
 

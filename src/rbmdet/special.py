@@ -513,10 +513,3 @@ def contour_eval(kind: str, t: float, n: int, z1: float, z2: float,
             f"Sbar contour stalled (err={err:.2e})", value=cur,
             error_estimate=err)
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def gaussian_cdf(x):
-    """Standard normal CDF (vectorized)."""
-    x = np.asarray(x, dtype=float)
-    from scipy.special import ndtr
-    return ndtr(x)

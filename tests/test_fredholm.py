@@ -5,28 +5,28 @@ import pytest
 from scipy.special import ndtr
 
 from rbmdet import initial_data as idata
-from rbmdet.fredholm import (NystromSystem, build_quadrature, fredholm_det,
-                             rbm_probability)
+from rbmdet.fredholm import NystromSystem, fredholm_det, rbm_probability
 from rbmdet.kernel import KernelSpec
+from rbmdet.quad import build_scheme
 from rbmdet.scaling import tracy_widom_gue_cdf
 
 
 class TestBuildQuadrature:
     def test_order_two_nodes(self):
-        sch = build_quadrature([(-1.0, 1.0)], order=2)
+        sch = build_scheme([(-1.0, 1.0)], order=2)
         assert np.allclose(sorted(sch.nodes), [-1 / math.sqrt(3),
                                                1 / math.sqrt(3)])
         assert np.allclose(sch.weights, [1.0, 1.0])
 
     def test_polynomial_exactness(self):
-        sch = build_quadrature([(0.0, 1.0)], order=2)
+        sch = build_scheme([(0.0, 1.0)], order=2)
         assert sch.integrate(sch.nodes ** 2) == pytest.approx(1 / 3,
                                                               abs=1e-15)
         assert sch.integrate(sch.nodes ** 3) == pytest.approx(1 / 4,
                                                               abs=1e-15)
 
     def test_split_point_honored(self):
-        sch = build_quadrature([(0.0, 2.0)], order=8, splits=(0.7,))
+        sch = build_scheme([(0.0, 2.0)], order=8, splits=(0.7,))
         edges = sch.edges[0]
         assert 0.7 in edges.tolist()
         # no node straddles: each panel lies on one side of the split
@@ -56,6 +56,51 @@ class TestFredholmDet:
         assert abs(v40 - v80) < 1e-8
         # independent high-precision reference (Bornemann's tables)
         assert v40 == pytest.approx(0.807225, abs=5e-5)
+
+
+def _smooth_two_line_block(i, j, x, y):
+    return (i + 1.0) / (j + 2.0) * np.exp(
+        -0.3 * (x[:, None] - y[None, :]) ** 2 - 0.1 * np.abs(x[:, None]))
+
+
+class TestShrunkCut:
+    @pytest.mark.parametrize("pad_side", ["lower", "upper"])
+    def test_principal_submatrix_is_cut_system(self, pad_side):
+        kw = dict(order=12, block_fn=_smooth_two_line_block,
+                  splits=(-1.3, 0.4), max_panel=0.7, pad_side=pad_side)
+        system = NystromSystem(intervals=((-9.0, 0.4), (-8.2, -1.3)), **kw)
+        keep, cut = system.shrunk_cut(2.0)
+        sub = system.matrix()[np.ix_(keep, keep)]
+        separate = NystromSystem(intervals=cut, **kw)
+        assert sub.shape == (separate.size, separate.size)
+        assert np.max(np.abs(sub - separate.matrix())) <= 1e-15
+        for (lo, hi), (clo, chi), sch in zip(system.intervals, cut,
+                                             system.schemes):
+            # snapped to an existing edge at least the shrink inside
+            if pad_side == "lower":
+                assert hi == chi and clo >= lo + 2.0 and clo in sch.edges[0]
+            else:
+                assert lo == clo and chi <= hi - 2.0 and chi in sch.edges[0]
+
+    def test_shrink_capped_at_half_interval(self):
+        system = NystromSystem(intervals=((0.0, 1.0),), order=8,
+                               block_fn=_smooth_two_line_block,
+                               max_panel=0.1)
+        keep, cut = system.shrunk_cut(2.0)
+        assert cut[0][0] == pytest.approx(0.5, abs=1e-12)
+        assert keep.size == system.size // 2
+
+    def test_fredholm_det_reruns_on_cut_system(self):
+        kw = dict(order=12, block_fn=_smooth_two_line_block,
+                  splits=(-1.3, 0.4), max_panel=0.7)
+        system = NystromSystem(intervals=((-9.0, 0.4), (-8.2, -1.3)), **kw)
+        res = fredholm_det(system, shrink=2.0)
+        value = system.det()
+        v_half = system._half_order().det()
+        v_cut = NystromSystem(intervals=system.shrunk_cut(2.0)[1], **kw).det()
+        assert res.value == value
+        assert res.error_estimate == pytest.approx(
+            abs(value - v_half) + abs(value - v_cut), rel=1e-12, abs=1e-15)
 
 
 class TestRbmProbability:
@@ -112,6 +157,18 @@ class TestRbmProbability:
         r2 = rbm_probability(KernelSpec(t=1.0, indices=(1, 3), ic=ic,
                                         conjugated=False), av)
         assert r1.value == pytest.approx(r2.value, abs=1e-8)
+
+    def test_small_time_matches_brownian_scaling(self):
+        # the pad at t = 1e-4 is narrower than the default shrink; the law
+        # is the one at t = 1, a = 1 under Brownian scaling, i.e. 1 - Phi(1)
+        small = rbm_probability(
+            KernelSpec(t=1e-4, indices=(1,), ic=idata.packed(0.0)), [0.01])
+        unit = rbm_probability(
+            KernelSpec(t=1.0, indices=(1,), ic=idata.packed(0.0)), [1.0])
+        assert abs(small.value - unit.value) <= \
+            1e-6 + small.error_estimate + unit.error_estimate
+        assert small.value == pytest.approx(1.0 - float(ndtr(1.0)),
+                                            abs=1e-6)
 
     def test_arity_mismatch(self):
         spec = KernelSpec(t=1.0, indices=(1,), ic=idata.packed(0.0))

@@ -173,6 +173,16 @@ class TestGridLaw:
         assert set(GRID_LEVELS) | {GRID_ETA} <= set(grid.tolist())
         assert np.diff(grid).min() >= spacing / 2
 
+    # eta half-way between two nodes leaks about spacing / 2 of mass, far
+    # above the default bound of 10 spacing^2
+    @pytest.mark.parametrize("spacing", [2e-3, 1e-3, 5e-4])
+    def test_mid_gap_grid_leak_raises(self, spacing):
+        ic = idata.from_positions(GRID_LEVELS, extend_last=True)
+        steps = np.arange(-round(15.0 / spacing), 2) - 0.5
+        grid = GRID_ETA + spacing * steps
+        with pytest.raises(ValueError, match="leaks mass"):
+            ht.hitting_law_grid(ic, GRID_ETA, grid, 6)
+
     def test_total_mass_below_one(self):
         ic = idata.from_positions([1.0, 0.0], extend_last=True)
         grid = ht.default_grid(ic, 0.5, 4, spacing=2e-3)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -149,6 +151,72 @@ class TestKernelEval:
             a = e_h((ni, zi), (nj, zj))
             b = e_o((ni, zi), (nj, zj))
             assert abs(a - b) / max(1.0, abs(a)) < 1e-9
+
+    def test_factor_memo_matches_fresh_evaluator(self):
+        spec = KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC)
+        rng = np.random.default_rng(5)
+        node_sets = [np.linspace(-7.0, 1.0, 9), np.linspace(-6.0, -2.5, 7),
+                     rng.uniform(-7.0, 1.0, 5)]
+
+        def fresh(hull):
+            k = kernel_eval(spec)
+            k.block(3, 3, hull, hull)   # same discretization as the memo
+            return k
+
+        hull = np.array([-7.0, 1.0])
+        kern = fresh(hull)
+        for _ in range(12):
+            ni, nj = (int(v) for v in rng.choice(spec.indices, 2))
+            zi, zj = (node_sets[int(v)] for v in rng.integers(0, 3, 2))
+            got = kern.block(ni, nj, zi, zj)
+            assert np.array_equal(got, fresh(hull).block(ni, nj, zi, zj))
+            assert len(kern._factors) <= 2 * len(spec.indices)
+        # a block reaching past the hull rebuilds the discretization; stale
+        # factors are replaced, not reused
+        wide = np.linspace(-7.0, 2.0, 6)
+        got = kern.block(9, 3, wide, node_sets[0])
+        grown = np.array([-7.0, 2.0])
+        assert np.array_equal(got, fresh(grown).block(9, 3, wide,
+                                                      node_sets[0]))
+        got = kern.block(3, 9, node_sets[1], node_sets[2])
+        assert np.array_equal(got, fresh(grown).block(3, 9, node_sets[1],
+                                                      node_sets[2]))
+        assert set(kern._factors) <= {(side, n) for side in ("row", "col")
+                                      for n in spec.indices}
+
+    def test_factor_memo_under_threads(self):
+        spec = KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC)
+        node_sets = [np.linspace(-7.0, 1.0, 9), np.linspace(-6.0, -2.5, 7)]
+        requests = [(ni, nj, a, b) for ni in spec.indices
+                    for nj in spec.indices for a in (0, 1) for b in (0, 1)]
+        kern = kernel_eval(spec)
+        kern.block(3, 3, np.array([-7.0, 1.0]), np.array([-7.0, 1.0]))
+        expected = {r: kern.block(r[0], r[1], node_sets[r[2]],
+                                  node_sets[r[3]]) for r in requests}
+        mismatches = []
+
+        def worker(shift):
+            for k in range(3 * len(requests)):
+                r = requests[(k * (2 * shift + 1)) % len(requests)]
+                got = kern.block(r[0], r[1], node_sets[r[2]],
+                                 node_sets[r[3]])
+                if not np.array_equal(got, expected[r]):
+                    mismatches.append(r)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,))
+                       for s in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert mismatches == []
+        assert len(kern._factors) <= 2 * len(spec.indices)
 
     def test_finite_output_and_counter(self):
         spec = KernelSpec(t=1.0, indices=(1, 2), ic=idata.packed(0.0))

@@ -139,6 +139,51 @@ class TestFixedPointKernel:
         assert got == pytest.approx(ref, rel=1e-7)
 
 
+def _fp_block_per_subset(kern, i, j, ui, uj):
+    """The fixed-point block with every S_fp factor recomputed per wedge
+    subset, as a reference for the memoized block."""
+    from itertools import combinations
+    spec = kern.spec
+    xi, xj = spec.x[i], spec.x[j]
+    out = np.zeros((ui.size, uj.size))
+    if xi > xj:
+        out -= sc.heat2(xi - xj, ui[:, None], uj[None, :])
+    sch = kern._v_scheme(float(max(ui.max(), uj.max(), 0.0)) + kern.v_pad)
+    nodes, w = sch.nodes, sch.weights
+    for k in range(1, len(spec.wedges) + 1):
+        sign = 1.0 if (k + 1) % 2 == 0 else -1.0
+        for picks in combinations(range(len(spec.wedges)), k):
+            aks = [spec.wedges[p] for p in picks]
+            carry = sc.s_fp(spec.T, xi - aks[0],
+                            nodes[:, None] - ui[None, :]) * w[:, None]
+            for r in range(1, k):
+                mid = sc.heat2(aks[r - 1] - aks[r], nodes[:, None],
+                               nodes[None, :])
+                carry = (carry.T @ mid).T * w[:, None]
+            right = sc.s_fp(spec.T, -xj + aks[-1],
+                            nodes[:, None] - uj[None, :])
+            out += sign * (carry.T @ right)
+    return out
+
+
+class TestFixedPointFactorMemo:
+    def test_two_wedge_block_matches_per_subset_loop(self):
+        spec = sc.FixedPointSpec(wedges=(0.0, -1.0), T=1.0, x=(0.0, 0.5),
+                                 a_out=(0.0, 0.5))
+        kern = sc.fixedpoint_kernel_nw(spec)
+        u = [np.linspace(-6.0, 0.0, 7), np.linspace(-5.5, -0.5, 5),
+             np.array([-3.0, -1.0])]
+        # repeated and interleaved (point, node set) requests
+        for i, j, a, b in [(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0),
+                           (1, 1, 1, 1), (0, 1, 2, 1), (0, 0, 0, 0),
+                           (1, 0, 1, 2)]:
+            got = kern.block(i, j, u[a], u[b])
+            ref = _fp_block_per_subset(kern, i, j, u[a], u[b])
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+        # one entry per (point, offset x - a) and side; 0 and -0 coincide
+        assert len(kern._factors) <= 7
+
+
 class TestFixedPointProbability:
     @pytest.mark.parametrize("a", [-2.0, -1.0, 0.0, 1.0, 2.0])
     def test_single_wedge_matches_tracy_widom(self, a):
