@@ -133,6 +133,18 @@ def fredholm_det(system: NystromSystem, shrink: float = 2.0) -> DetResult:
                      order_used=system.order, pad_used=float(pad))
 
 
+def _stop_if_diverging(res: DetResult, prev: DetResult | None,
+                       order: int) -> None:
+    """Raise ConvergenceError when refinement made the error estimate no
+    smaller: more rounds would only grow the matrix."""
+    if prev is not None and res.error_estimate >= prev.error_estimate:
+        raise ConvergenceError(
+            f"determinant refinement diverges: error estimate "
+            f"{res.error_estimate:.3e} at order {order} is not below "
+            f"{prev.error_estimate:.3e}; last value {res.value!r}",
+            value=res.value, error_estimate=res.error_estimate)
+
+
 def _extended_block_fn(kern: ExtendedKernelEval, indices):
     def block(i, j, x, y):
         return kern.block(indices[i], indices[j], x, y)
@@ -148,7 +160,9 @@ def rbm_probability(spec: KernelSpec, a, target: float = 1e-6,
     Each half-line (-inf, a_j] is truncated to [a_j - pad, a_j]; the
     conjugated kernel decays exponentially below the levels, so moderate
     pads converge.  Order doubles and the pad grows until the internal error
-    estimate is below ``target``.
+    estimate is below ``target``.  Raises ConvergenceError with the last
+    value and estimate as soon as a round's estimate is not below the
+    previous round's, or when ``max_rounds`` rounds do not reach ``target``.
     """
     a = [float(v) for v in np.atleast_1d(a)]
     if len(a) != len(spec.indices):
@@ -180,6 +194,7 @@ def rbm_probability(spec: KernelSpec, a, target: float = 1e-6,
                     f"tolerance {tol}", value=res.value,
                     error_estimate=res.error_estimate)
             return DetResult(res.value, res.error_estimate, order, pad)
+        _stop_if_diverging(res, last_exc, order)
         order = 2 * order
         pad = pad + 3.0 * math.sqrt(t) + 2.0
         last_exc = res

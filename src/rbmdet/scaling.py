@@ -30,7 +30,8 @@ import numpy as np
 
 from . import special
 from .errors import ConvergenceError
-from .fredholm import DetResult, NystromSystem, fredholm_det, rbm_probability
+from .fredholm import (DetResult, NystromSystem, _stop_if_diverging,
+                       fredholm_det, rbm_probability)
 from .initial_data import narrow_wedge_approx
 from .kernel import KernelSpec
 from .quad import build_scheme
@@ -161,6 +162,8 @@ class FixedPointKernel:
             span = max(abs(min(spec.wedges)), max(abs(v) for v in spec.x), 1.0)
             v_pad = T ** (1.0 / 3.0) * 42.0 + 6.0 * span
         self.v_pad = v_pad
+        # every u node lies below max(-a_out): one v grid serves all blocks
+        self._u_hi = max(0.0, -min(spec.a_out))
         self._schemes = {}
         self._factors = {}
 
@@ -180,7 +183,7 @@ class FixedPointKernel:
         out = np.zeros((ui.size, uj.size))
         if xi > xj:
             out -= heat2(xi - xj, ui[:, None], uj[None, :])
-        upper = float(max(ui.max(), uj.max(), 0.0)) + self.v_pad
+        upper = float(max(self._u_hi, ui.max(), uj.max())) + self.v_pad
         sch = self._v_scheme(upper)
         nodes, w = sch.nodes, sch.weights
         wedges = spec.wedges
@@ -222,7 +225,9 @@ def fixedpoint_probability(spec: FixedPointSpec, target: float = 1e-7,
                            order: int = 32, pad: float | None = None,
                            max_rounds: int = 3) -> DetResult:
     """P(h(T, x_j) <= a_j for all j) for multiple-narrow-wedge data, as the
-    Fredholm determinant of the fixed-point kernel over (-inf, -a_j]."""
+    Fredholm determinant of the fixed-point kernel over (-inf, -a_j].
+
+    Refinement stops with ConvergenceError as in ``rbm_probability``."""
     T = spec.T
     if pad is None:
         pad = 16.0 * T ** (1.0 / 3.0) + 2.0 * max(abs(min(spec.wedges)), 1.0)
@@ -242,6 +247,7 @@ def fixedpoint_probability(spec: FixedPointSpec, target: float = 1e-7,
                     f"fixed-point determinant {res.value} outside [0, 1]",
                     value=res.value, error_estimate=res.error_estimate)
             return DetResult(res.value, res.error_estimate, order, pad)
+        _stop_if_diverging(res, last, order)
         order *= 2
         pad += 6.0 * T ** (1.0 / 3.0)
         last = res

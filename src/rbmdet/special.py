@@ -19,6 +19,17 @@ and integral of psi_n * psibar_m over x is delta_{nm}.
 For large degree everything is computed in log scale: the recurrence carries
 H_k(x)/sqrt(k!) with a running exponent, which stays representable for
 k <= 2000 and |x| <= 3 sqrt(k).
+
+Both hot loops walk their input in blocks of ``_CHUNK`` elements and update
+preallocated buffers in place, with the same floating-point operations in
+the same order as a whole-array loop, so every value is bitwise the same:
+
+* the Hermite recurrence runs all n steps on one block before the next, and
+  scans a block for values to rescale only once a bound on |h_k| computed
+  from max|x| of the block can exceed the rescale threshold;
+* the exponential-tail series of Ai and Ai' (x > 12) stops, per block, at
+  the first term whose bound is below 2^-55: every later term is below half
+  an ulp of the partial sum and would not change it.
 """
 
 from __future__ import annotations
@@ -35,6 +46,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # rescale bounds for the running-exponent recurrence
 _BIG = 1e120
 _SMALL = 1e-120
+
+# elements per block of the Hermite recurrence and the Airy tail series:
+# their three float64 work buffers (192 KiB) stay in a per-core L2 cache
+_CHUNK = 8192
 
 
 def hermite_eval(k: int, x: float) -> float:
@@ -65,72 +80,72 @@ def hermite_normed_log(n: int, x):
     The normalized recurrence h_{k+1} = (x h_k - sqrt(k) h_{k-1})/sqrt(k+1)
     keeps magnitudes near exp(x^2/4) scale; a running per-element exponent
     absorbs growth beyond double range.  sign is 0 where H_n(x) = 0 exactly.
+
+    x is walked in chunks of ``_CHUNK`` elements, each run through all n
+    steps in preallocated buffers.  Elements do not interact, so the result
+    does not depend on the chunking.  The rescale scan of a chunk starts
+    only once the bound B_{k+1} = (X B_k + sqrt(k) B_{k-1})/sqrt(k+1),
+    B_0 = 1, B_1 = X = max|x|, on the exact |h_{k+1}| passes _BIG/2 (the
+    margin covers rounding), and then runs on every step.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    h_prev = np.ones_like(x)
-    logscale = np.zeros_like(x)
-    if n == 0:
-        h = h_prev
-    else:
-        h = x.copy()
-        for k in range(1, n):
-            h_prev, h = h, (x * h - math.sqrt(k) * h_prev) / math.sqrt(k + 1)
-            m = np.abs(h)
-            need = m > _BIG
-            if np.any(need):
-                # only growth needs taming: normalized values never decay
-                # collectively below double range
-                f = np.where(need, m, 1.0)
-                h = h / f
-                h_prev = h_prev / f
-                logscale = logscale + np.log(f)
+    shape = np.atleast_1d(x).shape
+    xf = x.ravel()
+    h = np.ones_like(xf) if n == 0 else xf.copy()
+    logscale = np.zeros_like(xf)
+    if n >= 2:
+        roots = [math.sqrt(k) for k in range(n + 1)]
+        size = min(xf.size, _CHUNK)
+        bufs = [np.empty(size) for _ in range(3)]
+        for lo in range(0, xf.size, _CHUNK):
+            hi = min(lo + _CHUNK, xf.size)
+            _hermite_chunk(n, xf[lo:hi], roots, bufs, h[lo:hi],
+                           logscale[lo:hi])
     with np.errstate(divide="ignore"):
         logabs = np.log(np.abs(h)) + logscale
     sign = np.sign(h)
     if scalar:
         return float(logabs[0]), float(sign[0])
-    return logabs, sign
+    return logabs.reshape(shape), sign.reshape(shape)
 
 
-class HermiteEvaluator:
-    """Batch evaluation of H_0..H_max_degree at a point or array.
-
-    Instances are immutable after construction and safe to share between
-    threads; the recurrence workspace is local to each call.
-    """
-
-    def __init__(self, max_degree: int):
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        self.max_degree = max_degree
-
-    def values(self, x):
-        """Array of H_k(x), k = 0..max_degree (unnormalized; may overflow)."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty((self.max_degree + 1,) + x.shape)
-        out[0] = 1.0
-        if self.max_degree >= 1:
-            out[1] = x
-        for k in range(1, self.max_degree):
-            out[k + 1] = x * out[k] - k * out[k - 1]
-        if not np.all(np.isfinite(out)):
-            raise OverflowError("unnormalized Hermite table overflows; "
-                                "use normed_log")
-        return out
-
-    def normed_log(self, x):
-        """(log|H_k(x)/sqrt(k!)|, sign) stacked for k = 0..max_degree."""
-        logs = []
-        signs = []
-        for k in range(self.max_degree + 1):
-            la, sg = hermite_normed_log(k, x)
-            logs.append(la)
-            signs.append(sg)
-        return np.asarray(logs), np.asarray(signs)
+def _hermite_chunk(n, x, roots, bufs, out, logscale):
+    """Run the normalized recurrence to degree n >= 2 on one chunk, writing
+    h_n into ``out`` and the running exponent into ``logscale``."""
+    m = x.size
+    h, h_prev, tmp = (b[:m] for b in bufs)
+    h[:] = x
+    h_prev.fill(1.0)
+    bound_limit = 0.5 * _BIG
+    big_x = float(np.max(np.abs(x)))
+    b_prev, b = 1.0, big_x
+    # "not <=" so that a NaN or infinite bound turns the scan on
+    scan = not b <= bound_limit
+    for k in range(1, n):
+        # h_prev <- (x h - sqrt(k) h_prev)/sqrt(k+1), then swap
+        np.multiply(h_prev, roots[k], out=h_prev)
+        np.multiply(x, h, out=tmp)
+        np.subtract(tmp, h_prev, out=h_prev)
+        np.divide(h_prev, roots[k + 1], out=h_prev)
+        h, h_prev = h_prev, h
+        if not scan:
+            b_prev, b = b, (big_x * b + roots[k] * b_prev) / roots[k + 1]
+            scan = not b <= bound_limit
+        if scan:
+            np.abs(h, out=tmp)
+            # one reduction in place of an elementwise test on most steps;
+            # "not <=" lets a NaN through to the elementwise test
+            if not tmp.max() <= _BIG:
+                # only growth needs taming: normalized values never decay
+                # collectively below double range
+                f = np.where(tmp > _BIG, tmp, 1.0)
+                h /= f
+                h_prev /= f
+                logscale += np.log(f)
+    out[:] = h
 
 
 def psi_log(n: int, t: float, x):
@@ -312,16 +327,49 @@ def _airy_taylor_batch(c, a, b, h, nterms=26):
     return y, yp
 
 
+# The tail series runs only for x > _AIRY_HI, where zeta >= 27.7 and the
+# bounds _ASY_BOUND[k] zeta^-k fall monotonically over k < _ASY_TERMS: once
+# one is below 2^-55, every later term is below half an ulp of a partial sum
+# near 1, and adding it would not change the sum.
+_ASY_TERMS = 26
+_ASY_BOUND = np.maximum(np.abs(_ASY_C), np.abs(_ASY_D))[:_ASY_TERMS]
+_ASY_TOL = 2.0 ** -55
+
+
+def _airy_tail_sums(zeta, with_deriv=True):
+    """sum_k C_k (-1/zeta)^k and, with ``with_deriv``, sum_k D_k (-1/zeta)^k
+    for zeta > 27.7, summed in chunks of ``_CHUNK`` and stopped per chunk
+    at the first term bound below 2^-55 (so bitwise equal to all
+    ``_ASY_TERMS`` terms)."""
+    s_ai = np.zeros_like(zeta)
+    s_aip = np.zeros_like(zeta) if with_deriv else None
+    size = min(zeta.size, _CHUNK)
+    term_buf, ratio_buf, tmp_buf = (np.empty(size) for _ in range(3))
+    for lo in range(0, zeta.size, _CHUNK):
+        hi = min(lo + _CHUNK, zeta.size)
+        m = hi - lo
+        term, ratio, tmp = term_buf[:m], ratio_buf[:m], tmp_buf[:m]
+        np.divide(1.0, zeta[lo:hi], out=ratio)
+        bounds = _ASY_BOUND * float(ratio.max()) ** np.arange(_ASY_TERMS)
+        small = np.flatnonzero(bounds < _ASY_TOL)
+        nterms = int(small[0]) if small.size else _ASY_TERMS
+        np.negative(ratio, out=ratio)    # -1/zeta, from one term to the next
+        term.fill(1.0)
+        sa = s_ai[lo:hi]
+        sd = None if s_aip is None else s_aip[lo:hi]
+        for k in range(nterms):
+            np.multiply(term, _ASY_C[k], out=tmp)
+            sa += tmp
+            if sd is not None:
+                np.multiply(term, _ASY_D[k], out=tmp)
+                sd += tmp
+            term *= ratio
+    return s_ai, s_aip
+
+
 def _airy_asy_pos_vec(x):
     zeta = 2.0 / 3.0 * x ** 1.5
-    zi = 1.0 / zeta
-    s_ai = np.zeros_like(x)
-    s_aip = np.zeros_like(x)
-    term = np.ones_like(x)
-    for k in range(26):
-        s_ai += _ASY_C[k] * term
-        s_aip += _ASY_D[k] * term
-        term = term * (-zi)
+    s_ai, s_aip = _airy_tail_sums(zeta)
     pre = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
     return pre * x ** -0.25 * s_ai, -pre * x ** 0.25 * s_aip
 
@@ -405,12 +453,7 @@ def airy_log_pos(x):
     if np.any(far):
         xf = xv[far]
         zeta = 2.0 / 3.0 * xf ** 1.5
-        zi = 1.0 / zeta
-        s = np.zeros_like(xf)
-        term = np.ones_like(xf)
-        for k in range(26):
-            s += _ASY_C[k] * term
-            term = term * (-zi)
+        s, _ = _airy_tail_sums(zeta, with_deriv=False)
         out[far] = -zeta - 0.25 * np.log(xf) \
             - math.log(2.0 * math.sqrt(math.pi)) + np.log(s)
     out = out.reshape(np.atleast_1d(x).shape)

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from rbmdet import fredholm as fr
 from rbmdet import initial_data as idata
-from rbmdet.fredholm import NystromSystem, fredholm_det, rbm_probability
+from rbmdet import scaling as sc
+from rbmdet.errors import ConvergenceError
+from rbmdet.fredholm import (DetResult, NystromSystem, fredholm_det,
+                             rbm_probability)
 from rbmdet.kernel import KernelSpec
 from rbmdet.quad import build_scheme
 from rbmdet.scaling import tracy_widom_gue_cdf
@@ -182,3 +186,40 @@ class TestRbmProbability:
         res = rbm_probability(spec, [-6.0])
         assert 0.0 <= res.value <= 1.0
         assert res.error_estimate < 1e-6
+
+
+class TestDivergenceStop:
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_edge_refinement_stops_when_estimate_grows(self, n, monkeypatch):
+        # packed data at the spectral edge at t = 1: the estimate grows from
+        # round 1 to round 2, and doubling on would exhaust memory
+        rounds = []
+
+        def counted(system, shrink=2.0):
+            rounds.append(fredholm_det(system, shrink))
+            return rounds[-1]
+
+        monkeypatch.setattr(fr, "fredholm_det", counted)
+        spec = KernelSpec(t=1.0, indices=(n,), ic=idata.packed(0.0))
+        with pytest.raises(ConvergenceError, match="diverges") as info:
+            rbm_probability(spec, [-2.0 * math.sqrt(n)])
+        assert len(rounds) == 2
+        assert rounds[1].error_estimate >= rounds[0].error_estimate
+        assert info.value.value == rounds[1].value
+        assert info.value.error_estimate == rounds[1].error_estimate
+
+    def test_fixed_point_refinement_stops_when_estimate_grows(
+            self, monkeypatch):
+        # the third round would meet the target; the second already failed
+        # to improve on the first, so refinement stops there
+        errs = iter([1e-3, 1e-3, 1e-9])
+
+        def scripted(system, shrink=2.0):
+            return DetResult(0.5, next(errs), system.order, 0.0)
+
+        monkeypatch.setattr(sc, "fredholm_det", scripted)
+        spec = sc.FixedPointSpec(wedges=(0.0,), T=1.0, x=(0.0,), a_out=(0.0,))
+        with pytest.raises(ConvergenceError, match="diverges") as info:
+            sc.fixedpoint_probability(spec)
+        assert (info.value.value, info.value.error_estimate) == (0.5, 1e-3)
+        assert next(errs) == 1e-9

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from rbmdet import scaling as sc
 from rbmdet import special
+from rbmdet.fredholm import NystromSystem
 
 
 class TestScaleVars:
@@ -182,6 +183,26 @@ class TestFixedPointFactorMemo:
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
         # one entry per (point, offset x - a) and side; 0 and -0 coincide
         assert len(kern._factors) <= 7
+
+    def test_one_v_grid_per_assembly(self, monkeypatch):
+        # a negative threshold puts u nodes above 0; every block must still
+        # use the one v grid, or the memo rebuilds factors it already had
+        spec = sc.FixedPointSpec(wedges=(0.0, -1.0), T=1.0, x=(0.0, 0.5),
+                                 a_out=(-1.0, 0.5))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return s_fp(*args, **kwargs)
+
+        s_fp = sc.s_fp
+        monkeypatch.setattr(sc, "s_fp", counted)
+        kern = sc.FixedPointKernel(spec, order=24)
+        pad = 18.0
+        NystromSystem(intervals=tuple((-a - pad, -a) for a in spec.a_out),
+                      order=32, block_fn=kern.block, max_panel=1.2).matrix()
+        assert len(calls) == 7
+        assert len(kern._schemes) == 1
 
 
 class TestFixedPointProbability:

@@ -54,11 +54,151 @@ class TestHermite:
                 ref = sp.hermite_eval(k, x) / math.sqrt(math.factorial(k))
                 assert sg * math.exp(la) == pytest.approx(ref, rel=1e-11)
 
-    def test_evaluator_table(self):
-        ev = sp.HermiteEvaluator(10)
-        vals = ev.values(1.3)
-        for k in (0, 3, 7, 10):
-            assert vals[k] == pytest.approx(sp.hermite_eval(k, 1.3), rel=1e-13)
+
+
+def reference_hermite_normed_log(n, x):
+    """The whole-array recurrence with a rescale scan on every step: the
+    loop the chunked, bound-gated one must reproduce bit for bit."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    h_prev = np.ones_like(x)
+    logscale = np.zeros_like(x)
+    if n == 0:
+        h = h_prev
+    else:
+        h = x.copy()
+        for k in range(1, n):
+            h_prev, h = h, (x * h - math.sqrt(k) * h_prev) / math.sqrt(k + 1)
+            m = np.abs(h)
+            need = m > sp._BIG
+            if np.any(need):
+                f = np.where(need, m, 1.0)
+                h = h / f
+                h_prev = h_prev / f
+                logscale = logscale + np.log(f)
+    with np.errstate(divide="ignore"):
+        logabs = np.log(np.abs(h)) + logscale
+    return logabs, np.sign(h)
+
+
+def reference_tail_sums(x):
+    """All 26 terms of the exponential-tail series for Ai and Ai'."""
+    zeta = 2.0 / 3.0 * x ** 1.5
+    zi = 1.0 / zeta
+    s_ai = np.zeros_like(x)
+    s_aip = np.zeros_like(x)
+    term = np.ones_like(x)
+    for k in range(26):
+        s_ai += sp._ASY_C[k] * term
+        s_aip += sp._ASY_D[k] * term
+        term = term * (-zi)
+    return zeta, s_ai, s_aip
+
+
+def assert_bitwise(got, ref):
+    assert got[0].shape == ref[0].shape
+    assert np.array_equal(got[0], ref[0], equal_nan=True)
+    assert np.array_equal(got[1], ref[1], equal_nan=True)
+
+
+C = sp._CHUNK
+
+
+class TestHermiteChunked:
+    @pytest.mark.parametrize("size", [1, C - 1, C, C + 1, 3 * C + 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 193])
+    def test_sizes_and_degrees(self, size, n):
+        rng = np.random.default_rng([size, n])
+        x = rng.normal(scale=2.0 * math.sqrt(n + 1), size=size)
+        assert_bitwise(sp.hermite_normed_log(n, x),
+                       reference_hermite_normed_log(n, x))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 193])
+    def test_shapes(self, n):
+        x2 = np.linspace(-30.0, 30.0, 3 * 7).reshape(3, 7)
+        got = sp.hermite_normed_log(n, x2)
+        assert got[0].shape == got[1].shape == (3, 7)
+        ref = reference_hermite_normed_log(n, x2.ravel())
+        assert_bitwise((got[0].ravel(), got[1].ravel()), ref)
+        x1 = x2[1]
+        assert_bitwise(sp.hermite_normed_log(n, x1),
+                       reference_hermite_normed_log(n, x1))
+        la, sg = sp.hermite_normed_log(n, 2.5)
+        ref = reference_hermite_normed_log(n, 2.5)
+        assert isinstance(la, float) and isinstance(sg, float)
+        assert (la, sg) == (ref[0][0], ref[1][0])
+
+    def test_only_some_chunks_rescale(self):
+        # chunk 0 stays far below the rescale bound, chunks 1 and 2 cross
+        # it at different steps, chunk 3 is partial
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.uniform(-1.0, 1.0, C),
+                            rng.uniform(-60.0, 60.0, C),
+                            rng.uniform(-20.0, 20.0, C),
+                            rng.uniform(-60.0, 60.0, 11)])
+        got = sp.hermite_normed_log(1500, x)
+        ref = reference_hermite_normed_log(1500, x)
+        assert_bitwise(got, ref)
+        assert np.all(np.isfinite(got[0]))
+        assert np.max(got[0]) > math.log(sp._BIG)   # the rescale did run
+
+    def test_non_finite_points_leave_the_others_alone(self):
+        # a NaN or inf makes the chunk's bound non-finite: it scans from the
+        # first step, as the whole-array loop does
+        x = np.array([np.nan, 60.0, -60.0, np.inf, 0.3])
+        with np.errstate(invalid="ignore"):
+            got = sp.hermite_normed_log(400, x)
+            ref = reference_hermite_normed_log(400, x)
+        assert_bitwise(got, ref)
+        assert np.all(np.isfinite(got[0][[1, 2, 4]]))
+
+    def test_exact_zeros_have_sign_zero(self):
+        # H_2(+-1) = 0 and H_odd(0) = 0 come out of the recurrence exactly
+        x = np.array([-1.0, 0.0, 1.0, 0.5])
+        for n in (1, 2, 3, 193):
+            got = sp.hermite_normed_log(n, x)
+            assert_bitwise(got, reference_hermite_normed_log(n, x))
+        la, sg = sp.hermite_normed_log(2, x)
+        assert list(sg[[0, 2]]) == [0.0, 0.0] and la[0] == -math.inf
+        assert sp.hermite_normed_log(193, x)[1][1] == 0.0
+
+
+class TestAiryTail:
+    def test_term_bounds_fall_past_the_switch(self):
+        # the truncation rule needs bound_k zeta^-k to fall over k < 26 for
+        # every zeta at or above the switch point x = 12
+        zeta = 2.0 / 3.0 * sp._AIRY_HI ** 1.5
+        b = sp._ASY_BOUND * zeta ** -np.arange(sp._ASY_TERMS, dtype=float)
+        assert np.all(np.diff(b) < 0)
+
+    @pytest.mark.parametrize("size", [1, C - 1, C + 1, 3 * C + 5])
+    def test_series_matches_all_26_terms(self, size):
+        rng = np.random.default_rng(size)
+        x = np.exp(rng.uniform(math.log(12.0), math.log(1e3), size))
+        x[0] = np.nextafter(12.0, 13.0)
+        zeta, s_ai, s_aip = reference_tail_sums(x)
+        got = sp._airy_tail_sums(zeta)
+        assert np.array_equal(got[0], s_ai)
+        assert np.array_equal(got[1], s_aip)
+        assert np.array_equal(sp._airy_tail_sums(zeta, with_deriv=False)[0],
+                              s_ai)
+
+    def test_public_values_on_both_sides_of_the_switch(self):
+        x = np.concatenate([np.linspace(-25.0, 11.99, 501),
+                            np.linspace(12.0, 14.0, 501),
+                            np.geomspace(14.0, 1e3, C + 3)])
+        far = x > sp._AIRY_HI
+        xf = x[far]
+        zeta, s_ai, s_aip = reference_tail_sums(xf)
+        pre = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
+        ai, aip = sp.airy_pair(x)
+        assert np.array_equal(ai[far], pre * xf ** -0.25 * s_ai)
+        assert np.array_equal(aip[far], -pre * xf ** 0.25 * s_aip)
+        pos = x > 0
+        log_ai = sp.airy_log_pos(x[pos])
+        ref = (-zeta - 0.25 * np.log(xf) - math.log(2.0 * math.sqrt(math.pi))
+               + np.log(s_ai))
+        assert np.array_equal(log_ai[far[pos]], ref)
+        assert np.array_equal(log_ai[~far[pos]], np.log(ai[pos & ~far]))
 
 
 class TestPsiPair:
