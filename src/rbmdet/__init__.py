@@ -20,7 +20,7 @@ from .simulate import (NoiseField, PathEnsemble, gue_edge_sample, lpp_value,
                        mc_distribution, rbm_reflect, rbm_variational,
                        sample_noise)
 from .scaling import (ConvergenceRow, FixedPointSpec, convergence_study,
-                      fixedpoint_kernel_nw, fixedpoint_probability, s_fp,
-                      scale_vars, scaled_kernels, tracy_widom_gue_cdf)
+                      fixedpoint_probability, s_fp, scale_vars,
+                      scaled_kernels, tracy_widom_gue_cdf)
 from .special import (airy_eval, airy_pair, contour_eval, hermite_eval,
                       hermite_normed_log, oscillator_psi, psi_pair)

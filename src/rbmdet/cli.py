@@ -10,10 +10,11 @@ validate  run the cross-check suites (duality, gram, representations,
 scaling   narrow-wedge convergence study, CSV output
 gue       packed one-point determinant vs GUE edge sampling
 
-Configuration may come from a plain ``key=value`` file (--config); explicit
-flags override file values.  All randomness derives from --seed, and reports
-embed the resolved configuration, so identical configs give byte-identical
-JSON.
+Each subcommand accepts only the flags it reads; ``rbmdet CMD --help``
+lists them.  Configuration may come from a plain ``key=value`` file
+(--config) whose keys are flags of the subcommand; explicit flags override
+file values.  All randomness derives from --seed, and reports embed the
+resolved configuration, so identical configs give byte-identical JSON.
 
 Exit codes: 0 success, 2 argument error, 3 numerical non-convergence or
 failed validation, 4 I/O error.
@@ -33,8 +34,8 @@ import numpy as np
 from . import __version__, biorth, simulate, special
 from .errors import ConvergenceError
 from .fredholm import rbm_probability
-from .initial_data import from_positions, narrow_wedge_approx, packed, \
-    read_csv
+from .initial_data import InitialCondition, from_positions, \
+    narrow_wedge_approx, packed, read_csv
 from .hitting import default_grid, hitting_law_grid, hitting_law_mc, \
     law_from_blocks
 from .kernel import KernelSpec, kernel_eval, s_ops
@@ -72,18 +73,24 @@ def _load_config(path):
 
 
 def _resolve(args, config):
-    """Apply config-file values wherever the command line kept a default."""
+    """Apply config-file values wherever the command line kept a default,
+    then the defaults of the flags that are still unset."""
     for key, raw in config.items():
         if not hasattr(args, key):
             raise ValueError(f"unknown config key {key!r}")
+        choices = _FLAGS.get(key, {}).get("choices")
+        if choices and raw not in choices:
+            raise ValueError(f"config key {key!r} must be one of {choices}")
         if getattr(args, key) is None:
             setattr(args, key, raw)
+    for key, value in _DEFAULTS.items():
+        if getattr(args, key, value) is None:
+            setattr(args, key, value)
     return args
 
 
 def _initial_condition(args) -> InitialCondition:
-    sources = [s for s in ("levels", "init_csv", "wedges")
-               if getattr(args, s, None) is not None]
+    sources = [s for s in _SOURCE if getattr(args, s) is not None]
     if len(sources) != 1:
         raise ValueError(
             "exactly one of --levels, --init-csv, --wedges is required")
@@ -107,7 +114,7 @@ def _report(args, payload: dict) -> str:
                    if k not in ("cmd", "func") and v is not None},
         **payload,
     }
-    if getattr(args, "output", None) == "csv":
+    if args.output == "csv":
         rows = payload.get("rows")
         if rows is None:
             rows = [{k: v for k, v in payload.items()}]
@@ -239,7 +246,7 @@ def _cmd_scaling(args):
 
 def _cmd_validate(args):
     seed = int(args.seed or 0)
-    suites = [args.suite] if args.suite and args.suite != "all" else \
+    suites = [args.suite] if args.suite != "all" else \
         ["duality", "gram", "representations", "contour", "g0n"]
     results = {}
     rng = np.random.default_rng(seed)
@@ -317,6 +324,56 @@ def _cmd_validate(args):
     return {"suites": results, "all_pass": ok, "seed": seed}
 
 
+# every flag a subcommand may take; each subcommand takes only those it reads
+_FLAGS = {
+    "t": dict(help="time (or fixed-point time for scaling)"),
+    "indices": dict(help="comma list n1,n2,..."),
+    "a": dict(help="comma list of thresholds"),
+    "levels": dict(help="comma list X0(1),X0(2),... "
+                        "(leading 'inf' entries allowed)"),
+    "init_csv": dict(help="CSV file with index,position rows"),
+    "wedges": dict(help="a1,a2,...@eps narrow-wedge data "
+                        "(positions only for 'scaling')"),
+    "quad_order": dict(help="quadrature nodes per panel"),
+    "pad": dict(help="truncation pad for half-lines"),
+    "target": dict(help="determinant error target"),
+    "representation": dict(choices=("hitting", "biorth", "operator_step")),
+    "paths": dict(help="Monte Carlo sample count"),
+    "dt": dict(help="simulation step"),
+    "seed": dict(help="master seed"),
+    "threads": dict(help="worker cap (results unchanged)"),
+    "eta": dict(help="walk start"),
+    "horizon": dict(help="epoch horizon"),
+    "method": dict(choices=("exact", "grid", "mc")),
+    "spacing": dict(help="grid spacing for --method grid"),
+    "suite": dict(choices=("duality", "gram", "representations", "contour",
+                           "g0n", "all"), help="default all"),
+    "x": dict(help="comma list of fixed-point locations"),
+    "eps": dict(help="comma list of eps values"),
+    "n": dict(help="matrix size / particle index"),
+    "output": dict(choices=("json", "csv"), help="default json"),
+}
+_SOURCE = ("levels", "init_csv", "wedges")
+# applied after the config merge, so that a config file can set them
+_DEFAULTS = {"output": "json", "suite": "all"}
+
+_COMMANDS = (
+    ("prob", _cmd_prob, "determinant probability",
+     ("t", "indices", "a", *_SOURCE, "quad_order", "pad", "target",
+      "representation")),
+    ("mc", _cmd_mc, "Monte Carlo probability",
+     ("t", "indices", "a", *_SOURCE, "paths", "dt", "seed", "threads")),
+    ("hitting", _cmd_hitting, "dump a hitting law",
+     (*_SOURCE, "eta", "horizon", "indices", "method", "spacing", "paths",
+      "seed")),
+    ("validate", _cmd_validate, "cross-check suites", ("seed", "suite")),
+    ("scaling", _cmd_scaling, "narrow-wedge convergence study",
+     ("wedges", "t", "x", "a", "eps", "target")),
+    ("gue", _cmd_gue, "packed one-point law vs GUE edge",
+     ("n", "a", "paths", "seed")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="rbmdet",
@@ -325,62 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "KPZ-fixed-point cross-checks")
     p.add_argument("--config", help="key=value file; flags override it")
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    def common(sp):
-        sp.add_argument("--t", help="time (or fixed-point time for scaling)")
-        sp.add_argument("--indices", help="comma list n1,n2,...")
-        sp.add_argument("--a", help="comma list of thresholds")
-        sp.add_argument("--levels", help="comma list X0(1),X0(2),... "
-                                         "(leading 'inf' entries allowed)")
-        sp.add_argument("--init-csv", dest="init_csv",
-                        help="CSV file with index,position rows")
-        sp.add_argument("--wedges", help="a1,a2,...@eps narrow-wedge data "
-                                         "(positions only for 'scaling')")
-        sp.add_argument("--quad-order", dest="quad_order",
-                        help="quadrature nodes per panel")
-        sp.add_argument("--pad", help="truncation pad for half-lines")
-        sp.add_argument("--paths", help="Monte Carlo sample count")
-        sp.add_argument("--dt", help="simulation step")
-        sp.add_argument("--seed", help="master seed")
-        sp.add_argument("--output", choices=("json", "csv"), default="json")
-        sp.add_argument("--threads", help="worker cap (results unchanged)")
-        sp.add_argument("--target", help="determinant error target")
-
-    sp = sub.add_parser("prob", help="determinant probability")
-    common(sp)
-    sp.add_argument("--representation",
-                    choices=("hitting", "biorth", "operator_step"))
-    sp.set_defaults(func=_cmd_prob)
-
-    sp = sub.add_parser("mc", help="Monte Carlo probability")
-    common(sp)
-    sp.set_defaults(func=_cmd_mc)
-
-    sp = sub.add_parser("hitting", help="dump a hitting law")
-    common(sp)
-    sp.add_argument("--eta", help="walk start")
-    sp.add_argument("--horizon", help="epoch horizon")
-    sp.add_argument("--method", choices=("exact", "grid", "mc"))
-    sp.add_argument("--spacing", help="grid spacing for --method grid")
-    sp.set_defaults(func=_cmd_hitting)
-
-    sp = sub.add_parser("validate", help="cross-check suites")
-    common(sp)
-    sp.add_argument("--suite",
-                    choices=("duality", "gram", "representations",
-                             "contour", "g0n", "all"), default="all")
-    sp.set_defaults(func=_cmd_validate)
-
-    sp = sub.add_parser("scaling", help="narrow-wedge convergence study")
-    common(sp)
-    sp.add_argument("--x", help="comma list of fixed-point locations")
-    sp.add_argument("--eps", help="comma list of eps values")
-    sp.set_defaults(func=_cmd_scaling)
-
-    sp = sub.add_parser("gue", help="packed one-point law vs GUE edge")
-    common(sp)
-    sp.add_argument("--n", help="matrix size / particle index")
-    sp.set_defaults(func=_cmd_gue)
+    for name, func, help_, flags in _COMMANDS:
+        sp = sub.add_parser(name, help=help_)
+        for flag in (*flags, "output"):
+            sp.add_argument("--" + flag.replace("_", "-"), dest=flag,
+                            **_FLAGS[flag])
+        sp.set_defaults(func=func)
     return p
 
 
@@ -388,8 +395,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.config:
-            _resolve(args, _load_config(args.config))
+        _resolve(args, _load_config(args.config) if args.config else {})
         payload = args.func(args)
         print(_report(args, payload))
         return 0

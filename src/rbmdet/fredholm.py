@@ -6,6 +6,8 @@ estimates come from a half-order rerun and a shrunk-domain rerun
 (Richardson-style comparison, reported, never extrapolated).  The
 shrunk-domain rerun assembles nothing: its cut is snapped to an existing
 panel edge, so its matrix is a principal submatrix of the full one.
+``refine`` is the one refinement loop around the quadrature: the RBM and
+the fixed-point probabilities each supply only their system and schedule.
 """
 
 from __future__ import annotations
@@ -133,22 +135,46 @@ def fredholm_det(system: NystromSystem, shrink: float = 2.0) -> DetResult:
                      order_used=system.order, pad_used=float(pad))
 
 
-def _stop_if_diverging(res: DetResult, prev: DetResult | None,
-                       order: int) -> None:
-    """Raise ConvergenceError when refinement made the error estimate no
-    smaller: more rounds would only grow the matrix."""
-    if prev is not None and res.error_estimate >= prev.error_estimate:
-        raise ConvergenceError(
-            f"determinant refinement diverges: error estimate "
-            f"{res.error_estimate:.3e} at order {order} is not below "
-            f"{prev.error_estimate:.3e}; last value {res.value!r}",
-            value=res.value, error_estimate=res.error_estimate)
+def refine(system_at, order: int, pad: float, grow_pad, target: float,
+           max_rounds: int, floor: float) -> DetResult:
+    """The refinement loop of every determinant query.
 
-
-def _extended_block_fn(kern: ExtendedKernelEval, indices):
-    def block(i, j, x, y):
-        return kern.block(indices[i], indices[j], x, y)
-    return block
+    Each round runs ``fredholm_det`` on ``system_at(order, pad)`` with the
+    domain shrunk by max(2, pad/10).  An error estimate below ``target`` is
+    accepted if the value lies in [0, 1] within 10 max(estimate, floor);
+    otherwise the order doubles and the pad becomes ``grow_pad(pad)``.
+    Raises ConvergenceError with the last value and estimate as soon as a
+    round's estimate is not below the previous round's (more rounds would
+    only grow the matrix), or when ``max_rounds`` rounds do not reach
+    ``target``.
+    """
+    if max_rounds < 1:
+        raise ValueError(f"need max_rounds >= 1, got {max_rounds}")
+    last = None
+    for _ in range(max_rounds):
+        res = fredholm_det(system_at(order, pad), shrink=max(2.0, 0.1 * pad))
+        if res.error_estimate < target:
+            tol = 10.0 * max(res.error_estimate, floor)
+            if not (-tol <= res.value <= 1.0 + tol):
+                raise ConvergenceError(
+                    f"determinant {res.value} outside [0, 1] beyond "
+                    f"tolerance {tol}", value=res.value,
+                    error_estimate=res.error_estimate)
+            return DetResult(res.value, res.error_estimate, order, pad)
+        if last is not None and res.error_estimate >= last.error_estimate:
+            raise ConvergenceError(
+                f"determinant refinement diverges: error estimate "
+                f"{res.error_estimate:.3e} at order {order} is not below "
+                f"{last.error_estimate:.3e}; last value {res.value!r}",
+                value=res.value, error_estimate=res.error_estimate)
+        order *= 2
+        pad = grow_pad(pad)
+        last = res
+    raise ConvergenceError(
+        f"determinant refinement stalled at error "
+        f"{last.error_estimate:.3e} (target {target:.1e}); last value "
+        f"{last.value!r}", value=last.value,
+        error_estimate=last.error_estimate)
 
 
 def rbm_probability(spec: KernelSpec, a, target: float = 1e-6,
@@ -159,10 +185,10 @@ def rbm_probability(spec: KernelSpec, a, target: float = 1e-6,
 
     Each half-line (-inf, a_j] is truncated to [a_j - pad, a_j]; the
     conjugated kernel decays exponentially below the levels, so moderate
-    pads converge.  Order doubles and the pad grows until the internal error
-    estimate is below ``target``.  Raises ConvergenceError with the last
-    value and estimate as soon as a round's estimate is not below the
-    previous round's, or when ``max_rounds`` rounds do not reach ``target``.
+    pads converge.  ``refine`` starts at ``order`` (40 by default) and, for
+    at most ``max_rounds`` rounds (4), doubles the order and grows the pad
+    by 3 sqrt(t) + 2 until the error estimate is below ``target``, with a
+    floor of 1e-14 in the [0, 1] check.
     """
     a = [float(v) for v in np.atleast_1d(a)]
     if len(a) != len(spec.indices):
@@ -178,28 +204,16 @@ def rbm_probability(spec: KernelSpec, a, target: float = 1e-6,
     # the kernel's mass lives between the lowest particle's reach and the
     # levels; a threshold far above it must not drag the window away
     reach = spec.ic.min_level - 2.0 * math.sqrt(spec.n_max * t)
-    last_exc = None
-    for round_ in range(max_rounds):
+
+    def block(i, j, x, y):
+        return kern.block(spec.indices[i], spec.indices[j], x, y)
+
+    def system_at(order, pad):
         intervals = tuple((min(aj, reach) - pad, aj) for aj in a)
-        system = NystromSystem(intervals=intervals, order=order,
-                               block_fn=_extended_block_fn(kern, spec.indices),
-                               splits=splits, max_panel=max_panel,
-                               pad_side="lower")
-        res = fredholm_det(system, shrink=max(2.0, 0.1 * pad))
-        if res.error_estimate < target:
-            tol = 10.0 * max(res.error_estimate, 1e-14)
-            if not (-tol <= res.value <= 1.0 + tol):
-                raise ConvergenceError(
-                    f"determinant {res.value} outside [0, 1] beyond "
-                    f"tolerance {tol}", value=res.value,
-                    error_estimate=res.error_estimate)
-            return DetResult(res.value, res.error_estimate, order, pad)
-        _stop_if_diverging(res, last_exc, order)
-        order = 2 * order
-        pad = pad + 3.0 * math.sqrt(t) + 2.0
-        last_exc = res
-    raise ConvergenceError(
-        f"determinant refinement stalled at error "
-        f"{last_exc.error_estimate:.3e} (target {target:.1e}); last value "
-        f"{last_exc.value!r}", value=last_exc.value,
-        error_estimate=last_exc.error_estimate)
+        return NystromSystem(intervals=intervals, order=order,
+                             block_fn=block, splits=splits,
+                             max_panel=max_panel, pad_side="lower")
+
+    return refine(system_at, order, pad,
+                  lambda pad: pad + 3.0 * math.sqrt(t) + 2.0,
+                  target, max_rounds, floor=1e-14)

@@ -29,9 +29,9 @@ from itertools import combinations
 import numpy as np
 
 from . import special
-from .errors import ConvergenceError
-from .fredholm import (DetResult, NystromSystem, _stop_if_diverging,
-                       fredholm_det, rbm_probability)
+from .fredholm import DetResult, NystromSystem, rbm_probability, refine
+# the benchmark's tracer wraps fredholm_det under this module's name too
+from .fredholm import fredholm_det  # noqa: F401
 from .initial_data import narrow_wedge_approx
 from .kernel import KernelSpec
 from .quad import build_scheme
@@ -217,44 +217,32 @@ class FixedPointKernel:
                                 np.asarray([float(uj)]))[0, 0])
 
 
-def fixedpoint_kernel_nw(spec: FixedPointSpec, **kw) -> FixedPointKernel:
-    return FixedPointKernel(spec, **kw)
-
-
 def fixedpoint_probability(spec: FixedPointSpec, target: float = 1e-7,
                            order: int = 32, pad: float | None = None,
                            max_rounds: int = 3) -> DetResult:
     """P(h(T, x_j) <= a_j for all j) for multiple-narrow-wedge data, as the
     Fredholm determinant of the fixed-point kernel over (-inf, -a_j].
 
-    Refinement stops with ConvergenceError as in ``rbm_probability``."""
+    Each half-line is truncated to [-a_j - pad, -a_j].  ``refine`` starts
+    at ``order`` (32 by default) and, for at most ``max_rounds`` rounds (3),
+    doubles the order and grows the pad by 6 T^{1/3} until the error
+    estimate is below ``target``, with a floor of 1e-13 in the [0, 1] check.
+    """
     T = spec.T
     if pad is None:
         pad = 16.0 * T ** (1.0 / 3.0) + 2.0 * max(abs(min(spec.wedges)), 1.0)
     kern = FixedPointKernel(spec, order=max(24, order // 2))
     max_panel = max(1.2 * T ** (1.0 / 3.0), 0.25)
-    last = None
-    for _ in range(max_rounds):
+
+    def system_at(order, pad):
         intervals = tuple((-aj - pad, -aj) for aj in spec.a_out)
-        system = NystromSystem(intervals=intervals, order=order,
-                               block_fn=kern.block, max_panel=max_panel,
-                               pad_side="lower")
-        res = fredholm_det(system, shrink=max(2.0, 0.1 * pad))
-        if res.error_estimate < target:
-            tol = 10.0 * max(res.error_estimate, 1e-13)
-            if not (-tol <= res.value <= 1.0 + tol):
-                raise ConvergenceError(
-                    f"fixed-point determinant {res.value} outside [0, 1]",
-                    value=res.value, error_estimate=res.error_estimate)
-            return DetResult(res.value, res.error_estimate, order, pad)
-        _stop_if_diverging(res, last, order)
-        order *= 2
-        pad += 6.0 * T ** (1.0 / 3.0)
-        last = res
-    raise ConvergenceError(
-        "fixed-point determinant refinement stalled",
-        value=None if last is None else last.value,
-        error_estimate=None if last is None else last.error_estimate)
+        return NystromSystem(intervals=intervals, order=order,
+                             block_fn=kern.block, max_panel=max_panel,
+                             pad_side="lower")
+
+    return refine(system_at, order, pad,
+                  lambda pad: pad + 6.0 * T ** (1.0 / 3.0),
+                  target, max_rounds, floor=1e-13)
 
 
 def tracy_widom_gue_cdf(s: float, order: int = 40, span: float = 40.0) -> float:
@@ -314,16 +302,19 @@ def convergence_study(wedges, T: float, x, a, eps_list,
     fp_spec = FixedPointSpec(wedges=tuple(wedges), T=T, x=tuple(x),
                              a_out=tuple(a))
     fp = fixedpoint_probability(fp_spec, target=max(target, 1e-8))
+
+    def skipped(eps, reason):
+        return ConvergenceRow(eps=eps, prob_rbm=None, prob_fp=fp.value,
+                              abs_err=None, det_err_rbm=None,
+                              det_err_fp=fp.error_estimate, n=None,
+                              skipped=reason)
+
     rows = []
     for eps in eps_list:
         try:
             sv = [scale_vars(eps, T, xx, 0.0) for xx in x]
         except ValueError as exc:
-            rows.append(ConvergenceRow(eps=eps, prob_rbm=None,
-                                       prob_fp=fp.value, abs_err=None,
-                                       det_err_rbm=None,
-                                       det_err_fp=fp.error_estimate,
-                                       n=None, skipped=str(exc)))
+            rows.append(skipped(eps, str(exc)))
             continue
         ns = [v.n for v in sv]
         thresholds = [scaled_threshold(eps, T, xx, aa)
@@ -331,12 +322,7 @@ def convergence_study(wedges, T: float, x, a, eps_list,
         ordax = np.argsort(ns)
         ns_sorted = [ns[i] for i in ordax]
         if any(b <= a2 for a2, b in zip(ns_sorted[:-1], ns_sorted[1:])):
-            rows.append(ConvergenceRow(eps=eps, prob_rbm=None,
-                                       prob_fp=fp.value, abs_err=None,
-                                       det_err_rbm=None,
-                                       det_err_fp=fp.error_estimate,
-                                       n=None,
-                                       skipped="scaled indices collide"))
+            rows.append(skipped(eps, "scaled indices collide"))
             continue
         ic = narrow_wedge_approx(wedges, eps)
         t = eps ** -1.5 * T

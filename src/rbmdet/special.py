@@ -43,9 +43,8 @@ from .errors import ConvergenceError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# rescale bounds for the running-exponent recurrence
+# rescale bound for the running-exponent recurrence
 _BIG = 1e120
-_SMALL = 1e-120
 
 # elements per block of the Hermite recurrence and the Airy tail series:
 # their three float64 work buffers (192 KiB) stay in a per-core L2 cache
@@ -235,8 +234,8 @@ def _asy_coeffs(kmax=40):
 _ASY_C, _ASY_D = _asy_coeffs()
 
 
-def _asy_series(coeffs, zinv, alternate=True):
-    """Optimally truncated sum of coeffs[k] * (-zinv)^k (or +)."""
+def _asy_series(coeffs, zinv):
+    """Optimally truncated sum of coeffs[k] * (-zinv)^k."""
     total = 0.0
     term_prev = math.inf
     x = 1.0
@@ -246,7 +245,7 @@ def _asy_series(coeffs, zinv, alternate=True):
             break
         total += term
         term_prev = term
-        x *= -zinv if alternate else zinv
+        x *= -zinv
     return total
 
 
@@ -256,24 +255,6 @@ def _airy_asy_pos(x: float):
     pre = math.exp(-zeta) / (2.0 * math.sqrt(math.pi))
     ai = pre * x ** -0.25 * _asy_series(_ASY_C, 1.0 / zeta)
     aip = -pre * x ** 0.25 * _asy_series(_ASY_D, 1.0 / zeta)
-    return ai, aip
-
-
-def _airy_asy_neg(x: float):
-    """(Ai, Ai') for large negative x via the oscillatory asymptotics."""
-    z = -x
-    zeta = 2.0 / 3.0 * z ** 1.5
-    phase = zeta + 0.25 * math.pi
-    zi2 = 1.0 / (zeta * zeta)
-    s_even = _asy_series(_ASY_C[0::2], zi2)
-    s_odd = _asy_series(_ASY_C[1::2], zi2) / zeta
-    d_even = _asy_series(_ASY_D[0::2], zi2)
-    d_odd = _asy_series(_ASY_D[1::2], zi2) / zeta
-    inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
-    ai = inv_sqrt_pi * z ** -0.25 * (math.sin(phase) * s_even
-                                     - math.cos(phase) * s_odd)
-    aip = -inv_sqrt_pi * z ** 0.25 * (math.cos(phase) * d_even
-                                      + math.sin(phase) * d_odd)
     return ai, aip
 
 

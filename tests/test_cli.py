@@ -69,6 +69,67 @@ class TestConfigFile:
         assert code == 2
 
 
+    def test_unread_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "seeded.cfg"
+        cfg.write_text("t=1\nindices=1\nlevels=0\na=0\nseed=3\n")
+        code, _, err = run(capsys, "--config", str(cfg), "prob")
+        assert code == 2
+        assert "unknown config key 'seed'" in err
+
+    def test_file_sets_output(self, capsys, tmp_path):
+        argv = ("hitting", "--levels", "0", "--eta", "0.7", "--horizon", "4")
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text("output=csv\n")
+        code, out, _ = run(capsys, "--config", str(cfg), *argv)
+        assert code == 0
+        assert out.splitlines()[0] == "ell,b,density"
+        code, out, _ = run(capsys, "--config", str(cfg), *argv,
+                           "--output", "json")
+        assert json.loads(out)["config"]["output"] == "json"
+        # unset everywhere, the report stays JSON and says so
+        code, out, _ = run(capsys, *argv)
+        assert json.loads(out)["config"]["output"] == "json"
+
+    def test_file_sets_suite(self, capsys, tmp_path):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text("suite=duality\nseed=7\n")
+        code, out, _ = run(capsys, "--config", str(cfg), "validate")
+        assert code == 0
+        assert list(json.loads(out)["suites"]) == ["duality"]
+
+    @pytest.mark.parametrize("line, argv", [
+        ("output=xml", ("hitting", "--levels", "0")),
+        ("method=walk", ("hitting", "--levels", "0")),
+        ("suite=none", ("validate",)),
+    ])
+    def test_file_value_outside_choices_rejected(self, capsys, tmp_path,
+                                                 line, argv):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, _, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 2
+        assert "must be one of" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("prob", "--t", "1", "--indices", "1", "--levels", "0", "--a", "0",
+     "--seed", "3"),
+    ("mc", "--t", "1", "--indices", "1", "--levels", "0", "--a", "0",
+     "--pad", "3"),
+    ("hitting", "--levels", "0", "--eta", "0.7", "--target", "1"),
+    ("validate", "--suite", "duality", "--t", "5"),
+    ("scaling", "--wedges", "0", "--seed", "1"),
+    ("gue", "--n", "2", "--threads", "9"),
+])
+def test_unread_flag_exits_2(capsys, argv):
+    # each of these flags was accepted, ignored and echoed into the report
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in \
+        capsys.readouterr().err
+
+
 class TestMc:
     def test_json_schema_and_determinism(self, capsys):
         argv = ("mc", "--t", "1", "--indices", "1", "--levels", "0",

@@ -217,9 +217,128 @@ class TestDivergenceStop:
         def scripted(system, shrink=2.0):
             return DetResult(0.5, next(errs), system.order, 0.0)
 
-        monkeypatch.setattr(sc, "fredholm_det", scripted)
+        monkeypatch.setattr(fr, "fredholm_det", scripted)
         spec = sc.FixedPointSpec(wedges=(0.0,), T=1.0, x=(0.0,), a_out=(0.0,))
         with pytest.raises(ConvergenceError, match="diverges") as info:
             sc.fixedpoint_probability(spec)
         assert (info.value.value, info.value.error_estimate) == (0.5, 1e-3)
         assert next(errs) == 1e-9
+
+
+# The two callers of the refinement driver, each on a query whose kernel is
+# cheap to build, with the schedule each had before the driver was shared,
+# written out as the callers wrote it: (order, intervals, shrink) per round.
+RBM_T, RBM_A = 1.5, -1.0
+
+
+def _rbm_query(**kw):
+    spec = KernelSpec(t=RBM_T, indices=(2,), ic=idata.packed(0.0))
+    return rbm_probability(spec, [RBM_A], **kw)
+
+
+def _rbm_schedule(rounds):
+    t = RBM_T
+    order, pad = 40, 10.0 * math.sqrt(t) + (0.0 - 0.0)
+    reach = 0.0 - 2.0 * math.sqrt(2 * t)
+    out = []
+    for _ in range(rounds):
+        out.append((order, ((min(RBM_A, reach) - pad, RBM_A),),
+                    max(2.0, 0.1 * pad)))
+        order = 2 * order
+        pad = pad + 3.0 * math.sqrt(t) + 2.0
+    return out, pad
+
+
+FP_SPEC = sc.FixedPointSpec(wedges=(0.0,), T=2.0, x=(0.0,), a_out=(0.5,))
+
+
+def _fp_query(**kw):
+    return sc.fixedpoint_probability(FP_SPEC, **kw)
+
+
+def _fp_schedule(rounds):
+    T = FP_SPEC.T
+    order, pad = 32, 16.0 * T ** (1.0 / 3.0) + 2.0 * max(abs(0.0), 1.0)
+    out = []
+    for _ in range(rounds):
+        out.append((order, ((-0.5 - pad, -0.5),), max(2.0, 0.1 * pad)))
+        order *= 2
+        pad += 6.0 * T ** (1.0 / 3.0)
+    return out, pad
+
+
+CALLERS = {"rbm": (_rbm_query, _rbm_schedule, 4, 1e-14),
+           "fixed_point": (_fp_query, _fp_schedule, 3, 1e-13)}
+
+
+@pytest.fixture
+def scripted_det(monkeypatch):
+    """Replace fredholm_det by a script of (value, estimate) pairs; returns
+    the list of (order, intervals, shrink) each round received."""
+    rounds = []
+
+    def install(*script):
+        steps = iter(script)
+
+        def det(system, shrink=2.0):
+            rounds.append((system.order, system.intervals, shrink))
+            value, err = next(steps)
+            return DetResult(value, err, system.order, 0.0)
+
+        monkeypatch.setattr(fr, "fredholm_det", det)
+        return rounds
+
+    return install
+
+
+@pytest.mark.parametrize("caller", sorted(CALLERS))
+class TestRefine:
+    def test_schedule_per_round(self, caller, scripted_det):
+        query, schedule, _, _ = CALLERS[caller]
+        rounds = scripted_det((0.3, 1e-3), (0.4, 1e-4), (0.5, 1e-9))
+        res = query()
+        expected, _ = schedule(3)
+        # compared with ==: a pad step precomputed as one constant would
+        # round differently in the third round of the RBM schedule
+        assert rounds == expected
+        assert (res.value, res.error_estimate) == (0.5, 1e-9)
+        assert res.order_used == expected[-1][0]
+        assert res.pad_used == schedule(2)[1]
+
+    def test_stall_carries_last_round(self, caller, scripted_det):
+        query, schedule, max_rounds, _ = CALLERS[caller]
+        script = [(0.1 * k, 10.0 ** -(k + 2)) for k in range(max_rounds)]
+        rounds = scripted_det(*script)
+        with pytest.raises(ConvergenceError, match="stalled") as info:
+            query(target=1e-12)
+        assert rounds == schedule(max_rounds)[0]
+        assert (info.value.value, info.value.error_estimate) == script[-1]
+
+    def test_accepted_value_checked_against_unit_interval(
+            self, caller, scripted_det):
+        query, _, _, floor = CALLERS[caller]
+        # an estimate of 0 leaves the caller's floor as the tolerance
+        for value in (1.0 + 20 * floor, -20 * floor):
+            scripted_det((value, 0.0))
+            with pytest.raises(ConvergenceError, match=r"outside \[0, 1\]"):
+                query()
+        for value in (1.0 + 5 * floor, -5 * floor):
+            scripted_det((value, 0.0))
+            assert query().value == value
+
+    def test_max_rounds_below_one_rejected(self, caller, scripted_det):
+        query = CALLERS[caller][0]
+        rounds = scripted_det()
+        for max_rounds in (0, -1):
+            with pytest.raises(ValueError, match="max_rounds"):
+                query(max_rounds=max_rounds)
+        assert rounds == []
+
+
+def test_fixed_point_floor_is_its_own(scripted_det):
+    # 2e-13 above 1 is inside the fixed point's tolerance (floor 1e-13)
+    # and outside the RBM's (floor 1e-14)
+    scripted_det((1.0 + 2e-13, 0.0), (1.0 + 2e-13, 0.0))
+    assert _fp_query().value == 1.0 + 2e-13
+    with pytest.raises(ConvergenceError, match="outside"):
+        _rbm_query()

@@ -102,7 +102,7 @@ class TestFixedPointKernel:
     def test_equal_points_drop_first_term(self):
         spec = sc.FixedPointSpec(wedges=(0.0,), T=1.0, x=(0.3, 0.3),
                                  a_out=(0.0, 0.0))
-        kern = sc.fixedpoint_kernel_nw(spec)
+        kern = sc.FixedPointKernel(spec)
         a = kern.block(0, 1, np.array([-1.0]), np.array([-2.0]))[0, 0]
         b = kern.block(0, 0, np.array([-1.0]), np.array([-2.0]))[0, 0]
         assert a == pytest.approx(b, rel=1e-13)
@@ -113,8 +113,8 @@ class TestFixedPointKernel:
                                a_out=(0.0,))
         s2 = sc.FixedPointSpec(wedges=(-0.5 - c, -1.3 - c), T=1.2,
                                x=(0.2 - c,), a_out=(0.0,))
-        k1 = sc.fixedpoint_kernel_nw(s1)
-        k2 = sc.fixedpoint_kernel_nw(s2)
+        k1 = sc.FixedPointKernel(s1)
+        k2 = sc.FixedPointKernel(s2)
         ui = np.array([-1.5, 0.3])
         uj = np.array([-2.0, 1.0])
         assert np.allclose(k1.block(0, 0, ui, uj), k2.block(0, 0, ui, uj),
@@ -123,7 +123,7 @@ class TestFixedPointKernel:
     def test_two_wedge_kernel_against_brute_force(self):
         spec = sc.FixedPointSpec(wedges=(-0.4, -1.0), T=1.0, x=(0.0,),
                                  a_out=(0.0,))
-        kern = sc.fixedpoint_kernel_nw(spec)
+        kern = sc.FixedPointKernel(spec)
         ui, uj = -0.7, -1.2
         got = kern.block(0, 0, np.array([ui]), np.array([uj]))[0, 0]
         a1, a2 = spec.wedges
@@ -171,7 +171,7 @@ class TestFixedPointFactorMemo:
     def test_two_wedge_block_matches_per_subset_loop(self):
         spec = sc.FixedPointSpec(wedges=(0.0, -1.0), T=1.0, x=(0.0, 0.5),
                                  a_out=(0.0, 0.5))
-        kern = sc.fixedpoint_kernel_nw(spec)
+        kern = sc.FixedPointKernel(spec)
         u = [np.linspace(-6.0, 0.0, 7), np.linspace(-5.5, -0.5, 5),
              np.array([-3.0, -1.0])]
         # repeated and interleaved (point, node set) requests
