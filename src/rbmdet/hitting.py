@@ -171,11 +171,15 @@ class HittingLaw:
     error.  How that sum splits between the two fields depends on the method,
     and no definition of the split is settled yet:
 
-    * exact sweep: ``dead_mass`` is the mass below the last level;
+    * exact sweep: ``dead_mass`` is the mass below the last level.  The
+      sweep cuts at that level, so nothing unhit survives above it after
+      the last block start, and ``survivor_mass`` is 0;
+    * inclusion-exclusion: the sweep's split.  ``dead_mass`` is
+      P(no hit), whose signed expansion is 1 minus the signed component
+      masses, so the balance holds by construction; it is the agreement
+      with the sweep's ``dead_mass`` that checks it;
     * grid: ``dead_mass`` is the mass below the grid bottom;
     * Monte Carlo: ``dead_mass`` is 0.
-
-    The inclusion-exclusion mode computes neither and sets both to NaN.
     """
 
     start: float
@@ -295,9 +299,13 @@ def _law_inclusion_exclusion(blks, eta, n_max, order, panel_max):
     prod_i 1{B_{s_i} < L_i} = sum_S (-1)^{|S|} prod_{i in S} 1{B_{s_i} >= L_i}
 
     so each component is a signed sum of free propagations cut from above.
+    The same expansion of P(no hit) has the empty subset for its 1 and,
+    grouped by the last block, minus the component masses: that is the
+    dead mass (nothing survives above the last level, as in the sweep).
     """
     xg, wg = _gl_rule(order)
     components = {}
+    no_hit = 1.0
     levels = [b.level for b in blks]
     for j, blk in enumerate(blks):
         cut = blk.level
@@ -339,13 +347,14 @@ def _law_inclusion_exclusion(blks, eta, n_max, order, panel_max):
                     acc[sel] += sgn * np.exp(nodes[sel] - eta) \
                         * p.eval_poly(nodes[sel])
                 mass += sgn * sum(p.exp_mass(eta) for p in pieces)
+        no_hit -= mass
         if mass > 1e-15:
             components[blk.start] = LawComponent(
                 ell=blk.start, nodes=nodes, weights=weights, values=acc,
                 mass=mass)
     return HittingLaw(start=eta, horizon=n_max, atom_mass=0.0,
-                      components=components, survivor_mass=math.nan,
-                      dead_mass=math.nan)
+                      components=components, survivor_mass=0.0,
+                      dead_mass=no_hit)
 
 
 # ---------------------------------------------------------------------------

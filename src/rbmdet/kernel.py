@@ -173,7 +173,10 @@ class ExtendedKernelEval:
     Nystrom assembly computes each once per line and node set.  The memo
     keeps one factor per (side, line), replaced whenever its nodes change
     and emptied whenever the discretization is rebuilt; it is read and
-    written under the lock.
+    written under the lock.  In an assembly, which asks for both sides of
+    every line on one node set, a line missing from the memo on both sides
+    gets both filled from one pass: S_n and Sbar_n on the atom nodes share
+    an argument, and one Hermite recurrence to degree n yields both.
     """
 
     def __init__(self, spec: KernelSpec, eta_order: int = 16,
@@ -321,56 +324,83 @@ class ExtendedKernelEval:
         la, sg = special.psibar_log(n - 1, self.spec.t, x)
         return sg * np.exp(la - x)
 
+    def _s_sbar(self, n, eta, z):
+        """S(t, n; eta, z) and Sbar(t, n; eta, z) on eta x z, n >= 1, from
+        one recurrence; bitwise equal to ``_s_matrix`` and ``_sbar_vec``."""
+        x = eta[:, None] - z[None, :]
+        (la, sg), (lb, sb) = special.psi_psibar_log(n, self.spec.t, x)
+        return sg * np.exp(la + x), sb * np.exp(lb - x)
+
     def _st_hitting(self, ni, nj, zi, zj):
         state = self._ensure(float(min(zi.min(), zj.min())),
                              float(max(zi.max(), zj.max())))
-        a = self._factor("row", ni, zi, state)
-        b = self._factor("col", nj, zj, state)
+        # an assembly asks for both sides of every line on the same nodes;
+        # a point evaluation (the scalar __call__), or one line asked for on
+        # two node sets, builds only the side it asks for
+        whole = zi.size * zj.size > 1 and (ni != nj
+                                           or np.array_equal(zi, zj))
+        a = self._factor("row", ni, zi, state, whole)
+        b = self._factor("col", nj, zj, state, whole)
         return a.T @ b
 
-    def _factor(self, side, n, z, state):
+    def _factor(self, side, n, z, state, whole):
         """Memoized A (side "row") or B (side "col") factor of line n on
-        nodes z under the discretization ``state``."""
-        key = (side, n)
+        nodes z under the discretization ``state``.  With ``whole``, a line
+        whose other side is not memoized for (state, z) either gets both
+        sides built in one pass, and both are stored."""
+        other = "col" if side == "row" else "row"
         with self._lock:
-            hit = self._factors.get(key)
-        if hit is not None and hit[0] is state and np.array_equal(hit[1], z):
+            hit = self._factors.get((side, n))
+            twin = self._factors.get((other, n))
+
+        def fresh(entry):
+            return entry is not None and entry[0] is state \
+                and np.array_equal(entry[1], z)
+
+        if fresh(hit):
             return hit[2]
-        build = self._row_factor if side == "row" else self._col_factor
-        out = build(n, z, state)
+        sides = (side, other) if whole and not fresh(twin) else (side,)
+        built = self._line_factors(n, z, state, sides)
         with self._lock:
             if state is self._state:   # never keep a superseded build alive
-                self._factors[key] = (state, z.copy(), out)
-        return out
+                z_key = z.copy()
+                for s, out in built.items():
+                    self._factors[(s, n)] = (state, z_key, out)
+        return built[side]
 
-    def _row_factor(self, ni, zi, state):
-        """Weighted S(t, n_i; eta, z_i) on the atom and law eta nodes."""
-        parts = [np.empty((0, zi.size))]
+    def _line_factors(self, n, z, state, sides):
+        """{side: factor} of line n on nodes z, for sides in ("row", "col").
+
+        A ("row") is the weighted S(t, n; eta, z) on the atom and law eta
+        nodes.  B ("col") is Sbar(t, n; eta, z) on the atom nodes, then the
+        hitting-law expectation of Sbar(t, n - ell; b, z) on the law eta
+        nodes, every epoch ell < n scattered into one matrix.  With both
+        sides, S and Sbar on the atom nodes come from one recurrence.
+        """
+        parts = {side: [np.empty((0, z.size))] for side in sides}
+        rows, cols = parts.get("row"), parts.get("col")
         if state["atom"] is not None:
             nodes, w = state["atom"]
-            parts.append(self._s_matrix(ni, nodes, zi) * w[:, None])
+            if rows is not None and cols is not None:
+                s, sbar = self._s_sbar(n, nodes, z)
+                rows.append(s * w[:, None])
+                cols.append(sbar)
+            elif rows is not None:
+                rows.append(self._s_matrix(n, nodes, z) * w[:, None])
+            else:
+                cols.append(self._sbar_vec(n, nodes, z))
         if state["law"] is not None:
-            eta, w_eta, _ = state["law"]
-            parts.append(self._s_matrix(ni, eta, zi) * w_eta[:, None])
-        return np.concatenate(parts)
-
-    def _col_factor(self, nj, zj, state):
-        """Sbar(t, n_j; eta, z_j) on the atom nodes, then the hitting-law
-        expectation of Sbar(t, n_j - ell; b, z_j) on the law eta nodes,
-        every epoch ell < n_j scattered into one matrix."""
-        parts = [np.empty((0, zj.size))]
-        if state["atom"] is not None:
-            nodes, _ = state["atom"]
-            parts.append(self._sbar_vec(nj, nodes, zj))
-        if state["law"] is not None:
-            eta, _, packed = state["law"]
-            g = np.zeros((eta.size, zj.size))
-            for ell, (src, bnodes, wv) in packed.items():
-                if ell < nj:
-                    sb = self._sbar_vec(nj - ell, bnodes, zj) * wv[:, None]
-                    np.add.at(g, src, sb)
-            parts.append(g)
-        return np.concatenate(parts)
+            eta, w_eta, packed = state["law"]
+            if rows is not None:
+                rows.append(self._s_matrix(n, eta, z) * w_eta[:, None])
+            if cols is not None:
+                g = np.zeros((eta.size, z.size))
+                for ell, (src, bnodes, wv) in packed.items():
+                    if ell < n:
+                        sb = self._sbar_vec(n - ell, bnodes, z) * wv[:, None]
+                        np.add.at(g, src, sb)
+                cols.append(g)
+        return {side: np.concatenate(p) for side, p in parts.items()}
 
     # -- operator-factorized representation --------------------------------
 

@@ -78,32 +78,46 @@ def scaled_kernels(eps: float, T: float, x: float, v, u):
     eta = v / math.sqrt(eps)
     z = -2.0 * t + 2.0 * x / eps + u / math.sqrt(eps)
     d = eta - z
-    la, sg = special.psi_log(n, t, d)
+    (la, sg), (lb, sb) = special.psi_psibar_log(n, t, d)
     s_eps = sg * np.exp(la + d - 0.5 * t - 0.5 * math.log(eps))
-    lb, sb = special.psibar_log(n - 1, t, d)
     sbar_eps = sb * np.exp(lb - d + 0.5 * t - 0.5 * math.log(eps))
     if s_eps.ndim == 0:
         return float(s_eps), float(sbar_eps)
     return s_eps, sbar_eps
 
 
-def s_fp(T: float, x: float, w):
+def s_fp(T: float, x: float, w, airy=None):
     """The limiting convolution kernel S_fp(T, x; w), log-scale where the
-    Airy factor underflows."""
+    Airy factor underflows.
+
+    ``airy`` is the Airy factor of the same (T, x^2, w) from
+    :func:`_fp_airy`, which S_fp(T, x; w) and S_fp(T, -x; w) share; passing
+    it skips the Airy evaluation, and the value is bitwise the same.
+    """
     w = np.asarray(w, dtype=float)
-    arg = T ** (-1.0 / 3.0) * w + T ** (-4.0 / 3.0) * x * x
+    big, log_ai, ai = _fp_airy(T, x, w) if airy is None else airy
     pref = 2.0 * x ** 3 / (3.0 * T * T) + w * x / T
-    flat_arg = np.atleast_1d(arg).ravel()
     flat_pref = np.atleast_1d(pref).ravel()
-    flat = np.empty_like(flat_arg)
-    big = flat_arg > 8.0
-    if np.any(big):
-        flat[big] = np.exp(flat_pref[big]
-                           + special.airy_log_pos(flat_arg[big]))
-    if np.any(~big):
-        flat[~big] = np.exp(flat_pref[~big]) * special.airy_eval(flat_arg[~big])
+    flat = np.empty(big.shape)
+    if log_ai is not None:
+        flat[big] = np.exp(flat_pref[big] + log_ai)
+    if ai is not None:
+        flat[~big] = np.exp(flat_pref[~big]) * ai
     out = (T ** (-1.0 / 3.0) * flat).reshape(np.atleast_1d(w).shape)
     return float(out[0]) if w.ndim == 0 else out
+
+
+def _fp_airy(T: float, x: float, w):
+    """Airy factor of S_fp(T, x; w), flattened: (mask of arguments > 8,
+    log Ai on the mask or None, Ai off it or None).  The argument
+    T^{-1/3} w + T^{-4/3} x^2 depends on x^2 only."""
+    arg = T ** (-1.0 / 3.0) * np.asarray(w, dtype=float) \
+        + T ** (-4.0 / 3.0) * x * x
+    flat_arg = np.atleast_1d(arg).ravel()
+    big = flat_arg > 8.0
+    log_ai = special.airy_log_pos(flat_arg[big]) if np.any(big) else None
+    ai = special.airy_eval(flat_arg[~big]) if np.any(~big) else None
+    return big, log_ai, ai
 
 
 def heat2(g: float, x, y):
@@ -150,7 +164,11 @@ class FixedPointKernel:
     Every chain starts with S_fp(T, x_i - a_k; v - u_i) and ends with
     S_fp(T, a_k - x_j; v - u_j), so the Airy factors depend on one point's
     nodes and one offset only.  They are kept in a memo with one entry per
-    (point, offset), replaced whenever its u or v nodes change.
+    (point, offset), replaced whenever its u or v nodes change.  A miss
+    fills the entries of both offsets +-(x_i - a_k) from one Airy
+    evaluation, as they share the Airy argument.  The heat propagators
+    between consecutive wedges depend on the v grid and the gap only, and
+    are memoized per gap.
     """
 
     def __init__(self, spec: FixedPointSpec, order: int = 24,
@@ -166,6 +184,7 @@ class FixedPointKernel:
         self._u_hi = max(0.0, -min(spec.a_out))
         self._schemes = {}
         self._factors = {}
+        self._mids = {}
 
     def _v_scheme(self, upper: float):
         key = round(upper, 9)
@@ -185,7 +204,7 @@ class FixedPointKernel:
             out -= heat2(xi - xj, ui[:, None], uj[None, :])
         upper = float(max(self._u_hi, ui.max(), uj.max())) + self.v_pad
         sch = self._v_scheme(upper)
-        nodes, w = sch.nodes, sch.weights
+        w = sch.weights
         wedges = spec.wedges
         for k in range(1, len(wedges) + 1):
             sign = 1.0 if (k + 1) % 2 == 0 else -1.0
@@ -193,22 +212,44 @@ class FixedPointKernel:
                 aks = [wedges[p] for p in picks]
                 carry = self._s_fp(i, xi - aks[0], sch, ui) * w[:, None]
                 for r in range(1, k):
-                    g = aks[r - 1] - aks[r]
-                    mid = heat2(g, nodes[:, None], nodes[None, :])
+                    mid = self._heat_mid(aks[r - 1] - aks[r], sch)
                     carry = (carry.T @ mid).T * w[:, None]
                 right = self._s_fp(j, -xj + aks[-1], sch, uj)
                 out += sign * (carry.T @ right)
         return out
 
     def _s_fp(self, point, offset, sch, u):
-        """Memoized S_fp(T, offset; v - u) on the v nodes of ``sch``."""
-        key = (point, offset)
-        hit = self._factors.get(key)
-        if hit is not None and hit[0] is sch and np.array_equal(hit[1], u):
+        """Memoized S_fp(T, offset; v - u) on the v nodes of ``sch``; a miss
+        fills the (point, -offset) entry from the same Airy evaluation,
+        unless that entry is fresh."""
+
+        def fresh(entry):
+            return entry is not None and entry[0] is sch \
+                and np.array_equal(entry[1], u)
+
+        hit = self._factors.get((point, offset))
+        if fresh(hit):
             return hit[2]
-        out = s_fp(self.spec.T, offset, sch.nodes[:, None] - u[None, :])
-        self._factors[key] = (sch, u.copy(), out)
-        return out
+        T, w = self.spec.T, sch.nodes[:, None] - u[None, :]
+        offsets = (offset,)
+        if offset != 0 and not fresh(self._factors.get((point, -offset))):
+            offsets = (offset, -offset)
+        airy = _fp_airy(T, offset, w)
+        u_key = u.copy()
+        for off in offsets:
+            self._factors[(point, off)] = (sch, u_key,
+                                           s_fp(T, off, w, airy=airy))
+        return self._factors[(point, offset)][2]
+
+    def _heat_mid(self, g, sch):
+        """Memoized heat2(g) on the v nodes of ``sch``."""
+        hit = self._mids.get(g)
+        if hit is not None and hit[0] is sch:
+            return hit[1]
+        nodes = sch.nodes
+        mid = heat2(g, nodes[:, None], nodes[None, :])
+        self._mids[g] = (sch, mid)
+        return mid
 
     def __call__(self, a, b) -> float:
         (i, ui), (j, uj) = a, b

@@ -18,7 +18,9 @@ and integral of psi_n * psibar_m over x is delta_{nm}.
 
 For large degree everything is computed in log scale: the recurrence carries
 H_k(x)/sqrt(k!) with a running exponent, which stays representable for
-k <= 2000 and |x| <= 3 sqrt(k).
+k <= 2000 and |x| <= 3 sqrt(k).  One run to degree n also yields degree
+n - 1 (:func:`hermite_normed_log_pair`), which the kernel's S_n and
+Sbar_n = psibar_{n-1} factors on one argument share.
 
 Both hot loops walk their input in blocks of ``_CHUNK`` elements and update
 preallocated buffers in place, with the same floating-point operations in
@@ -89,31 +91,61 @@ def hermite_normed_log(n: int, x):
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
+    return _hermite_logs(n, x, with_prev=False)[0]
+
+
+def hermite_normed_log_pair(n: int, x):
+    """(log|h_n|, sign) and (log|h_{n-1}|, sign) of H_k(x)/sqrt(k!) from one
+    run of the recurrence to degree n >= 1.
+
+    Each half is bitwise equal to :func:`hermite_normed_log` at its degree:
+    h_{n-1} and its running exponent are copied out before the last step,
+    so a rescale on that step cannot touch them.
+    """
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    return _hermite_logs(n, x, with_prev=True)
+
+
+def _hermite_logs(n, x, with_prev):
+    """((log|h_n|, sign),), followed by (log|h_{n-1}|, sign) if
+    ``with_prev``."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     shape = np.atleast_1d(x).shape
     xf = x.ravel()
     h = np.ones_like(xf) if n == 0 else xf.copy()
     logscale = np.zeros_like(xf)
+    runs = [(h, logscale)]
+    if with_prev:
+        # degree n-1 is 0 for n = 1; for n >= 2 the chunks fill it in
+        runs.append((np.ones_like(xf), np.zeros_like(xf)))
     if n >= 2:
         roots = [math.sqrt(k) for k in range(n + 1)]
         size = min(xf.size, _CHUNK)
         bufs = [np.empty(size) for _ in range(3)]
         for lo in range(0, xf.size, _CHUNK):
             hi = min(lo + _CHUNK, xf.size)
+            snap = [a[lo:hi] for a in runs[1]] if with_prev else None
             _hermite_chunk(n, xf[lo:hi], roots, bufs, h[lo:hi],
-                           logscale[lo:hi])
-    with np.errstate(divide="ignore"):
-        logabs = np.log(np.abs(h)) + logscale
-    sign = np.sign(h)
-    if scalar:
-        return float(logabs[0]), float(sign[0])
-    return logabs.reshape(shape), sign.reshape(shape)
+                           logscale[lo:hi], snap)
+    out = []
+    for hk, lk in runs:
+        with np.errstate(divide="ignore"):
+            logabs = np.log(np.abs(hk)) + lk
+        sign = np.sign(hk)
+        if scalar:
+            out.append((float(logabs[0]), float(sign[0])))
+        else:
+            out.append((logabs.reshape(shape), sign.reshape(shape)))
+    return tuple(out)
 
 
-def _hermite_chunk(n, x, roots, bufs, out, logscale):
+def _hermite_chunk(n, x, roots, bufs, out, logscale, snap=None):
     """Run the normalized recurrence to degree n >= 2 on one chunk, writing
-    h_n into ``out`` and the running exponent into ``logscale``."""
+    h_n into ``out`` and the running exponent into ``logscale``.  With
+    ``snap`` = (h, exponent) views, h_{n-1} and its exponent are copied
+    there before the last step."""
     m = x.size
     h, h_prev, tmp = (b[:m] for b in bufs)
     h[:] = x
@@ -123,7 +155,11 @@ def _hermite_chunk(n, x, roots, bufs, out, logscale):
     b_prev, b = 1.0, big_x
     # "not <=" so that a NaN or infinite bound turns the scan on
     scan = not b <= bound_limit
+    last = n - 1 if snap is not None else 0
     for k in range(1, n):
+        if k == last:
+            snap[0][:] = h
+            snap[1][:] = logscale
         # h_prev <- (x h - sqrt(k) h_prev)/sqrt(k+1), then swap
         np.multiply(h_prev, roots[k], out=h_prev)
         np.multiply(x, h, out=tmp)
@@ -147,37 +183,61 @@ def _hermite_chunk(n, x, roots, bufs, out, logscale):
     out[:] = h
 
 
-def psi_log(n: int, t: float, x):
-    """(log|psi_n(t, x)|, sign), vectorized over x."""
+def _psi_logabs(la, n, t, x):
+    """log|psi_n(t, x)| from la = log|h_n(x/sqrt(t))|."""
+    return (la + 0.5 * math.lgamma(n + 1) - 0.5 * n * math.log(t)
+            - 0.5 * (_LOG_2PI + math.log(t)) - x * x / (2.0 * t))
+
+
+def _psibar_logabs(la, n, t):
+    """log|psibar_n(t, x)| from la = log|h_n(x/sqrt(t))|."""
+    return la - 0.5 * math.lgamma(n + 1) + 0.5 * n * math.log(t)
+
+
+def _check_t(t):
     if t <= 0:
         raise ValueError("t must be > 0")
+
+
+def psi_log(n: int, t: float, x):
+    """(log|psi_n(t, x)|, sign), vectorized over x."""
+    _check_t(t)
     x = np.asarray(x, dtype=float)
     la, sg = hermite_normed_log(n, x / math.sqrt(t))
-    logabs = (la + 0.5 * math.lgamma(n + 1) - 0.5 * n * math.log(t)
-              - 0.5 * (_LOG_2PI + math.log(t)) - x * x / (2.0 * t))
-    return logabs, sg
+    return _psi_logabs(la, n, t, x), sg
 
 
 def psibar_log(n: int, t: float, x):
     """(log|psibar_n(t, x)|, sign), vectorized over x."""
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    _check_t(t)
     x = np.asarray(x, dtype=float)
     la, sg = hermite_normed_log(n, x / math.sqrt(t))
-    logabs = la - 0.5 * math.lgamma(n + 1) + 0.5 * n * math.log(t)
-    return logabs, sg
+    return _psibar_logabs(la, n, t), sg
+
+
+def psi_psibar_log(n: int, t: float, x):
+    """(log|psi_n(t, x)|, sign) and (log|psibar_{n-1}(t, x)|, sign), the
+    factors of S and Sbar on one argument, from one recurrence run to
+    degree n >= 1.  Each is bitwise equal to :func:`psi_log` and
+    :func:`psibar_log`."""
+    _check_t(t)
+    x = np.asarray(x, dtype=float)
+    (la, sg), (lb, sb) = hermite_normed_log_pair(n, x / math.sqrt(t))
+    return (_psi_logabs(la, n, t, x), sg), (_psibar_logabs(lb, n - 1, t), sb)
 
 
 def psi_pair(n: int, t: float, x: float) -> tuple[float, float]:
-    """(psi_n(t, x), psibar_n(t, x)).
+    """(psi_n(t, x), psibar_n(t, x)), from one run of the recurrence.
 
     Computed through the log-scale normalized recurrence, so the pair stays
     meaningful at scaling-regime arguments where the naive product of
     t^{-n/2}, exp(-x^2/2t) and H_n would over/underflow.
     """
-    la, sg = psi_log(n, t, x)
-    lb, sb = psibar_log(n, t, x)
-    return float(sg * np.exp(la)), float(sb * np.exp(lb))
+    _check_t(t)
+    x = np.asarray(x, dtype=float)
+    la, sg = hermite_normed_log(n, x / math.sqrt(t))
+    return (float(sg * np.exp(_psi_logabs(la, n, t, x))),
+            float(sg * np.exp(_psibar_logabs(la, n, t))))
 
 
 def oscillator_psi(n: int, x):

@@ -121,6 +121,41 @@ class TestInclusionExclusion:
                         cb.integrate(f), abs=1e-12)
 
 
+    def test_split_matches_sweep(self):
+        # nothing survives above the last level; the dead mass is P(no hit)
+        # in both, from propagation in the sweep and from signed masses here
+        rng = np.random.default_rng(8)
+        for _ in range(15):
+            n = int(rng.integers(1, 7))
+            lv = np.sort(rng.uniform(-2, 2, n))[::-1]
+            prof = idata.blocks(idata.from_positions(lv, extend_last=True))
+            eta = float(rng.uniform(-3, 3))
+            n_max = int(rng.integers(1, 9))
+            a = ht.hitting_law_exact(prof, eta, n_max)
+            b = ht.hitting_law_exact(prof, eta, n_max,
+                                     method="inclusion_exclusion")
+            assert b.survivor_mass == a.survivor_mass
+            assert b.dead_mass == pytest.approx(a.dead_mass, abs=1e-12)
+
+
+@pytest.mark.parametrize("method, tol", [("sweep", 1e-12),
+                                         ("inclusion_exclusion", 1e-12),
+                                         ("grid", 1e-6), ("mc", 1e-12)])
+def test_mass_balance_every_method(method, tol):
+    ic = idata.from_positions(GRID_LEVELS, extend_last=True)
+    if method == "grid":
+        grid = ht.default_grid(ic, GRID_ETA, 6, spacing=1e-3)
+        law = ht.hitting_law_grid(ic, GRID_ETA, grid, 6)
+    elif method == "mc":
+        law = ht.hitting_law_mc(ic, GRID_ETA, 6, paths=20000, seed=3)
+    else:
+        law = ht.law_from_blocks(ic, GRID_ETA, 6, method=method)
+    assert law.components
+    assert 0.0 <= law.survivor_mass <= 1.0 and 0.0 <= law.dead_mass <= 1.0
+    total = law.total_mass() + law.survivor_mass + law.dead_mass
+    assert total == pytest.approx(1.0, abs=tol)
+
+
 class TestGridLaw:
     def test_agrees_with_exact(self):
         ic = idata.from_positions([2.0, 2.0, 0.5, 0.5, -1.0],

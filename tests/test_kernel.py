@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from rbmdet import initial_data as idata
 from rbmdet import special
+from rbmdet.fredholm import NystromSystem
 from rbmdet.kernel import KernelSpec, kernel_eval, s_ops, sbar_epi
 
 STEP_IC = idata.from_positions([1.5, 1.5, 0.0, 0.0, -1.2, -1.2, -1.2, -2.0],
@@ -217,6 +218,51 @@ class TestKernelEval:
         assert not any(th.is_alive() for th in threads)
         assert mismatches == []
         assert len(kern._factors) <= 2 * len(spec.indices)
+
+    def test_one_recurrence_per_line_and_atom_nodes(self, monkeypatch):
+        # S_n and Sbar_n on a line's atom nodes share their argument, and
+        # one recurrence to degree n yields both: per assembly, one pair
+        # call per line and no recurrence argument run twice
+        spec = KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC)
+        calls = []
+
+        def counting(name):
+            real = getattr(special, name)
+
+            def run(n, x):
+                calls.append((name, n, np.asarray(x).tobytes()))
+                return real(n, x)
+            return run
+
+        for name in ("hermite_normed_log", "hermite_normed_log_pair"):
+            monkeypatch.setattr(special, name, counting(name))
+        kern = kernel_eval(spec)
+
+        def assemble(order):
+            del calls[:]
+            NystromSystem(intervals=((-7.0, 1.0), (-6.0, -2.5)), order=order,
+                          block_fn=lambda i, j, x, y: kern.block(
+                              spec.indices[i], spec.indices[j], x, y),
+                          max_panel=1.0).matrix()
+            return list(calls)
+
+        for order in (16, 32):
+            made = assemble(order)
+            pairs = [(n, x) for name, n, x in made if name.endswith("pair")]
+            assert sorted(n for n, _ in pairs) == list(spec.indices)
+            args = [x for _, _, x in made]
+            assert len(set(args)) == len(args)
+            assert assemble(order) == []   # the memo serves a repeat
+        # a point evaluation, or one line on two node sets, builds each
+        # side alone
+        for a, b in [((3, -1.0), (3, -2.0)), ((3, -1.0), (9, -2.0))]:
+            del calls[:]
+            kern(a, b)
+            assert calls and not any(c[0].endswith("pair") for c in calls)
+        z = np.linspace(-6.0, -1.0, 5)
+        del calls[:]
+        kern.block(3, 3, z, z + 0.5)
+        assert calls and not any(c[0].endswith("pair") for c in calls)
 
     def test_finite_output_and_counter(self):
         spec = KernelSpec(t=1.0, indices=(1, 2), ic=idata.packed(0.0))

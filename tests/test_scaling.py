@@ -205,6 +205,76 @@ class TestFixedPointFactorMemo:
         assert len(kern._schemes) == 1
 
 
+class TestFixedPointSharedFactors:
+    @pytest.mark.parametrize("T", [1.0, 2.3])
+    @pytest.mark.parametrize("x", [0.0, 0.35, -1.5])
+    def test_shared_airy_matches_two_calls(self, T, x):
+        # the w grid puts Airy arguments on both sides of the switch at 8
+        w = np.linspace(-6.0, 30.0, 97)[:, None] - np.array([[0.0, 2.5]])
+        arg = T ** (-1.0 / 3.0) * w + T ** (-4.0 / 3.0) * x * x
+        assert np.any(arg > 8.0) and np.any(arg <= 8.0)
+        airy = sc._fp_airy(T, x, w)
+        for xs in (x, -x):
+            assert np.array_equal(sc.s_fp(T, xs, w, airy=airy),
+                                  sc.s_fp(T, xs, w))
+        for wv in (0.3, 20.0):   # one branch each, scalar w
+            airy = sc._fp_airy(T, x, wv)
+            for xs in (x, -x):
+                assert sc.s_fp(T, xs, wv, airy=airy) == sc.s_fp(T, xs, wv)
+
+    def test_one_airy_pass_per_point_and_wedge(self, monkeypatch):
+        # offsets x_i - a_k and a_k - x_i share their Airy argument: one
+        # evaluation per (point, wedge) per assembly, none on a repeat
+        spec = sc.FixedPointSpec(wedges=(0.0, -1.0), T=1.0, x=(0.0, 0.5),
+                                 a_out=(0.0, 0.5))
+        points = []
+
+        def counting(name):
+            real = getattr(special, name)
+
+            def run(x):
+                points.append(np.size(x))
+                return real(x)
+            return run
+
+        for name in ("airy_eval", "airy_log_pos"):
+            monkeypatch.setattr(special, name, counting(name))
+        kern = sc.FixedPointKernel(spec, order=24)
+        pad = 18.0
+        system = NystromSystem(
+            intervals=tuple((-a - pad, -a) for a in spec.a_out), order=32,
+            block_fn=kern.block, max_panel=1.2)
+        system.matrix()
+        (sch,) = kern._schemes.values()
+        per_point = [sch.size * s.size for s in system.schemes]
+        assert sum(points) == len(spec.wedges) * sum(per_point)
+        del points[:]
+        system.matrix()
+        assert points == []
+
+    def test_heat_propagators_once_per_gap(self, monkeypatch):
+        spec = sc.FixedPointSpec(wedges=(0.0, -1.0, -2.5), T=1.0,
+                                 x=(0.0, 0.5), a_out=(0.0, 0.5))
+        u = [np.linspace(-6.0, 0.0, 7), np.linspace(-5.5, -0.5, 5)]
+        requests = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 0)]
+        kern = sc.FixedPointKernel(spec, order=24)
+        refs = [_fp_block_per_subset(kern, i, j, u[i], u[j])
+                for i, j in requests]
+        gaps = []
+
+        def counting(g, x, y):
+            gaps.append(g)
+            return heat2(g, x, y)
+
+        heat2 = sc.heat2
+        monkeypatch.setattr(sc, "heat2", counting)
+        for (i, j), ref in zip(requests, refs):
+            assert np.array_equal(kern.block(i, j, u[i], u[j]), ref)
+        # wedge gaps 1, 1.5 and 2.5 once each on the one v grid; the point
+        # gap 0.5 of block (1, 0) is not a propagator between wedges
+        assert sorted(gaps) == [0.5, 1.0, 1.5, 2.5]
+
+
 class TestFixedPointProbability:
     @pytest.mark.parametrize("a", [-2.0, -1.0, 0.0, 1.0, 2.0])
     def test_single_wedge_matches_tracy_widom(self, a):

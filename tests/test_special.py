@@ -162,6 +162,87 @@ class TestHermiteChunked:
         assert sp.hermite_normed_log(193, x)[1][1] == 0.0
 
 
+def separate_pair(n, x):
+    return sp.hermite_normed_log(n, x), sp.hermite_normed_log(n - 1, x)
+
+
+class TestHermitePair:
+    @pytest.mark.parametrize("size", [1, C - 1, C, C + 1, 3 * C + 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 193, 1500])
+    def test_sizes_and_degrees(self, size, n):
+        rng = np.random.default_rng([size, n, 1])
+        x = rng.normal(scale=2.0 * math.sqrt(n + 1), size=size)
+        got = sp.hermite_normed_log_pair(n, x)
+        for g, r in zip(got, separate_pair(n, x)):
+            assert_bitwise(g, r)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 193, 1500])
+    def test_shapes(self, n):
+        x2 = np.linspace(-60.0, 60.0, 3 * 7).reshape(3, 7)
+        for x in (x2, x2[1]):
+            got = sp.hermite_normed_log_pair(n, x)
+            for g, r in zip(got, separate_pair(n, x)):
+                assert g[0].shape == g[1].shape == x.shape
+                assert_bitwise(g, r)
+        got = sp.hermite_normed_log_pair(n, 2.5)
+        ref = separate_pair(n, 2.5)
+        assert all(isinstance(v, float) for g in got for v in g)
+        assert got == ref
+
+    def test_non_finite_points(self):
+        x = np.array([np.nan, 60.0, -60.0, np.inf, 0.3, -np.inf])
+        with np.errstate(invalid="ignore"):
+            for n in (1, 2, 400):
+                got = sp.hermite_normed_log_pair(n, x)
+                for g, r in zip(got, separate_pair(n, x)):
+                    assert_bitwise(g, r)
+
+    def test_exact_zeros(self):
+        # H_2(+-1) = 0 and H_odd(0) = 0, at either degree of the pair
+        x = np.array([-1.0, 0.0, 1.0, 0.5])
+        for n in (1, 2, 3, 193, 194):
+            got = sp.hermite_normed_log_pair(n, x)
+            for g, r in zip(got, separate_pair(n, x)):
+                assert_bitwise(g, r)
+        (_, s3), (_, s2) = sp.hermite_normed_log_pair(3, x)
+        assert list(s2[[0, 2]]) == [0.0, 0.0] and s3[1] == 0.0
+
+    def test_rescale_on_the_last_step(self):
+        # beyond the turning point |h_k| grows with k, so a point with
+        # |h_{n-1}| <= _BIG < |h_n| is rescaled first on the last step,
+        # which divides h_{n-1} as well: the pair must copy it out before
+        n = 194
+        x = np.linspace(35.5, 38.5, 4001)
+        got = sp.hermite_normed_log_pair(n, x)
+        (la, _), (lb, _) = got
+        last = (lb <= math.log(sp._BIG)) & (la > math.log(sp._BIG))
+        assert last.sum() > 50
+        for g, r in zip(got, separate_pair(n, x)):
+            assert_bitwise(g, r)
+        for g, r in zip(sp.hermite_normed_log_pair(n, x[last]),
+                        separate_pair(n, x[last])):
+            assert_bitwise(g, r)
+
+    def test_degree_zero_rejected(self):
+        with pytest.raises(ValueError):
+            sp.hermite_normed_log_pair(0, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 193])
+    def test_psi_wrappers(self, n):
+        t = 1.7
+        x = np.linspace(-3.0, 3.0, 11) * math.sqrt(n * t) + 0.1
+        (pa, ps), (qa, qs) = sp.psi_psibar_log(n, t, x)
+        assert_bitwise((pa, ps), sp.psi_log(n, t, x))
+        assert_bitwise((qa, qs), sp.psibar_log(n - 1, t, x))
+        for xv in x[[0, 5, 10]]:
+            la, sg = sp.psi_log(n, t, xv)
+            lb, sb = sp.psibar_log(n, t, xv)
+            assert sp.psi_pair(n, t, xv) == (float(sg * np.exp(la)),
+                                             float(sb * np.exp(lb)))
+        with pytest.raises(ValueError):
+            sp.psi_psibar_log(n, 0.0, x)
+
+
 class TestAiryTail:
     def test_term_bounds_fall_past_the_switch(self):
         # the truncation rule needs bound_k zeta^-k to fall over k < 26 for
