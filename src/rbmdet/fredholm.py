@@ -26,15 +26,16 @@ from .quad import build_scheme
 class NystromSystem:
     """Assembled discretization of I - K over per-line intervals.
 
-    ``block_fn(i, j, x, y)`` returns the kernel matrix between line i nodes x
-    and line j nodes y; plain one-line kernels ignore (i, j).  ``pad_side``
+    ``kernel(xs)`` takes the tuple of per-line node arrays and returns a new
+    matrix of the kernel on their concatenation, so a kernel that factors
+    per line builds each line's factors once per assembly.  ``pad_side``
     says which end of each interval is the truncation of an infinite tail
     (used by the shrunk-domain error rerun).
     """
 
     intervals: tuple
     order: int
-    block_fn: object
+    kernel: object
     splits: tuple = ()
     max_panel: float | None = None
     pad_side: str = "lower"
@@ -53,17 +54,15 @@ class NystromSystem:
         return sum(s.size for s in self.schemes)
 
     def matrix(self) -> np.ndarray:
-        """I - W^{1/2} K W^{1/2} over the concatenated nodes."""
-        sizes = [s.size for s in self.schemes]
-        n = sum(sizes)
-        offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        out = np.eye(n)
-        roots = [np.sqrt(s.weights) for s in self.schemes]
-        for i, si in enumerate(self.schemes):
-            for j, sj in enumerate(self.schemes):
-                kij = self.block_fn(i, j, si.nodes, sj.nodes)
-                out[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] -= \
-                    roots[i][:, None] * kij * roots[j][None, :]
+        """I - W^{1/2} K W^{1/2} over the concatenated nodes, formed in
+        place in the kernel's matrix."""
+        out = np.asarray(self.kernel(tuple(s.nodes for s in self.schemes)),
+                         dtype=float)
+        root = np.sqrt(np.concatenate([s.weights for s in self.schemes]))
+        out *= root[:, None]
+        out *= root[None, :]
+        np.negative(out, out=out)
+        out[np.diag_indices_from(out)] += 1.0
         return out
 
     def det(self, matrix: np.ndarray | None = None) -> float:
@@ -205,13 +204,10 @@ def rbm_probability(spec: KernelSpec, a, target: float = 1e-6,
     # levels; a threshold far above it must not drag the window away
     reach = spec.ic.min_level - 2.0 * math.sqrt(spec.n_max * t)
 
-    def block(i, j, x, y):
-        return kern.block(spec.indices[i], spec.indices[j], x, y)
-
     def system_at(order, pad):
         intervals = tuple((min(aj, reach) - pad, aj) for aj in a)
         return NystromSystem(intervals=intervals, order=order,
-                             block_fn=block, splits=splits,
+                             kernel=kern.matrix, splits=splits,
                              max_panel=max_panel, pad_side="lower")
 
     return refine(system_at, order, pad,

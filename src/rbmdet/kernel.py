@@ -158,39 +158,39 @@ class KernelSpec:
         return max(self.indices)
 
 
+# quadrature of the eta layer (order) and of the hitting laws on it
+# (order, largest panel)
+_ETA_ORDER = 16
+_B_ORDER = 20
+_B_PANEL = 2.0
+
+
 class ExtendedKernelEval:
-    """Callable kernel ((n_i, z_i), (n_j, z_j)) -> float with a vectorized
-    ``block`` entry point for quadrature assembly.
+    """Callable kernel ((n_i, z_i), (n_j, z_j)) -> float with vectorized
+    entry points: ``block`` for one pair of index lines and ``matrix`` for a
+    whole Nystrom assembly.
 
     Pure and safe for concurrent evaluation; the discretization backing the
-    hitting/operator_step representations is (re)built lazily under a lock
-    whenever the requested z-range outgrows the current one.
+    hitting/operator_step representations is (re)built under a lock
+    whenever the requested nodes reach above its upper end (nothing in it
+    depends on the lower end).
 
     In the hitting representation a block factors as A(n_i, z_i)^T
     B(n_j, z_j) minus the walk term: A holds the weighted S factors on the
     eta nodes, B the Sbar factors with the per-epoch scatters of the hitting
-    law summed into one matrix.  Both depend on one index line only, so a
-    Nystrom assembly computes each once per line and node set.  The memo
-    keeps one factor per (side, line), replaced whenever its nodes change
-    and emptied whenever the discretization is rebuilt; it is read and
-    written under the lock.  In an assembly, which asks for both sides of
-    every line on one node set, a line missing from the memo on both sides
-    gets both filled from one pass: S_n and Sbar_n on the atom nodes share
-    an argument, and one Hermite recurrence to degree n yields both.
+    law summed into one matrix.  Both depend on one index line only, so
+    ``matrix`` builds (A, B) once per line, under one discretization for the
+    whole assembly, and keeps nothing after the call.  S_n and Sbar_n on a
+    line's atom nodes share an argument and come from one Hermite
+    recurrence to degree n.
     """
 
-    def __init__(self, spec: KernelSpec, eta_order: int = 16,
-                 b_order: int = 20, b_panel: float = 2.0):
+    def __init__(self, spec: KernelSpec):
         self.spec = spec
-        self.eta_order = eta_order
-        self.b_order = b_order
-        self.b_panel = b_panel
         self._lock = threading.Lock()
         self._state = None
-        self._hull = None
+        self._z_hi = None
         self._evals = 0
-        self._opstep_cache = {}
-        self._factors = {}
         self._profile = blocks(spec.ic)
         t, n_max = spec.t, spec.n_max
         # oscillation scales of psi_n: bulk wavelength and edge (Airy) width
@@ -222,46 +222,82 @@ class ExtendedKernelEval:
             raise ValueError(f"index pair ({ni}, {nj}) not in spec")
         zi = np.atleast_1d(np.asarray(zi, dtype=float))
         zj = np.atleast_1d(np.asarray(zj, dtype=float))
+        self._count(zi.size * zj.size)
+        state = self._discretization((zi, zj))
+        return self._finish(ni, nj, zi, zj,
+                            self._second_term(ni, nj, zi, zj, state))
+
+    def matrix(self, zs) -> np.ndarray:
+        """Kernel on the concatenation of ``zs``, one node array per index
+        line of the spec in order; each block is what ``block`` gives."""
+        idx = self.spec.indices
+        zs = [np.atleast_1d(np.asarray(z, dtype=float)) for z in zs]
+        if len(zs) != len(idx):
+            raise ValueError(f"need {len(idx)} node arrays, got {len(zs)}")
+        offs = np.cumsum([0] + [z.size for z in zs])
+        self._count(int(offs[-1]) ** 2)
+        state = self._discretization(zs)
+        facs = None
+        if self.spec.representation == "hitting":
+            facs = [self._line_factors(n, z, state) for n, z in zip(idx, zs)]
+        out = np.empty((offs[-1], offs[-1]))
+        for i, (ni, zi) in enumerate(zip(idx, zs)):
+            for j, (nj, zj) in enumerate(zip(idx, zs)):
+                if facs is None:
+                    st = self._second_term(ni, nj, zi, zj, state)
+                else:
+                    st = facs[i][0].T @ facs[j][1]
+                out[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = \
+                    self._finish(ni, nj, zi, zj, st)
+        return out
+
+    def _count(self, entries: int):
         with self._lock:
-            self._evals += zi.size * zj.size
+            self._evals += entries
+
+    def _second_term(self, ni, nj, zi, zj, state):
+        """The epigraph term on zi x zj in the representation's own gauge."""
         rep = self.spec.representation
         if rep == "hitting":
-            st = self._st_hitting(ni, nj, zi, zj)  # conjugated gauge
-            native_conj = True
-        elif rep == "operator_step":
-            st = self._st_operator_step(ni, nj, zi, zj)
-            native_conj = True
-        else:
-            st = self._st_biorth(ni, nj, zi, zj)   # plain gauge
-            native_conj = False
+            a, _ = self._line_factors(ni, zi, state)
+            _, b = self._line_factors(nj, zj, state)
+            return a.T @ b
+        if rep == "operator_step":
+            return self._st_operator_step(ni, nj, zi, zj, state)
+        return self._st_biorth(ni, nj, zi, zj)
+
+    def _finish(self, ni, nj, zi, zj, st):
+        """The kernel from its second term ``st``: gauge, then walk term."""
+        native_conj = self.spec.representation != "biorth"
         if self.spec.conjugated and not native_conj:
             st = st * np.exp(zj[None, :] - zi[:, None])
         elif not self.spec.conjugated and native_conj:
             st = st * np.exp(zi[:, None] - zj[None, :])
-        out = st
         if ni < nj:
             m = nj - ni
             if self.spec.conjugated:
-                out = out - q_exp_pow(m, zi[:, None], zj[None, :])
+                st = st - q_exp_pow(m, zi[:, None], zj[None, :])
             else:
-                out = out - _bo.pinv_delta(m, zi[:, None], zj[None, :])
-        return out
+                st = st - _bo.pinv_delta(m, zi[:, None], zj[None, :])
+        return st
 
     # -- discretization backing the hitting representation ----------------
 
-    def _ensure(self, z_lo: float, z_hi: float):
+    def _discretization(self, zs):
+        """The discretization serving every node array in ``zs`` (None for
+        the biorthogonal representation, which needs none)."""
+        if self.spec.representation == "biorth":
+            return None
+        return self._ensure(max(float(z.max()) for z in zs))
+
+    def _ensure(self, z_hi: float):
         with self._lock:
-            if self._hull is not None and z_lo >= self._hull[0] \
-                    and z_hi <= self._hull[1]:
-                return self._state
-            lo = min(z_lo, self._hull[0] if self._hull else z_lo)
-            hi = max(z_hi, self._hull[1] if self._hull else z_hi)
-            self._state = self._build(lo, hi)
-            self._hull = (lo, hi)
-            self._factors.clear()
+            if self._z_hi is None or z_hi > self._z_hi:
+                self._state = self._build(z_hi)
+                self._z_hi = z_hi
             return self._state
 
-    def _build(self, z_lo: float, z_hi: float):
+    def _build(self, z_hi: float):
         spec = self.spec
         profile = self._profile
         t, n_max = spec.t, spec.n_max
@@ -270,20 +306,24 @@ class ExtendedKernelEval:
         upper = z_hi + self._reach
         panel = max(1.5 * self._bulk_wave, 1e-3)
         splits = [b.level for b in blks] + ([c0] if math.isfinite(c0) else [])
-        state = {"atom": None, "law": None}
+        # operator_step keeps its chains of one inclusion-exclusion product
+        # per block subset here, so that a rebuild replaces them
+        state = {"atom": None, "law": None, "upper": upper, "chains": {}}
+        if spec.representation == "operator_step":
+            return state
         if math.isfinite(c0) and upper > c0:
-            sch = build_scheme([(c0, upper)], order=self.eta_order,
+            sch = build_scheme([(c0, upper)], order=_ETA_ORDER,
                                splits=splits, max_panel=panel)
             state["atom"] = (sch.nodes, sch.weights)
         if blks:
             law_lo = blks[-1].level
             law_hi = min(c0, upper)
             if law_hi > law_lo:
-                sch = build_scheme([(law_lo, law_hi)], order=self.eta_order,
+                sch = build_scheme([(law_lo, law_hi)], order=_ETA_ORDER,
                                    splits=splits, max_panel=panel)
                 laws = [hitting_law_exact(profile, float(e), n_max,
-                                          order=self.b_order,
-                                          panel_max=min(self.b_panel,
+                                          order=_B_ORDER,
+                                          panel_max=min(_B_PANEL,
                                                         4 * self._airy_w))
                         for e in sch.nodes]
                 # flatten components per block start for vectorized reduction
@@ -331,82 +371,35 @@ class ExtendedKernelEval:
         (la, sg), (lb, sb) = special.psi_psibar_log(n, self.spec.t, x)
         return sg * np.exp(la + x), sb * np.exp(lb - x)
 
-    def _st_hitting(self, ni, nj, zi, zj):
-        state = self._ensure(float(min(zi.min(), zj.min())),
-                             float(max(zi.max(), zj.max())))
-        # an assembly asks for both sides of every line on the same nodes;
-        # a point evaluation (the scalar __call__), or one line asked for on
-        # two node sets, builds only the side it asks for
-        whole = zi.size * zj.size > 1 and (ni != nj
-                                           or np.array_equal(zi, zj))
-        a = self._factor("row", ni, zi, state, whole)
-        b = self._factor("col", nj, zj, state, whole)
-        return a.T @ b
+    def _line_factors(self, n, z, state):
+        """(A, B) of line n on nodes z.
 
-    def _factor(self, side, n, z, state, whole):
-        """Memoized A (side "row") or B (side "col") factor of line n on
-        nodes z under the discretization ``state``.  With ``whole``, a line
-        whose other side is not memoized for (state, z) either gets both
-        sides built in one pass, and both are stored."""
-        other = "col" if side == "row" else "row"
-        with self._lock:
-            hit = self._factors.get((side, n))
-            twin = self._factors.get((other, n))
-
-        def fresh(entry):
-            return entry is not None and entry[0] is state \
-                and np.array_equal(entry[1], z)
-
-        if fresh(hit):
-            return hit[2]
-        sides = (side, other) if whole and not fresh(twin) else (side,)
-        built = self._line_factors(n, z, state, sides)
-        with self._lock:
-            if state is self._state:   # never keep a superseded build alive
-                z_key = z.copy()
-                for s, out in built.items():
-                    self._factors[(s, n)] = (state, z_key, out)
-        return built[side]
-
-    def _line_factors(self, n, z, state, sides):
-        """{side: factor} of line n on nodes z, for sides in ("row", "col").
-
-        A ("row") is the weighted S(t, n; eta, z) on the atom and law eta
-        nodes.  B ("col") is Sbar(t, n; eta, z) on the atom nodes, then the
-        hitting-law expectation of Sbar(t, n - ell; b, z) on the law eta
-        nodes, every epoch ell < n scattered into one matrix.  With both
-        sides, S and Sbar on the atom nodes come from one recurrence.
+        A is the weighted S(t, n; eta, z) on the atom and law eta nodes.  B
+        is Sbar(t, n; eta, z) on the atom nodes, then the hitting-law
+        expectation of Sbar(t, n - ell; b, z) on the law eta nodes, every
+        epoch ell < n scattered into one matrix.
         """
-        parts = {side: [np.empty((0, z.size))] for side in sides}
-        rows, cols = parts.get("row"), parts.get("col")
+        rows = [np.empty((0, z.size))]
+        cols = [np.empty((0, z.size))]
         if state["atom"] is not None:
             nodes, w = state["atom"]
-            if rows is not None and cols is not None:
-                s, sbar = self._s_sbar(n, nodes, z)
-                rows.append(s * w[:, None])
-                cols.append(sbar)
-            elif rows is not None:
-                rows.append(self._s_matrix(n, nodes, z) * w[:, None])
-            else:
-                cols.append(self._sbar_vec(n, nodes, z))
+            s, sbar = self._s_sbar(n, nodes, z)
+            rows.append(s * w[:, None])
+            cols.append(sbar)
         if state["law"] is not None:
             eta, w_eta, packed = state["law"]
-            if rows is not None:
-                rows.append(self._s_matrix(n, eta, z) * w_eta[:, None])
-            if cols is not None:
-                g = np.zeros((eta.size, z.size))
-                for ell, (src, bnodes, wv) in packed.items():
-                    if ell < n:
-                        sb = self._sbar_vec(n - ell, bnodes, z) * wv[:, None]
-                        np.add.at(g, src, sb)
-                cols.append(g)
-        return {side: np.concatenate(p) for side, p in parts.items()}
+            rows.append(self._s_matrix(n, eta, z) * w_eta[:, None])
+            g = np.zeros((eta.size, z.size))
+            for ell, (src, bnodes, wv) in packed.items():
+                if ell < n:
+                    sb = self._sbar_vec(n - ell, bnodes, z) * wv[:, None]
+                    np.add.at(g, src, sb)
+            cols.append(g)
+        return np.concatenate(rows), np.concatenate(cols)
 
     # -- operator-factorized representation --------------------------------
 
-    def _st_operator_step(self, ni, nj, zi, zj):
-        self._ensure(float(min(zi.min(), zj.min())),
-                     float(max(zi.max(), zj.max())))
+    def _st_operator_step(self, ni, nj, zi, zj, state):
         spec = self.spec
         blks = self._profile.blocks_within(spec.n_max)
         out = np.zeros((zi.size, zj.size))
@@ -418,19 +411,19 @@ class ExtendedKernelEval:
                 if last.start >= nj:
                     continue
                 term = self._opstep_term(ni, nj, zi, zj,
-                                         tuple(blks[p] for p in picks))
+                                         tuple(blks[p] for p in picks), state)
                 out += sign * term
         return out
 
-    def _opstep_chain(self, picks):
-        """Cached quadrature schemes and Volterra leg matrices for one
-        inclusion-exclusion product; keyed by the current z hull."""
-        key = (tuple(b.start for b in picks), self._hull)
-        cached = self._opstep_cache.get(key)
+    def _opstep_chain(self, picks, state):
+        """Quadrature schemes and Volterra leg matrices for one
+        inclusion-exclusion product, kept in the discretization ``state``."""
+        key = tuple(b.start for b in picks)
+        cached = state["chains"].get(key)
         if cached is not None:
             return cached
         blks = self._profile.blocks_within(self.spec.n_max)
-        upper = self._hull[1] + self._reach
+        upper = state["upper"]
         panel = max(1.5 * self._bulk_wave, 1e-3)
         levels = [b.level for b in blks]
         schemes = []
@@ -439,7 +432,7 @@ class ExtendedKernelEval:
                 schemes = None
                 break
             schemes.append(build_scheme([(blk.level, upper)],
-                                        order=self.eta_order, splits=levels,
+                                        order=_ETA_ORDER, splits=levels,
                                         max_panel=panel))
         legs = None
         if schemes is not None:
@@ -449,11 +442,10 @@ class ExtendedKernelEval:
                 for r in range(1, len(picks))
             ]
         with self._lock:
-            self._opstep_cache[key] = (schemes, legs)
-        return schemes, legs
+            return state["chains"].setdefault(key, (schemes, legs))
 
-    def _opstep_term(self, ni, nj, zi, zj, picks):
-        schemes, legs = self._opstep_chain(picks)
+    def _opstep_term(self, ni, nj, zi, zj, picks, state):
+        schemes, legs = self._opstep_chain(picks, state)
         if schemes is None:
             return np.zeros((zi.size, zj.size))
         # left factor with all leading walk powers collapsed into the index
@@ -478,6 +470,6 @@ class ExtendedKernelEval:
         return psi.T @ phi
 
 
-def kernel_eval(spec: KernelSpec, **kw) -> ExtendedKernelEval:
+def kernel_eval(spec: KernelSpec) -> ExtendedKernelEval:
     """Build the kernel evaluator for a spec."""
-    return ExtendedKernelEval(spec, **kw)
+    return ExtendedKernelEval(spec)

@@ -158,33 +158,27 @@ class FixedPointKernel:
     """Extended fixed-point kernel for multiple narrow wedges.
 
     block(i, j, ui, uj) returns the kernel matrix between evaluation points
-    x_i and x_j; the epigraph operator is the inclusion-exclusion sum over
-    wedge subsets of chains of half-line cuts and diffusion-2 propagators.
+    x_i and x_j, and matrix(us) the kernel on the concatenated nodes of all
+    points; the epigraph operator is the inclusion-exclusion sum over wedge
+    subsets of chains of half-line cuts and diffusion-2 propagators.
 
     Every chain starts with S_fp(T, x_i - a_k; v - u_i) and ends with
-    S_fp(T, a_k - x_j; v - u_j), so the Airy factors depend on one point's
-    nodes and one offset only.  They are kept in a memo with one entry per
-    (point, offset), replaced whenever its u or v nodes change.  A miss
-    fills the entries of both offsets +-(x_i - a_k) from one Airy
-    evaluation, as they share the Airy argument.  The heat propagators
-    between consecutive wedges depend on the v grid and the gap only, and
-    are memoized per gap.
+    S_fp(T, a_k - x_j; v - u_j), so its factors depend on one point's nodes
+    only.  ``matrix`` builds them once per point: one Airy evaluation per
+    (point, wedge), shared by the two offsets +-(x_i - a_k); each wedge
+    subset's weighted chain; and each heat propagator between consecutive
+    wedges once per gap.  Nothing is kept after the call.
     """
 
-    def __init__(self, spec: FixedPointSpec, order: int = 24,
-                 v_pad: float | None = None):
+    def __init__(self, spec: FixedPointSpec, order: int = 24):
         self.spec = spec
         self.order = order
         T = spec.T
-        if v_pad is None:
-            span = max(abs(min(spec.wedges)), max(abs(v) for v in spec.x), 1.0)
-            v_pad = T ** (1.0 / 3.0) * 42.0 + 6.0 * span
-        self.v_pad = v_pad
+        span = max(abs(min(spec.wedges)), max(abs(v) for v in spec.x), 1.0)
+        self.v_pad = T ** (1.0 / 3.0) * 42.0 + 6.0 * span
         # every u node lies below max(-a_out): one v grid serves all blocks
         self._u_hi = max(0.0, -min(spec.a_out))
         self._schemes = {}
-        self._factors = {}
-        self._mids = {}
 
     def _v_scheme(self, upper: float):
         key = round(upper, 9)
@@ -195,67 +189,75 @@ class FixedPointKernel:
         return self._schemes[key]
 
     def block(self, i: int, j: int, ui, uj) -> np.ndarray:
-        spec = self.spec
+        """Kernel matrix between nodes ui of point i and uj of point j."""
         ui = np.atleast_1d(np.asarray(ui, dtype=float))
         uj = np.atleast_1d(np.asarray(uj, dtype=float))
-        xi, xj = spec.x[i], spec.x[j]
+        sch = self._v_scheme(float(max(self._u_hi, ui.max(), uj.max()))
+                             + self.v_pad)
+        heat = {}
         out = np.zeros((ui.size, uj.size))
-        if xi > xj:
-            out -= heat2(xi - xj, ui[:, None], uj[None, :])
-        upper = float(max(self._u_hi, ui.max(), uj.max())) + self.v_pad
-        sch = self._v_scheme(upper)
-        w = sch.weights
-        wedges = spec.wedges
+        self._fill(out, i, j, ui, uj, self._point_factors(i, ui, sch, heat)[0],
+                   self._point_factors(j, uj, sch, heat)[1])
+        return out
+
+    def matrix(self, us) -> np.ndarray:
+        """Kernel on the concatenation of ``us``, one node array per
+        evaluation point in order; each block is what ``block`` gives."""
+        us = [np.atleast_1d(np.asarray(u, dtype=float)) for u in us]
+        if len(us) != len(self.spec.x):
+            raise ValueError(f"need {len(self.spec.x)} node arrays, "
+                             f"got {len(us)}")
+        sch = self._v_scheme(float(max(self._u_hi, *(u.max() for u in us)))
+                             + self.v_pad)
+        heat = {}
+        facs = [self._point_factors(i, u, sch, heat)
+                for i, u in enumerate(us)]
+        offs = np.cumsum([0] + [u.size for u in us])
+        out = np.zeros((offs[-1], offs[-1]))
+        for i, ui in enumerate(us):
+            for j, uj in enumerate(us):
+                self._fill(out[offs[i]:offs[i + 1], offs[j]:offs[j + 1]],
+                           i, j, ui, uj, facs[i][0], facs[j][1])
+        return out
+
+    def _point_factors(self, i, u, sch, heat):
+        """Chains and ends of point i on nodes u over the v nodes of
+        ``sch``: [(sign, last wedge, weighted chain)] over wedge subsets,
+        and the right factors S_fp(T, a_k - x_i; v - u) per wedge k.
+        ``heat`` holds the propagators per gap, filled on first use."""
+        spec, T = self.spec, self.spec.T
+        x, wedges = spec.x[i], spec.wedges
+        nodes, w = sch.nodes, sch.weights
+        arg = nodes[:, None] - u[None, :]
+        lefts, rights = [], []
+        for a in wedges:
+            off = x - a
+            airy = _fp_airy(T, off, arg)
+            lefts.append(s_fp(T, off, arg, airy=airy))
+            # S_fp(T, -0) is S_fp(T, 0): at offset 0 one call serves both
+            rights.append(lefts[-1] if off == 0
+                          else s_fp(T, -off, arg, airy=airy))
+        chains = []
         for k in range(1, len(wedges) + 1):
             sign = 1.0 if (k + 1) % 2 == 0 else -1.0
             for picks in combinations(range(len(wedges)), k):
-                aks = [wedges[p] for p in picks]
-                carry = self._s_fp(i, xi - aks[0], sch, ui) * w[:, None]
+                carry = lefts[picks[0]] * w[:, None]
                 for r in range(1, k):
-                    mid = self._heat_mid(aks[r - 1] - aks[r], sch)
-                    carry = (carry.T @ mid).T * w[:, None]
-                right = self._s_fp(j, -xj + aks[-1], sch, uj)
-                out += sign * (carry.T @ right)
-        return out
+                    g = wedges[picks[r - 1]] - wedges[picks[r]]
+                    if g not in heat:
+                        heat[g] = heat2(g, nodes[:, None], nodes[None, :])
+                    carry = (carry.T @ heat[g]).T * w[:, None]
+                chains.append((sign, picks[-1], carry))
+        return chains, rights
 
-    def _s_fp(self, point, offset, sch, u):
-        """Memoized S_fp(T, offset; v - u) on the v nodes of ``sch``; a miss
-        fills the (point, -offset) entry from the same Airy evaluation,
-        unless that entry is fresh."""
-
-        def fresh(entry):
-            return entry is not None and entry[0] is sch \
-                and np.array_equal(entry[1], u)
-
-        hit = self._factors.get((point, offset))
-        if fresh(hit):
-            return hit[2]
-        T, w = self.spec.T, sch.nodes[:, None] - u[None, :]
-        offsets = (offset,)
-        if offset != 0 and not fresh(self._factors.get((point, -offset))):
-            offsets = (offset, -offset)
-        airy = _fp_airy(T, offset, w)
-        u_key = u.copy()
-        for off in offsets:
-            self._factors[(point, off)] = (sch, u_key,
-                                           s_fp(T, off, w, airy=airy))
-        return self._factors[(point, offset)][2]
-
-    def _heat_mid(self, g, sch):
-        """Memoized heat2(g) on the v nodes of ``sch``."""
-        hit = self._mids.get(g)
-        if hit is not None and hit[0] is sch:
-            return hit[1]
-        nodes = sch.nodes
-        mid = heat2(g, nodes[:, None], nodes[None, :])
-        self._mids[g] = (sch, mid)
-        return mid
-
-    def __call__(self, a, b) -> float:
-        (i, ui), (j, uj) = a, b
-        return float(self.block(int(i), int(j),
-                                np.asarray([float(ui)]),
-                                np.asarray([float(uj)]))[0, 0])
+    def _fill(self, out, i, j, ui, uj, chains, rights):
+        """Add the (i, j) block to ``out`` from point i's chains and point
+        j's right factors."""
+        xi, xj = self.spec.x[i], self.spec.x[j]
+        if xi > xj:
+            out -= heat2(xi - xj, ui[:, None], uj[None, :])
+        for sign, last, carry in chains:
+            out += sign * (carry.T @ rights[last])
 
 
 def fixedpoint_probability(spec: FixedPointSpec, target: float = 1e-7,
@@ -278,7 +280,7 @@ def fixedpoint_probability(spec: FixedPointSpec, target: float = 1e-7,
     def system_at(order, pad):
         intervals = tuple((-aj - pad, -aj) for aj in spec.a_out)
         return NystromSystem(intervals=intervals, order=order,
-                             block_fn=kern.block, max_panel=max_panel,
+                             kernel=kern.matrix, max_panel=max_panel,
                              pad_side="lower")
 
     return refine(system_at, order, pad,
@@ -295,11 +297,11 @@ def tracy_widom_gue_cdf(s: float, order: int = 40, span: float = 40.0) -> float:
     path except Ai itself.
     """
 
-    def k_airy(i, j, x, y):
+    def k_airy(xs):
+        (x,) = xs
         ax, adx = special.airy_pair(x)
-        ay, ady = special.airy_pair(y)
-        dx = x[:, None] - y[None, :]
-        num = ax[:, None] * ady[None, :] - adx[:, None] * ay[None, :]
+        dx = x[:, None] - x[None, :]
+        num = ax[:, None] * adx[None, :] - adx[:, None] * ax[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
             out = num / dx
         diag = np.abs(dx) < 1e-9
@@ -309,7 +311,7 @@ def tracy_widom_gue_cdf(s: float, order: int = 40, span: float = 40.0) -> float:
         return out
 
     system = NystromSystem(intervals=((s, s + span),), order=order,
-                           block_fn=k_airy, max_panel=1.5,
+                           kernel=k_airy, max_panel=1.5,
                            pad_side="upper")
     return float(system.det())
 

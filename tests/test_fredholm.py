@@ -41,14 +41,14 @@ class TestBuildQuadrature:
 class TestFredholmDet:
     def test_zero_kernel(self):
         system = NystromSystem(intervals=((0.0, 5.0),), order=16,
-                               block_fn=lambda i, j, x, y: np.zeros(
-                                   (x.size, y.size)))
+                               kernel=lambda xs: np.zeros((xs[0].size,
+                                                           xs[0].size)))
         assert system.det() == 1.0
 
     def test_rank_one_exponential(self):
         system = NystromSystem(
             intervals=((0.0, 30.0),), order=24, max_panel=2.0,
-            block_fn=lambda i, j, x, y: np.exp(-x[:, None] - y[None, :]),
+            kernel=lambda xs: np.exp(-xs[0][:, None] - xs[0][None, :]),
             pad_side="upper")
         res = fredholm_det(system)
         assert res.value == pytest.approx(0.5, abs=1e-9)
@@ -61,16 +61,60 @@ class TestFredholmDet:
         # independent high-precision reference (Bornemann's tables)
         assert v40 == pytest.approx(0.807225, abs=5e-5)
 
+    def test_airy_kernel_evaluates_ai_once_per_node(self, monkeypatch):
+        from rbmdet import special
+        sizes = []
+        real = special.airy_pair
+
+        def counting(x):
+            sizes.append(np.size(x))
+            return real(x)
+
+        monkeypatch.setattr(special, "airy_pair", counting)
+        tracy_widom_gue_cdf(-1.0, order=40)
+        system = NystromSystem(intervals=((-1.0, 39.0),), order=40,
+                               kernel=None, max_panel=1.5)
+        assert sizes == [system.size]
+
 
 def _smooth_two_line_block(i, j, x, y):
     return (i + 1.0) / (j + 2.0) * np.exp(
         -0.3 * (x[:, None] - y[None, :]) ** 2 - 0.1 * np.abs(x[:, None]))
 
 
+def _smooth_two_line_kernel(xs):
+    return np.block([[_smooth_two_line_block(i, j, x, y)
+                      for j, y in enumerate(xs)] for i, x in enumerate(xs)])
+
+
+class TestNystromMatrix:
+    def test_formed_in_place_as_the_block_loop_gives(self):
+        made = []
+
+        def kernel(xs):
+            made.append(_smooth_two_line_kernel(xs))
+            return made[-1]
+
+        system = NystromSystem(intervals=((-9.0, 0.4), (-8.2, -1.3)),
+                               order=12, kernel=kernel, max_panel=0.7)
+        got = system.matrix()
+        assert got is made[0]   # no second n x n array
+        # the per-block assembly it replaces
+        offs = np.cumsum([0] + [s.size for s in system.schemes])
+        ref = np.eye(system.size)
+        for i, si in enumerate(system.schemes):
+            for j, sj in enumerate(system.schemes):
+                ref[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] -= \
+                    np.sqrt(si.weights)[:, None] \
+                    * _smooth_two_line_block(i, j, si.nodes, sj.nodes) \
+                    * np.sqrt(sj.weights)[None, :]
+        assert np.array_equal(got, ref)
+
+
 class TestShrunkCut:
     @pytest.mark.parametrize("pad_side", ["lower", "upper"])
     def test_principal_submatrix_is_cut_system(self, pad_side):
-        kw = dict(order=12, block_fn=_smooth_two_line_block,
+        kw = dict(order=12, kernel=_smooth_two_line_kernel,
                   splits=(-1.3, 0.4), max_panel=0.7, pad_side=pad_side)
         system = NystromSystem(intervals=((-9.0, 0.4), (-8.2, -1.3)), **kw)
         keep, cut = system.shrunk_cut(2.0)
@@ -88,14 +132,14 @@ class TestShrunkCut:
 
     def test_shrink_capped_at_half_interval(self):
         system = NystromSystem(intervals=((0.0, 1.0),), order=8,
-                               block_fn=_smooth_two_line_block,
+                               kernel=_smooth_two_line_kernel,
                                max_panel=0.1)
         keep, cut = system.shrunk_cut(2.0)
         assert cut[0][0] == pytest.approx(0.5, abs=1e-12)
         assert keep.size == system.size // 2
 
     def test_fredholm_det_reruns_on_cut_system(self):
-        kw = dict(order=12, block_fn=_smooth_two_line_block,
+        kw = dict(order=12, kernel=_smooth_two_line_kernel,
                   splits=(-1.3, 0.4), max_panel=0.7)
         system = NystromSystem(intervals=((-9.0, 0.4), (-8.2, -1.3)), **kw)
         res = fredholm_det(system, shrink=2.0)

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from scipy.integrate import quad
 
 from rbmdet import initial_data as idata
 from rbmdet import special
-from rbmdet.fredholm import NystromSystem
-from rbmdet.kernel import KernelSpec, kernel_eval, s_ops, sbar_epi
+from rbmdet.fredholm import NystromSystem, rbm_probability
+from rbmdet.initial_data import blocks
+from rbmdet.kernel import (ExtendedKernelEval, KernelSpec, kernel_eval, s_ops,
+                           sbar_epi)
 
 STEP_IC = idata.from_positions([1.5, 1.5, 0.0, 0.0, -1.2, -1.2, -1.2, -2.0],
                                extend_last=True)
@@ -153,55 +156,50 @@ class TestKernelEval:
             b = e_o((ni, zi), (nj, zj))
             assert abs(a - b) / max(1.0, abs(a)) < 1e-9
 
-    def test_factor_memo_matches_fresh_evaluator(self):
-        spec = KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC)
+    @pytest.mark.parametrize("rep, conjugated", [
+        ("hitting", True), ("hitting", False), ("operator_step", True),
+        ("biorth", True)])
+    def test_matrix_matches_block_assembly(self, rep, conjugated):
+        spec = KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC,
+                          representation=rep, conjugated=conjugated)
         rng = np.random.default_rng(5)
-        node_sets = [np.linspace(-7.0, 1.0, 9), np.linspace(-6.0, -2.5, 7),
-                     rng.uniform(-7.0, 1.0, 5)]
+        zs = (np.linspace(-7.0, 1.0, 9), rng.uniform(-6.0, -2.5, 7))
 
-        def fresh(hull):
-            k = kernel_eval(spec)
-            k.block(3, 3, hull, hull)   # same discretization as the memo
-            return k
+        def by_blocks(zs):
+            return np.block([[kern.block(ni, nj, zi, zj)
+                              for nj, zj in zip(spec.indices, zs)]
+                             for ni, zi in zip(spec.indices, zs)])
 
-        hull = np.array([-7.0, 1.0])
-        kern = fresh(hull)
-        for _ in range(12):
-            ni, nj = (int(v) for v in rng.choice(spec.indices, 2))
-            zi, zj = (node_sets[int(v)] for v in rng.integers(0, 3, 2))
-            got = kern.block(ni, nj, zi, zj)
-            assert np.array_equal(got, fresh(hull).block(ni, nj, zi, zj))
-            assert len(kern._factors) <= 2 * len(spec.indices)
-        # a block reaching past the hull rebuilds the discretization; stale
-        # factors are replaced, not reused
-        wide = np.linspace(-7.0, 2.0, 6)
-        got = kern.block(9, 3, wide, node_sets[0])
-        grown = np.array([-7.0, 2.0])
-        assert np.array_equal(got, fresh(grown).block(9, 3, wide,
-                                                      node_sets[0]))
-        got = kern.block(3, 9, node_sets[1], node_sets[2])
-        assert np.array_equal(got, fresh(grown).block(3, 9, node_sets[1],
-                                                      node_sets[2]))
-        assert set(kern._factors) <= {(side, n) for side in ("row", "col")
-                                      for n in spec.indices}
+        kern = kernel_eval(spec)
+        got = kern.matrix(zs)
+        assert kern.evaluations == 16 ** 2
+        assert np.array_equal(got, by_blocks(zs))
+        # nodes reaching above the discretization rebuild it; the assembly
+        # uses the new one throughout
+        zs = (zs[0], np.linspace(-6.0, 2.0, 6))
+        got = kern.matrix(zs)
+        assert np.array_equal(got, by_blocks(zs))
 
-    def test_factor_memo_under_threads(self):
+    def test_matrix_under_threads(self):
         spec = KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC)
         node_sets = [np.linspace(-7.0, 1.0, 9), np.linspace(-6.0, -2.5, 7)]
-        requests = [(ni, nj, a, b) for ni in spec.indices
-                    for nj in spec.indices for a in (0, 1) for b in (0, 1)]
+        requests = [(a, b) for a in (0, 1) for b in (0, 1)]
         kern = kernel_eval(spec)
         kern.block(3, 3, np.array([-7.0, 1.0]), np.array([-7.0, 1.0]))
-        expected = {r: kern.block(r[0], r[1], node_sets[r[2]],
-                                  node_sets[r[3]]) for r in requests}
+        expected = {r: kern.matrix((node_sets[r[0]], node_sets[r[1]]))
+                    for r in requests}
+        blocks_ref = {r: kern.block(3, 9, node_sets[r[0]], node_sets[r[1]])
+                      for r in requests}
         mismatches = []
 
         def worker(shift):
             for k in range(3 * len(requests)):
                 r = requests[(k * (2 * shift + 1)) % len(requests)]
-                got = kern.block(r[0], r[1], node_sets[r[2]],
-                                 node_sets[r[3]])
+                got = kern.matrix((node_sets[r[0]], node_sets[r[1]]))
                 if not np.array_equal(got, expected[r]):
+                    mismatches.append(r)
+                got = kern.block(3, 9, node_sets[r[0]], node_sets[r[1]])
+                if not np.array_equal(got, blocks_ref[r]):
                     mismatches.append(r)
 
         interval = sys.getswitchinterval()
@@ -217,7 +215,6 @@ class TestKernelEval:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert mismatches == []
-        assert len(kern._factors) <= 2 * len(spec.indices)
 
     def test_one_recurrence_per_line_and_atom_nodes(self, monkeypatch):
         # S_n and Sbar_n on a line's atom nodes share their argument, and
@@ -237,32 +234,77 @@ class TestKernelEval:
         for name in ("hermite_normed_log", "hermite_normed_log_pair"):
             monkeypatch.setattr(special, name, counting(name))
         kern = kernel_eval(spec)
-
-        def assemble(order):
+        for order in (16, 32):
             del calls[:]
             NystromSystem(intervals=((-7.0, 1.0), (-6.0, -2.5)), order=order,
-                          block_fn=lambda i, j, x, y: kern.block(
-                              spec.indices[i], spec.indices[j], x, y),
-                          max_panel=1.0).matrix()
-            return list(calls)
-
-        for order in (16, 32):
-            made = assemble(order)
-            pairs = [(n, x) for name, n, x in made if name.endswith("pair")]
+                          kernel=kern.matrix, max_panel=1.0).matrix()
+            pairs = [(n, x) for name, n, x in calls if name.endswith("pair")]
             assert sorted(n for n, _ in pairs) == list(spec.indices)
-            args = [x for _, _, x in made]
+            args = [x for _, _, x in calls]
             assert len(set(args)) == len(args)
-            assert assemble(order) == []   # the memo serves a repeat
-        # a point evaluation, or one line on two node sets, builds each
-        # side alone
-        for a, b in [((3, -1.0), (3, -2.0)), ((3, -1.0), (9, -2.0))]:
-            del calls[:]
-            kern(a, b)
-            assert calls and not any(c[0].endswith("pair") for c in calls)
-        z = np.linspace(-6.0, -1.0, 5)
-        del calls[:]
-        kern.block(3, 3, z, z + 0.5)
-        assert calls and not any(c[0].endswith("pair") for c in calls)
+
+    def test_one_build_when_a_later_line_reaches_higher(self, monkeypatch):
+        # line 9's window ends at -0.5, above line 3's at -3: the assembly
+        # takes its discretization from all lines, so no block is left on
+        # one built for line 3 alone
+        spec = KernelSpec(t=1.0, indices=(3, 9), ic=idata.from_positions(
+            [2.0, 1.5, 1.0, 0.5, 0.0, -0.5, -1.0, -1.5], extend_last=True))
+        kern = kernel_eval(spec)
+        builds, matrices = [], []
+        real_build = ExtendedKernelEval._build
+        real_matrix = NystromSystem.matrix
+
+        def build(self, *args):
+            builds.append(args)
+            return real_build(self, *args)
+
+        def matrix(self):
+            out = real_matrix(self)
+            matrices.append((self, out.copy()))
+            return out
+
+        monkeypatch.setattr(ExtendedKernelEval, "_build", build)
+        monkeypatch.setattr(NystromSystem, "matrix", matrix)
+        rbm_probability(spec, [-3.0, -0.5], kern=kern)
+        assert len(builds) == 1
+        system, first = matrices[0]
+        top = max(float(s.nodes.max()) for s in system.schemes)
+        ref = kernel_eval(spec)
+        ref.block(3, 3, np.array([top]), np.array([top]))
+        assert np.array_equal(first, real_matrix(replace(system,
+                                                         kernel=ref.matrix)))
+
+    def test_falling_lower_end_does_not_rebuild(self, monkeypatch):
+        spec = KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC)
+        kern = kernel_eval(spec)
+        builds = []
+        real_build = ExtendedKernelEval._build
+
+        def build(self, *args):
+            builds.append(args)
+            return real_build(self, *args)
+
+        monkeypatch.setattr(ExtendedKernelEval, "_build", build)
+        z = np.linspace(-5.0, 0.5, 6)
+        first = kern.block(3, 9, z, z)
+        for lo in (-6.0, -9.0, -20.0):
+            kern.block(3, 9, np.linspace(lo, 0.5, 6), z)
+        assert len(builds) == 1
+        assert np.array_equal(kern.block(3, 9, z, z), first)
+
+    def test_operator_step_chains_replaced_on_rebuild(self):
+        ic = idata.from_positions([1.0, 1.0, 0.0, 0.0, -0.5, -0.5, -1.5],
+                                  extend_last=True)
+        kern = kernel_eval(KernelSpec(t=1.0, indices=(2, 5, 8), ic=ic,
+                                      representation="operator_step"))
+        n_blocks = len(blocks(ic).blocks_within(8))
+        assert n_blocks == 4
+        for k in range(3):   # each evaluation raises the upper end
+            kern((2, -3.0), (8, -2.0 + 0.5 * k))
+        assert 0 < len(kern._state["chains"]) <= 2 ** n_blocks - 1
+        # no chain store outlives its discretization
+        assert not any(isinstance(v, dict) and len(v) > 2 ** n_blocks - 1
+                       for v in vars(kern).values())
 
     def test_finite_output_and_counter(self):
         spec = KernelSpec(t=1.0, indices=(1, 2), ic=idata.packed(0.0))

@@ -142,7 +142,7 @@ class TestFixedPointKernel:
 
 def _fp_block_per_subset(kern, i, j, ui, uj):
     """The fixed-point block with every S_fp factor recomputed per wedge
-    subset, as a reference for the memoized block."""
+    subset, as a reference for factors built once per point."""
     from itertools import combinations
     spec = kern.spec
     xi, xj = spec.x[i], spec.x[j]
@@ -181,12 +181,21 @@ class TestFixedPointFactorMemo:
             got = kern.block(i, j, u[a], u[b])
             ref = _fp_block_per_subset(kern, i, j, u[a], u[b])
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
-        # one entry per (point, offset x - a) and side; 0 and -0 coincide
-        assert len(kern._factors) <= 7
+        # the whole matrix, block by block
+        for us in [(u[0], u[1]), (u[2], u[1]), (u[0], u[2])]:
+            got = kern.matrix(us)
+            offs = np.cumsum([0] + [v.size for v in us])
+            for i in range(2):
+                for j in range(2):
+                    ref = _fp_block_per_subset(kern, i, j, us[i], us[j])
+                    np.testing.assert_allclose(
+                        got[offs[i]:offs[i + 1], offs[j]:offs[j + 1]], ref,
+                        rtol=0, atol=1e-14)
 
     def test_one_v_grid_per_assembly(self, monkeypatch):
         # a negative threshold puts u nodes above 0; every block must still
-        # use the one v grid, or the memo rebuilds factors it already had
+        # use the one v grid, and each (point, offset) factor is built once;
+        # offsets 0 and -0 coincide
         spec = sc.FixedPointSpec(wedges=(0.0, -1.0), T=1.0, x=(0.0, 0.5),
                                  a_out=(-1.0, 0.5))
         calls = []
@@ -200,7 +209,7 @@ class TestFixedPointFactorMemo:
         kern = sc.FixedPointKernel(spec, order=24)
         pad = 18.0
         NystromSystem(intervals=tuple((-a - pad, -a) for a in spec.a_out),
-                      order=32, block_fn=kern.block, max_panel=1.2).matrix()
+                      order=32, kernel=kern.matrix, max_panel=1.2).matrix()
         assert len(calls) == 7
         assert len(kern._schemes) == 1
 
@@ -224,7 +233,7 @@ class TestFixedPointSharedFactors:
 
     def test_one_airy_pass_per_point_and_wedge(self, monkeypatch):
         # offsets x_i - a_k and a_k - x_i share their Airy argument: one
-        # evaluation per (point, wedge) per assembly, none on a repeat
+        # evaluation per (point, wedge) per assembly
         spec = sc.FixedPointSpec(wedges=(0.0, -1.0), T=1.0, x=(0.0, 0.5),
                                  a_out=(0.0, 0.5))
         points = []
@@ -243,23 +252,19 @@ class TestFixedPointSharedFactors:
         pad = 18.0
         system = NystromSystem(
             intervals=tuple((-a - pad, -a) for a in spec.a_out), order=32,
-            block_fn=kern.block, max_panel=1.2)
+            kernel=kern.matrix, max_panel=1.2)
         system.matrix()
         (sch,) = kern._schemes.values()
         per_point = [sch.size * s.size for s in system.schemes]
         assert sum(points) == len(spec.wedges) * sum(per_point)
-        del points[:]
-        system.matrix()
-        assert points == []
 
     def test_heat_propagators_once_per_gap(self, monkeypatch):
         spec = sc.FixedPointSpec(wedges=(0.0, -1.0, -2.5), T=1.0,
                                  x=(0.0, 0.5), a_out=(0.0, 0.5))
         u = [np.linspace(-6.0, 0.0, 7), np.linspace(-5.5, -0.5, 5)]
-        requests = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 0)]
         kern = sc.FixedPointKernel(spec, order=24)
-        refs = [_fp_block_per_subset(kern, i, j, u[i], u[j])
-                for i, j in requests]
+        ref = np.block([[_fp_block_per_subset(kern, i, j, u[i], u[j])
+                         for j in range(2)] for i in range(2)])
         gaps = []
 
         def counting(g, x, y):
@@ -268,8 +273,7 @@ class TestFixedPointSharedFactors:
 
         heat2 = sc.heat2
         monkeypatch.setattr(sc, "heat2", counting)
-        for (i, j), ref in zip(requests, refs):
-            assert np.array_equal(kern.block(i, j, u[i], u[j]), ref)
+        assert np.array_equal(kern.matrix(u), ref)
         # wedge gaps 1, 1.5 and 2.5 once each on the one v grid; the point
         # gap 0.5 of block (1, 0) is not a propagator between wedges
         assert sorted(gaps) == [0.5, 1.0, 1.5, 2.5]
