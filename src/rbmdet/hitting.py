@@ -361,16 +361,18 @@ def _law_inclusion_exclusion(blks, eta, n_max, order, panel_max):
 # grid recursion
 # ---------------------------------------------------------------------------
 
+_GRID_PAD = 12.0   # depth of the b-grid below the lowest finite level
+
 
 def default_grid(ic: InitialCondition, eta: float, n_max: int,
-                 spacing: float = 1e-3, pad: float = 12.0) -> np.ndarray:
-    """b-grid covering [lowest level - pad, max(levels, eta)], with every
+                 spacing: float = 1e-3) -> np.ndarray:
+    """b-grid covering [lowest level - 12, max(levels, eta)], with every
     finite level and eta snapped onto the grid."""
     curve = ic.curve_array(n_max)
     finite = curve[np.isfinite(curve)]
     if finite.size == 0:
         raise ValueError("no finite level within the horizon")
-    lo = float(finite.min()) - pad
+    lo = float(finite.min()) - _GRID_PAD
     hi = max(float(finite.max()), eta)
     grid = np.arange(lo, hi + spacing, spacing)
     anchors = np.unique(np.append(finite, eta))
@@ -474,10 +476,12 @@ def hitting_law_grid(ic: InitialCondition, eta: float,
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
+_MC_CHUNK = 1 << 15   # paths per chunk; chunk c uses the stream (seed, c)
+_MC_BINS = 64         # histogram bins per epoch
+
 
 def hitting_law_mc(ic: InitialCondition, eta: float, n_max: int,
-                   paths: int, seed: int, nbins: int = 64,
-                   chunk: int = 1 << 15) -> HittingLaw:
+                   paths: int, seed: int) -> HittingLaw:
     """Monte Carlo estimate of the hitting law with per-epoch standard errors.
 
     Deterministic in ``seed``: chunk c always consumes the stream derived
@@ -497,7 +501,7 @@ def hitting_law_mc(ic: InitialCondition, eta: float, n_max: int,
     done = 0
     chunk_idx = 0
     while done < paths:
-        size = min(chunk, paths - done)
+        size = min(_MC_CHUNK, paths - done)
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=seed, spawn_key=(chunk_idx,))))
         steps = rng.exponential(scale=1.0, size=(size, n_max - 1))
@@ -520,7 +524,7 @@ def hitting_law_mc(ic: InitialCondition, eta: float, n_max: int,
         se = math.sqrt(max(p_ell * (1 - p_ell), 1.0 / paths) / paths)
         level = curve[ell]
         top = max(float(bs[sel].max()), level + 1e-9)
-        edges = np.linspace(level, top, nbins + 1)
+        edges = np.linspace(level, top, _MC_BINS + 1)
         counts, _ = np.histogram(bs[sel], bins=edges)
         widths = np.diff(edges)
         centers = 0.5 * (edges[:-1] + edges[1:])

@@ -21,7 +21,10 @@ Representations of the second term:
 * ``biorth``       - sum_{k=1}^{n_j} Psi^{n_i}_{n_i-k}(z_i) Phi^{n_j}_{n_j-k}(z_j)
   with exact polynomial Phi's (finite levels, moderate n only).
 * ``operator_step``- inclusion-exclusion over block subsets,
-  (S)* chi Q^... chi ... Sbar, quadrature-discretized; scalable for step data.
+  (S)* chi Q^... chi ... Sbar, quadrature-discretized.  The signed chains
+  ending at block k sum to C_k = S_{n_i-s_k} - sum_{j<k} Leg_{jk} C_j, so
+  L blocks cost L carries and L(L-1)/2 legs where there were 2^L - 1
+  chains; practical as a cross-check of ``hitting`` on step data.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -305,11 +307,21 @@ class ExtendedKernelEval:
         c0 = spec.ic.curve(0)
         upper = z_hi + self._reach
         panel = max(1.5 * self._bulk_wave, 1e-3)
-        splits = [b.level for b in blks] + ([c0] if math.isfinite(c0) else [])
-        # operator_step keeps its chains of one inclusion-exclusion product
-        # per block subset here, so that a rebuild replaces them
-        state = {"atom": None, "law": None, "upper": upper, "chains": {}}
+        levels = [b.level for b in blks]
+        splits = levels + ([c0] if math.isfinite(c0) else [])
+        state = {"atom": None, "law": None}
         if spec.representation == "operator_step":
+            # one eta scheme per block (None above upper) and one Volterra
+            # leg per block pair; a rebuild replaces them all
+            schemes = [build_scheme([(b.level, upper)], order=_ETA_ORDER,
+                                    splits=levels, max_panel=panel)
+                       if upper > b.level else None for b in blks]
+            legs = {(j, k): _volterra_leg_matrix(
+                        blks[k].start - blks[j].start, schemes[j],
+                        schemes[k].nodes)
+                    for k in range(len(blks)) for j in range(k)
+                    if schemes[j] is not None and schemes[k] is not None}
+            state["chains"] = (schemes, legs)
             return state
         if math.isfinite(c0) and upper > c0:
             sch = build_scheme([(c0, upper)], order=_ETA_ORDER,
@@ -400,61 +412,26 @@ class ExtendedKernelEval:
     # -- operator-factorized representation --------------------------------
 
     def _st_operator_step(self, ni, nj, zi, zj, state):
-        spec = self.spec
-        blks = self._profile.blocks_within(spec.n_max)
-        out = np.zeros((zi.size, zj.size))
-        idx_all = list(range(len(blks)))
-        for k in range(1, len(blks) + 1):
-            sign = 1.0 if (k + 1) % 2 == 0 else -1.0
-            for picks in combinations(idx_all, k):
-                last = blks[picks[-1]]
-                if last.start >= nj:
-                    continue
-                term = self._opstep_term(ni, nj, zi, zj,
-                                         tuple(blks[p] for p in picks), state)
-                out += sign * term
-        return out
-
-    def _opstep_chain(self, picks, state):
-        """Quadrature schemes and Volterra leg matrices for one
-        inclusion-exclusion product, kept in the discretization ``state``."""
-        key = tuple(b.start for b in picks)
-        cached = state["chains"].get(key)
-        if cached is not None:
-            return cached
+        """Sum over the blocks k with s_k < n_j of (C_k w_k)^T
+        Sbar(n_j - s_k), where the carry C_k = S(n_i - s_k) - sum_{j<k}
+        Leg_{jk} C_j holds every signed chain of blocks ending at k."""
+        schemes, legs = state["chains"]
         blks = self._profile.blocks_within(self.spec.n_max)
-        upper = state["upper"]
-        panel = max(1.5 * self._bulk_wave, 1e-3)
-        levels = [b.level for b in blks]
-        schemes = []
-        for blk in picks:
-            if upper <= blk.level:
-                schemes = None
+        out = np.zeros((zi.size, zj.size))
+        carries = {}
+        for k, (blk, sch) in enumerate(zip(blks, schemes)):
+            if blk.start >= nj:
                 break
-            schemes.append(build_scheme([(blk.level, upper)],
-                                        order=_ETA_ORDER, splits=levels,
-                                        max_panel=panel))
-        legs = None
-        if schemes is not None:
-            legs = [
-                _volterra_leg_matrix(picks[r].start - picks[r - 1].start,
-                                     schemes[r - 1], schemes[r].nodes)
-                for r in range(1, len(picks))
-            ]
-        with self._lock:
-            return state["chains"].setdefault(key, (schemes, legs))
-
-    def _opstep_term(self, ni, nj, zi, zj, picks, state):
-        schemes, legs = self._opstep_chain(picks, state)
-        if schemes is None:
-            return np.zeros((zi.size, zj.size))
-        # left factor with all leading walk powers collapsed into the index
-        carry = self._s_matrix(ni - picks[0].start, schemes[0].nodes, zi)
-        for leg in legs:
-            carry = leg @ carry                       # (v_r, zi)
-        sb = self._sbar_vec(nj - picks[-1].start, schemes[-1].nodes, zj)
-        wk = schemes[-1].weights
-        return (carry * wk[:, None]).T @ sb
+            if sch is None:
+                continue
+            # left factor with all leading walk powers collapsed into the index
+            carry = self._s_matrix(ni - blk.start, sch.nodes, zi)
+            for j, prev in carries.items():
+                carry -= legs[j, k] @ prev
+            carries[k] = carry
+            sb = self._sbar_vec(nj - blk.start, sch.nodes, zj)
+            out += (carry * sch.weights[:, None]).T @ sb
+        return out
 
     # -- biorthogonal representation ---------------------------------------
 

@@ -17,14 +17,15 @@ The limiting one-sided kernel is the convolution operator
 
 acting as (v, u) -> S_fp(v - u), and the multiple-narrow-wedge kernel is the
 finite inclusion-exclusion sum of products of half-line projections and
-diffusion-2 heat propagators between consecutive wedges.
+diffusion-2 heat propagators between consecutive wedges.  The chains ending
+at wedge k sum to one carry, C_k = S_fp(x - a_k) - sum_{j<k} H(a_j - a_k) C_j,
+so l wedges cost l carries per point where there were 2^l - 1 chains.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -164,10 +165,12 @@ class FixedPointKernel:
 
     Every chain starts with S_fp(T, x_i - a_k; v - u_i) and ends with
     S_fp(T, a_k - x_j; v - u_j), so its factors depend on one point's nodes
-    only.  ``matrix`` builds them once per point: one Airy evaluation per
-    (point, wedge), shared by the two offsets +-(x_i - a_k); each wedge
-    subset's weighted chain; and each heat propagator between consecutive
-    wedges once per gap.  Nothing is kept after the call.
+    only.  The chains ending at wedge k sum to one weighted carry, C_k =
+    (S_fp(T, x_i - a_k) - sum_{j<k} H(a_j - a_k) C_j) w.  ``matrix`` builds
+    the factors once per point: one Airy evaluation per (point, wedge),
+    shared by the offsets +-(x_i - a_k); one carry per wedge, not one chain
+    per wedge subset; and each heat propagator once per gap.  Nothing is
+    kept between calls.
     """
 
     def __init__(self, spec: FixedPointSpec, order: int = 24):
@@ -178,15 +181,10 @@ class FixedPointKernel:
         self.v_pad = T ** (1.0 / 3.0) * 42.0 + 6.0 * span
         # every u node lies below max(-a_out): one v grid serves all blocks
         self._u_hi = max(0.0, -min(spec.a_out))
-        self._schemes = {}
 
     def _v_scheme(self, upper: float):
-        key = round(upper, 9)
-        if key not in self._schemes:
-            self._schemes[key] = build_scheme(
-                [(0.0, upper)], order=self.order,
-                max_panel=max(1.0 * self.spec.T ** (1.0 / 3.0), 0.25))
-        return self._schemes[key]
+        panel = max(self.spec.T ** (1.0 / 3.0), 0.25)
+        return build_scheme([(0.0, upper)], order=self.order, max_panel=panel)
 
     def block(self, i: int, j: int, ui, uj) -> np.ndarray:
         """Kernel matrix between nodes ui of point i and uj of point j."""
@@ -221,43 +219,39 @@ class FixedPointKernel:
         return out
 
     def _point_factors(self, i, u, sch, heat):
-        """Chains and ends of point i on nodes u over the v nodes of
-        ``sch``: [(sign, last wedge, weighted chain)] over wedge subsets,
-        and the right factors S_fp(T, a_k - x_i; v - u) per wedge k.
-        ``heat`` holds the propagators per gap, filled on first use."""
+        """Carries and ends of point i on nodes u over the v nodes of
+        ``sch``: the weighted carry C_k and the right factor S_fp(T, a_k -
+        x_i; v - u) per wedge k.  ``heat`` holds the propagators per gap,
+        filled on first use."""
         spec, T = self.spec, self.spec.T
         x, wedges = spec.x[i], spec.wedges
         nodes, w = sch.nodes, sch.weights
         arg = nodes[:, None] - u[None, :]
-        lefts, rights = [], []
-        for a in wedges:
+        carries, rights = [], []
+        for k, a in enumerate(wedges):
             off = x - a
             airy = _fp_airy(T, off, arg)
-            lefts.append(s_fp(T, off, arg, airy=airy))
+            left = s_fp(T, off, arg, airy=airy)
             # S_fp(T, -0) is S_fp(T, 0): at offset 0 one call serves both
-            rights.append(lefts[-1] if off == 0
-                          else s_fp(T, -off, arg, airy=airy))
-        chains = []
-        for k in range(1, len(wedges) + 1):
-            sign = 1.0 if (k + 1) % 2 == 0 else -1.0
-            for picks in combinations(range(len(wedges)), k):
-                carry = lefts[picks[0]] * w[:, None]
-                for r in range(1, k):
-                    g = wedges[picks[r - 1]] - wedges[picks[r]]
-                    if g not in heat:
-                        heat[g] = heat2(g, nodes[:, None], nodes[None, :])
-                    carry = (carry.T @ heat[g]).T * w[:, None]
-                chains.append((sign, picks[-1], carry))
-        return chains, rights
+            rights.append(left if off == 0 else s_fp(T, -off, arg, airy=airy))
+            carry = left * w[:, None]
+            for j in range(k):
+                g = wedges[j] - a
+                if g not in heat:
+                    heat[g] = heat2(g, nodes[:, None], nodes[None, :])
+                # the propagator is symmetric: H^T C = H C
+                carry -= (heat[g] @ carries[j]) * w[:, None]
+            carries.append(carry)
+        return carries, rights
 
-    def _fill(self, out, i, j, ui, uj, chains, rights):
-        """Add the (i, j) block to ``out`` from point i's chains and point
+    def _fill(self, out, i, j, ui, uj, carries, rights):
+        """Add the (i, j) block to ``out`` from point i's carries and point
         j's right factors."""
         xi, xj = self.spec.x[i], self.spec.x[j]
         if xi > xj:
             out -= heat2(xi - xj, ui[:, None], uj[None, :])
-        for sign, last, carry in chains:
-            out += sign * (carry.T @ rights[last])
+        for carry, right in zip(carries, rights):
+            out += carry.T @ right
 
 
 def fixedpoint_probability(spec: FixedPointSpec, target: float = 1e-7,
@@ -288,8 +282,8 @@ def fixedpoint_probability(spec: FixedPointSpec, target: float = 1e-7,
                   target, max_rounds, floor=1e-13)
 
 
-def tracy_widom_gue_cdf(s: float, order: int = 40, span: float = 40.0) -> float:
-    """F_GUE(s) by the Airy-kernel determinant on [s, s + span].
+def tracy_widom_gue_cdf(s: float, order: int = 40) -> float:
+    """F_GUE(s) by the Airy-kernel determinant on [s, s + 40].
 
     Independently coded reference: the Hankel-form Airy kernel
     (Ai(x) Ai'(y) - Ai'(x) Ai(y)) / (x - y) with the exact diagonal, built
@@ -310,7 +304,7 @@ def tracy_widom_gue_cdf(s: float, order: int = 40, span: float = 40.0) -> float:
             out[ii, jj] = adx[ii] ** 2 - x[ii] * ax[ii] ** 2
         return out
 
-    system = NystromSystem(intervals=((s, s + span),), order=order,
+    system = NystromSystem(intervals=((s, s + 40.0),), order=order,
                            kernel=k_airy, max_panel=1.5,
                            pad_side="upper")
     return float(system.det())

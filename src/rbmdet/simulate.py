@@ -29,6 +29,10 @@ import numpy as np
 
 from .initial_data import InitialCondition
 
+# paths (matrices) per Monte Carlo (GUE) chunk; chunk c uses stream (seed, c)
+_MC_CHUNK = 512
+_GUE_CHUNK = 2048
+
 
 def _philox(seed, *key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(
@@ -174,8 +178,7 @@ def rbm_variational(ic: InitialCondition, noise: NoiseField) -> PathEnsemble:
 
 
 def mc_distribution(ic: InitialCondition, t: float, indices, a,
-                    paths: int, dt: float, seed: int,
-                    chunk: int = 512, threads: int = 1):
+                    paths: int, dt: float, seed: int, threads: int = 1):
     """Empirical P(X_t(n_j) >= a_j for all j) with binomial standard error.
 
     Chunked; chunk c draws from the stream (seed, c), and the count
@@ -196,8 +199,8 @@ def mc_distribution(ic: InitialCondition, t: float, indices, a,
     sel = np.array(indices, dtype=int) - 1
     thresh = np.array(a)
 
-    n_chunks = (paths + chunk - 1) // chunk
-    sizes = [min(chunk, paths - c * chunk) for c in range(n_chunks)]
+    n_chunks = (paths + _MC_CHUNK - 1) // _MC_CHUNK
+    sizes = [min(_MC_CHUNK, paths - c * _MC_CHUNK) for c in range(n_chunks)]
 
     def run_chunk(c: int) -> int:
         rng = _philox(seed, c)
@@ -217,8 +220,7 @@ def mc_distribution(ic: InitialCondition, t: float, indices, a,
     return p_hat, stderr
 
 
-def gue_edge_sample(n: int, samples: int, seed: int,
-                    chunk: int = 2048) -> np.ndarray:
+def gue_edge_sample(n: int, samples: int, seed: int) -> np.ndarray:
     """Largest eigenvalues of n x n GUE matrices.
 
     Convention pinned by the one-particle case: diagonal entries N(0,1),
@@ -231,7 +233,7 @@ def gue_edge_sample(n: int, samples: int, seed: int,
     done = 0
     c = 0
     while done < samples:
-        size = min(chunk, samples - done)
+        size = min(_GUE_CHUNK, samples - done)
         rng = _philox(seed, c)
         xr = rng.normal(size=(size, n, n))
         xi = rng.normal(size=(size, n, n))

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from rbmdet import initial_data as idata
+from rbmdet import kernel as kernel_mod
 from rbmdet import special
 from rbmdet.fredholm import NystromSystem, rbm_probability
 from rbmdet.initial_data import blocks
@@ -16,6 +17,9 @@ from rbmdet.kernel import (ExtendedKernelEval, KernelSpec, kernel_eval, s_ops,
 
 STEP_IC = idata.from_positions([1.5, 1.5, 0.0, 0.0, -1.2, -1.2, -1.2, -2.0],
                                extend_last=True)
+# four blocks within index 8: levels 1, 0, -0.5 and -1.5
+FOUR_BLOCK_IC = idata.from_positions([1.0, 1.0, 0.0, 0.0, -0.5, -0.5, -1.5],
+                                     extend_last=True)
 
 
 class TestSOps:
@@ -293,18 +297,55 @@ class TestKernelEval:
         assert np.array_equal(kern.block(3, 9, z, z), first)
 
     def test_operator_step_chains_replaced_on_rebuild(self):
-        ic = idata.from_positions([1.0, 1.0, 0.0, 0.0, -0.5, -0.5, -1.5],
-                                  extend_last=True)
-        kern = kernel_eval(KernelSpec(t=1.0, indices=(2, 5, 8), ic=ic,
+        kern = kernel_eval(KernelSpec(t=1.0, indices=(2, 5, 8),
+                                      ic=FOUR_BLOCK_IC,
                                       representation="operator_step"))
-        n_blocks = len(blocks(ic).blocks_within(8))
-        assert n_blocks == 4
+        assert len(blocks(FOUR_BLOCK_IC).blocks_within(8)) == 4
+        seen = []
         for k in range(3):   # each evaluation raises the upper end
             kern((2, -3.0), (8, -2.0 + 0.5 * k))
-        assert 0 < len(kern._state["chains"]) <= 2 ** n_blocks - 1
-        # no chain store outlives its discretization
-        assert not any(isinstance(v, dict) and len(v) > 2 ** n_blocks - 1
-                       for v in vars(kern).values())
+            schemes, legs = kern._state["chains"]
+            # one scheme per block, at most one leg per block pair
+            assert len(schemes) == 4
+            assert 0 < len(legs) <= 6
+            seen.append((schemes, legs))
+        # a rebuild replaces every scheme and leg with the discretization
+        for (old_s, old_l), (new_s, new_l) in zip(seen, seen[1:]):
+            assert not any(a is b for a, b in zip(old_s, new_s)
+                           if a is not None)
+            assert not any(new_l[p] is old_l.get(p) for p in new_l)
+
+    def test_operator_step_one_leg_per_block_pair(self, monkeypatch):
+        # the chains of all block subsets share their legs: one Volterra
+        # leg per block pair and discretization, not one per subset
+        legs, builds = [], []
+        real_leg = kernel_mod._volterra_leg_matrix
+        real_build = ExtendedKernelEval._build
+
+        def leg(m, src, tgt):
+            legs.append(m)
+            return real_leg(m, src, tgt)
+
+        def build(self, *args):
+            builds.append(args)
+            return real_build(self, *args)
+
+        monkeypatch.setattr(kernel_mod, "_volterra_leg_matrix", leg)
+        monkeypatch.setattr(ExtendedKernelEval, "_build", build)
+        rbm_probability(KernelSpec(t=1.0, indices=(2, 8), ic=FOUR_BLOCK_IC,
+                                   representation="operator_step"),
+                        [-1.0, -3.0])
+        assert len(builds) >= 1
+        assert len(legs) == 6 * len(builds)
+
+    def test_operator_step_determinant_matches_hitting(self):
+        vals = [rbm_probability(KernelSpec(t=1.0, indices=(2, 8),
+                                           ic=FOUR_BLOCK_IC,
+                                           representation=rep),
+                                [-1.0, -3.0]).value
+                for rep in ("hitting", "operator_step")]
+        assert 0.05 < vals[0] < 0.95
+        assert abs(vals[0] - vals[1]) < 1e-12
 
     def test_finite_output_and_counter(self):
         spec = KernelSpec(t=1.0, indices=(1, 2), ic=idata.packed(0.0))

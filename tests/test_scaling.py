@@ -167,6 +167,19 @@ def _fp_block_per_subset(kern, i, j, ui, uj):
     return out
 
 
+def _count_v_schemes(monkeypatch):
+    """List that collects every v scheme the fixed-point kernel builds."""
+    built = []
+    real = sc.build_scheme
+
+    def build(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(sc, "build_scheme", build)
+    return built
+
+
 class TestFixedPointFactorMemo:
     def test_two_wedge_block_matches_per_subset_loop(self):
         spec = sc.FixedPointSpec(wedges=(0.0, -1.0), T=1.0, x=(0.0, 0.5),
@@ -206,12 +219,18 @@ class TestFixedPointFactorMemo:
 
         s_fp = sc.s_fp
         monkeypatch.setattr(sc, "s_fp", counted)
+        schemes = _count_v_schemes(monkeypatch)
         kern = sc.FixedPointKernel(spec, order=24)
         pad = 18.0
-        NystromSystem(intervals=tuple((-a - pad, -a) for a in spec.a_out),
-                      order=32, kernel=kern.matrix, max_panel=1.2).matrix()
+        system = NystromSystem(
+            intervals=tuple((-a - pad, -a) for a in spec.a_out), order=32,
+            kernel=kern.matrix, max_panel=1.2)
+        system.matrix()
         assert len(calls) == 7
-        assert len(kern._schemes) == 1
+        assert len(schemes) == 1
+        # nothing is kept: the next assembly builds its own v grid
+        system.matrix()
+        assert len(schemes) == 2
 
 
 class TestFixedPointSharedFactors:
@@ -253,8 +272,9 @@ class TestFixedPointSharedFactors:
         system = NystromSystem(
             intervals=tuple((-a - pad, -a) for a in spec.a_out), order=32,
             kernel=kern.matrix, max_panel=1.2)
+        schemes = _count_v_schemes(monkeypatch)
         system.matrix()
-        (sch,) = kern._schemes.values()
+        (sch,) = schemes
         per_point = [sch.size * s.size for s in system.schemes]
         assert sum(points) == len(spec.wedges) * sum(per_point)
 
@@ -273,10 +293,25 @@ class TestFixedPointSharedFactors:
 
         heat2 = sc.heat2
         monkeypatch.setattr(sc, "heat2", counting)
-        assert np.array_equal(kern.matrix(u), ref)
+        # the carries sum the chains in another order than the reference
+        np.testing.assert_allclose(kern.matrix(u), ref, rtol=0, atol=1e-14)
         # wedge gaps 1, 1.5 and 2.5 once each on the one v grid; the point
         # gap 0.5 of block (1, 0) is not a propagator between wedges
         assert sorted(gaps) == [0.5, 1.0, 1.5, 2.5]
+
+    def test_one_carry_per_wedge(self):
+        # the signed chains ending at a wedge sum to one carry: 4 carries
+        # per point where there are 15 wedge subsets
+        spec = sc.FixedPointSpec(wedges=(0.0, -0.5, -1.0, -1.75), T=1.0,
+                                 x=(0.0, 0.5), a_out=(0.0, 0.5))
+        u = [np.linspace(-6.0, 0.0, 7), np.linspace(-5.5, -0.5, 5)]
+        kern = sc.FixedPointKernel(spec, order=24)
+        sch = kern._v_scheme(kern.v_pad)
+        carries, rights = kern._point_factors(0, u[0], sch, {})
+        assert len(carries) == len(rights) == len(spec.wedges)
+        ref = np.block([[_fp_block_per_subset(kern, i, j, u[i], u[j])
+                         for j in range(2)] for i in range(2)])
+        np.testing.assert_allclose(kern.matrix(u), ref, rtol=0, atol=1e-14)
 
 
 class TestFixedPointProbability:
