@@ -76,26 +76,34 @@ def _volterra_leg_matrix(m: int, src: Scheme, tgt: np.ndarray) -> np.ndarray:
     The moving lower limit (the walk kernel vanishes for x <= y) is handled
     by re-panelling each target's integral at y, with f recovered inside
     panels by barycentric interpolation; smooth f keeps spectral accuracy.
+    Targets at or below a panel's lower edge need no re-panelling: they
+    share the panel's own nodes and are done in one vectorized pass.
     """
     order = src.order
     refx, lam = _bary_ref(order)
     glx, glw = _gl_rule(order)
     edges = src.edges[0]
     T = np.zeros((tgt.size, src.nodes.size))
-    for j, y in enumerate(tgt):
-        for p in range(len(edges) - 1):
-            a, b = edges[p], edges[p + 1]
-            if b <= y:
-                continue
-            lo = max(a, y)
+    for p in range(len(edges) - 1):
+        a, b = edges[p], edges[p + 1]
+        cols = slice(p * order, (p + 1) * order)
+        below = tgt <= a
+        if np.any(below):
+            half = 0.5 * (b - a)
+            xs = 0.5 * (b + a) + half * glx
+            q = q_exp_pow(m, xs[None, :], tgt[below, None])
+            r = _bary_eval_matrix((2.0 * xs - (a + b)) / (b - a), refx, lam)
+            T[below, cols] = (half * glw * q) @ r
+        for j in np.flatnonzero((tgt > a) & (tgt < b)):
+            lo = tgt[j]
             if b - lo < 1e-14:
                 continue
             half = 0.5 * (b - lo)
             xs = 0.5 * (b + lo) + half * glx
-            q = q_exp_pow(m, xs, y)
+            q = q_exp_pow(m, xs, lo)
             u = (2.0 * xs - (a + b)) / (b - a)
             r = _bary_eval_matrix(u, refx, lam)
-            T[j, p * order:(p + 1) * order] += (half * glw * q) @ r
+            T[j, cols] = (half * glw * q) @ r
     return T
 
 
@@ -175,16 +183,20 @@ class ExtendedKernelEval:
     Pure and safe for concurrent evaluation; the discretization backing the
     hitting/operator_step representations is (re)built under a lock
     whenever the requested nodes reach above its upper end (nothing in it
-    depends on the lower end).
+    depends on the lower end).  Its hitting-law layer (the eta nodes, their
+    laws, and per epoch the distinct law nodes with a sparse weight matrix)
+    depends only on min(c0, upper end); it is built under the same lock,
+    never changed afterwards, and kept for every rebuild that leaves that
+    top where it was.
 
     In the hitting representation a block factors as A(n_i, z_i)^T
     B(n_j, z_j) minus the walk term: A holds the weighted S factors on the
-    eta nodes, B the Sbar factors with the per-epoch scatters of the hitting
-    law summed into one matrix.  Both depend on one index line only, so
-    ``matrix`` builds (A, B) once per line, under one discretization for the
-    whole assembly, and keeps nothing after the call.  S_n and Sbar_n on a
-    line's atom nodes share an argument and come from one Hermite
-    recurrence to degree n.
+    eta nodes, B the Sbar factors with the hitting-law expectation reduced
+    onto the eta nodes.  Both depend on one index line only, so ``matrix``
+    builds (A, B) once per line, under one discretization for the whole
+    assembly, and keeps no factor after the call; ``block`` builds line
+    i's A and line j's B only.  S_n and Sbar_n on a line's atom nodes share
+    an argument and come from one Hermite recurrence to degree n.
     """
 
     def __init__(self, spec: KernelSpec):
@@ -192,6 +204,7 @@ class ExtendedKernelEval:
         self._lock = threading.Lock()
         self._state = None
         self._z_hi = None
+        self._law = None
         self._evals = 0
         self._profile = blocks(spec.ic)
         t, n_max = spec.t, spec.n_max
@@ -261,8 +274,8 @@ class ExtendedKernelEval:
         """The epigraph term on zi x zj in the representation's own gauge."""
         rep = self.spec.representation
         if rep == "hitting":
-            a, _ = self._line_factors(ni, zi, state)
-            _, b = self._line_factors(nj, zj, state)
+            a, _ = self._line_factors(ni, zi, state, col=False)
+            _, b = self._line_factors(nj, zj, state, row=False)
             return a.T @ b
         if rep == "operator_step":
             return self._st_operator_step(ni, nj, zi, zj, state)
@@ -301,9 +314,7 @@ class ExtendedKernelEval:
 
     def _build(self, z_hi: float):
         spec = self.spec
-        profile = self._profile
-        t, n_max = spec.t, spec.n_max
-        blks = profile.blocks_within(n_max)
+        blks = self._profile.blocks_within(spec.n_max)
         c0 = spec.ic.curve(0)
         upper = z_hi + self._reach
         panel = max(1.5 * self._bulk_wave, 1e-3)
@@ -327,31 +338,49 @@ class ExtendedKernelEval:
             sch = build_scheme([(c0, upper)], order=_ETA_ORDER,
                                splits=splits, max_panel=panel)
             state["atom"] = (sch.nodes, sch.weights)
-        if blks:
-            law_lo = blks[-1].level
-            law_hi = min(c0, upper)
-            if law_hi > law_lo:
-                sch = build_scheme([(law_lo, law_hi)], order=_ETA_ORDER,
-                                   splits=splits, max_panel=panel)
-                laws = [hitting_law_exact(profile, float(e), n_max,
-                                          order=_B_ORDER,
-                                          panel_max=min(_B_PANEL,
-                                                        4 * self._airy_w))
-                        for e in sch.nodes]
-                # flatten components per block start for vectorized reduction
-                per_block = {}
-                for a, law in enumerate(laws):
-                    for ell, comp in law.components.items():
-                        per_block.setdefault(ell, []).append(
-                            (a, comp.nodes, comp.weights * comp.values))
-                packed = {}
-                for ell, items in per_block.items():
-                    src = np.concatenate([np.full(n.size, a) for a, n, _ in items])
-                    nodes = np.concatenate([n for _, n, _ in items])
-                    wv = np.concatenate([w for _, _, w in items])
-                    packed[ell] = (src.astype(int), nodes, wv)
-                state["law"] = (sch.nodes, sch.weights, packed)
+        law_hi = min(c0, upper)
+        if blks and law_hi > blks[-1].level:
+            # runs under the lock; a layer is never changed once built
+            if self._law is None or self._law[0] != law_hi:
+                self._law = (law_hi, self._law_layer(blks[-1].level, law_hi,
+                                                     splits, panel))
+            state["law"] = self._law[1]
         return state
+
+    def _law_layer(self, law_lo, law_hi, splits, panel):
+        """The eta nodes and weights on [law_lo, law_hi] and, per epoch ell,
+        the distinct hitting-law nodes u with the sparse matrix W (eta x u)
+        of weighted law densities, so that the law expectation of f(ell, b)
+        at every eta is sum_ell W_ell @ f(ell, u).
+
+        Nothing here depends on the upper end beyond law_hi, so a rebuild
+        that leaves law_hi unchanged reuses the layer.
+        """
+        # imported here, not at the top: only data with a block below c0
+        # build a law layer, and the import costs every other process
+        # about 1.6 MB of peak memory
+        from scipy.sparse import csr_matrix
+
+        sch = build_scheme([(law_lo, law_hi)], order=_ETA_ORDER,
+                           splits=splits, max_panel=panel)
+        per_block = {}
+        for a, e in enumerate(sch.nodes):
+            law = hitting_law_exact(self._profile, float(e), self.spec.n_max,
+                                    order=_B_ORDER,
+                                    panel_max=min(_B_PANEL, 4 * self._airy_w))
+            for ell, comp in law.components.items():
+                per_block.setdefault(ell, []).append(
+                    (np.full(comp.nodes.size, a), comp.nodes,
+                     comp.weights * comp.values))
+        epochs = {}
+        for ell, items in per_block.items():
+            src, nodes, wv = (np.concatenate(v) for v in zip(*items))
+            # the law nodes of every eta above a block coincide: evaluate
+            # Sbar once per distinct node
+            u, inv = np.unique(nodes, return_inverse=True)
+            epochs[ell] = (u, csr_matrix((wv, (src, inv)),
+                                         shape=(sch.nodes.size, u.size)))
+        return sch.nodes, sch.weights, epochs
 
     def _s_matrix(self, n, eta, z):
         """S(t, n; eta, z) on eta x z.
@@ -383,31 +412,40 @@ class ExtendedKernelEval:
         (la, sg), (lb, sb) = special.psi_psibar_log(n, self.spec.t, x)
         return sg * np.exp(la + x), sb * np.exp(lb - x)
 
-    def _line_factors(self, n, z, state):
-        """(A, B) of line n on nodes z.
+    def _line_factors(self, n, z, state, row=True, col=True):
+        """(A, B) of line n on nodes z; a factor not asked for is None.
 
         A is the weighted S(t, n; eta, z) on the atom and law eta nodes.  B
         is Sbar(t, n; eta, z) on the atom nodes, then the hitting-law
-        expectation of Sbar(t, n - ell; b, z) on the law eta nodes, every
-        epoch ell < n scattered into one matrix.
+        expectation of Sbar(t, n - ell; b, z) on the law eta nodes: per
+        epoch ell < n, Sbar on the epoch's distinct law nodes reduced by its
+        sparse weight matrix.
         """
         rows = [np.empty((0, z.size))]
         cols = [np.empty((0, z.size))]
         if state["atom"] is not None:
             nodes, w = state["atom"]
-            s, sbar = self._s_sbar(n, nodes, z)
-            rows.append(s * w[:, None])
-            cols.append(sbar)
+            if row and col:
+                s, sbar = self._s_sbar(n, nodes, z)
+            else:
+                s = self._s_matrix(n, nodes, z) if row else None
+                sbar = self._sbar_vec(n, nodes, z) if col else None
+            if row:
+                rows.append(s * w[:, None])
+            if col:
+                cols.append(sbar)
         if state["law"] is not None:
-            eta, w_eta, packed = state["law"]
-            rows.append(self._s_matrix(n, eta, z) * w_eta[:, None])
-            g = np.zeros((eta.size, z.size))
-            for ell, (src, bnodes, wv) in packed.items():
-                if ell < n:
-                    sb = self._sbar_vec(n - ell, bnodes, z) * wv[:, None]
-                    np.add.at(g, src, sb)
-            cols.append(g)
-        return np.concatenate(rows), np.concatenate(cols)
+            eta, w_eta, epochs = state["law"]
+            if row:
+                rows.append(self._s_matrix(n, eta, z) * w_eta[:, None])
+            if col:
+                g = np.zeros((eta.size, z.size))
+                for ell, (u, wmat) in epochs.items():
+                    if ell < n:
+                        g += wmat @ self._sbar_vec(n - ell, u, z)
+                cols.append(g)
+        return (np.concatenate(rows) if row else None,
+                np.concatenate(cols) if col else None)
 
     # -- operator-factorized representation --------------------------------
 

@@ -11,15 +11,26 @@ from rbmdet import initial_data as idata
 from rbmdet import kernel as kernel_mod
 from rbmdet import special
 from rbmdet.fredholm import NystromSystem, rbm_probability
+from rbmdet.hitting import hitting_law_exact, q_exp_pow
 from rbmdet.initial_data import blocks
 from rbmdet.kernel import (ExtendedKernelEval, KernelSpec, kernel_eval, s_ops,
                            sbar_epi)
+from rbmdet.quad import _gl_rule, build_scheme
 
 STEP_IC = idata.from_positions([1.5, 1.5, 0.0, 0.0, -1.2, -1.2, -1.2, -2.0],
                                extend_last=True)
 # four blocks within index 8: levels 1, 0, -0.5 and -1.5
 FOUR_BLOCK_IC = idata.from_positions([1.0, 1.0, 0.0, 0.0, -0.5, -0.5, -1.5],
                                      extend_last=True)
+# eight unit blocks, levels 2 .. -1.5, and five threshold pairs on indices
+# (3, 9) spread over the joint law
+EIGHT_BLOCK_IC = idata.from_positions(
+    [2.0, 1.5, 1.0, 0.5, 0.0, -0.5, -1.0, -1.5], extend_last=True)
+STEP_BASES = ((-1.25, -5.0), (-0.75, -4.5), (-0.25, -3.5), (0.25, -3.0),
+              (0.75, -2.5))
+# two leading +inf particles: c0 = +inf, so the law layer ends at the
+# discretization's upper end
+WEDGE_IC = idata.narrow_wedge_approx([-0.5, -1.0], eps=0.7)
 
 
 class TestSOps:
@@ -365,3 +376,190 @@ class TestKernelEval:
         ic = idata.narrow_wedge_approx([-1.0], eps=0.5)
         with pytest.raises(ValueError):
             KernelSpec(t=1.0, indices=(6,), ic=ic, representation="biorth")
+
+
+def _column_factor_per_node(kern, n, z, state):
+    """B of line n with Sbar evaluated on every law node of every eta and
+    scattered row by row with np.add.at: the reduction the law layer's
+    distinct nodes and sparse weights replace."""
+    cols = []
+    if state["atom"] is not None:
+        cols.append(kern._sbar_vec(n, state["atom"][0], z))
+    if state["law"] is not None:
+        eta = state["law"][0]
+        per_block = {}
+        for a, e in enumerate(eta):
+            law = hitting_law_exact(
+                blocks(kern.spec.ic), float(e), kern.spec.n_max,
+                order=kernel_mod._B_ORDER,
+                panel_max=min(kernel_mod._B_PANEL, 4 * kern._airy_w))
+            for ell, comp in law.components.items():
+                per_block.setdefault(ell, []).append(
+                    (np.full(comp.nodes.size, a), comp.nodes,
+                     comp.weights * comp.values))
+        g = np.zeros((eta.size, z.size))
+        for ell, items in per_block.items():
+            if ell < n:
+                src, nodes, wv = (np.concatenate(v) for v in zip(*items))
+                np.add.at(g, src, kern._sbar_vec(n - ell, nodes, z)
+                          * wv[:, None])
+        cols.append(g)
+    return np.concatenate(cols)
+
+
+class TestLawLayer:
+    def test_one_law_per_eta_node_over_five_thresholds(self, monkeypatch):
+        # c0 is finite, so the law layer ends at c0 whatever the upper end:
+        # the rebuilds of five queries on one evaluator share one layer
+        spec = KernelSpec(t=1.0, indices=(3, 9), ic=EIGHT_BLOCK_IC)
+        kern = kernel_eval(spec)
+        fresh = [rbm_probability(spec, list(a)).value for a in STEP_BASES]
+        calls = []
+
+        def counting(profile, eta, *args, **kw):
+            calls.append(eta)
+            return hitting_law_exact(profile, eta, *args, **kw)
+
+        monkeypatch.setattr(kernel_mod, "hitting_law_exact", counting)
+        shared = [rbm_probability(spec, list(a), kern=kern).value
+                  for a in STEP_BASES]
+        assert len(calls) == len(set(calls)) == 112
+        assert kern._state["law"][0].size == 112
+        assert max(abs(a - b) for a, b in zip(shared, fresh)) <= 1e-15
+
+    def test_layer_follows_a_rising_upper_end_when_c0_is_infinite(
+            self, monkeypatch):
+        assert WEDGE_IC.n_inf > 0 and WEDGE_IC.curve(0) == math.inf
+        spec = KernelSpec(t=0.9, indices=(3, 6), ic=WEDGE_IC)
+        kern = kernel_eval(spec)
+        calls = []
+
+        def counting(profile, eta, *args, **kw):
+            calls.append(eta)
+            return hitting_law_exact(profile, eta, *args, **kw)
+
+        monkeypatch.setattr(kernel_mod, "hitting_law_exact", counting)
+        z = np.linspace(-8.0, -0.5, 5)
+        layers = []
+        for top in (-0.5, 0.5, 1.5):
+            zt = np.append(z, top)
+            ref = kernel_eval(spec).block(3, 6, zt, zt)
+            del calls[:]
+            assert np.array_equal(kern.block(3, 6, zt, zt), ref)
+            law_hi, layer = kern._law
+            assert law_hi == top + kern._reach
+            assert len(calls) == layer[0].size
+            layers.append(layer)
+        assert all(a is not b for a, b in zip(layers, layers[1:]))
+        # nodes below the top neither rebuild nor touch the layer
+        kern.block(3, 6, z, z)
+        assert kern._law[1] is layers[-1]
+
+    def test_rebuilt_layer_under_threads(self):
+        # every round raises the upper end, so the four threads race to
+        # rebuild the law layer; each gets what a fresh evaluator gives
+        spec = KernelSpec(t=0.9, indices=(3, 6), ic=WEDGE_IC)
+        rounds = [(np.linspace(-8.0, top, 9), np.linspace(-6.0, -1.0, 5))
+                  for top in (-0.5, 0.5, 1.5)]
+        expected = [kernel_eval(spec).matrix(zs) for zs in rounds]
+        kern = kernel_eval(spec)
+        barrier = threading.Barrier(4, timeout=60)
+        got = [[None] * 4 for _ in rounds]
+
+        def worker(k):
+            for r, zs in enumerate(rounds):
+                barrier.wait()
+                got[r][k] = kern.matrix(zs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for ref, row in zip(expected, got):
+            assert all(m is not None and np.array_equal(m, ref) for m in row)
+
+    @pytest.mark.parametrize("ic, indices, z", [
+        (EIGHT_BLOCK_IC, (3, 9), np.linspace(-6.0, 1.0, 7)),
+        (idata.narrow_wedge_approx([0.0, -1.0], eps=0.1), (10, 24),
+         np.linspace(-24.0, 1.0, 9))])
+    def test_sparse_reduction_matches_per_node_scatter(self, ic, indices, z):
+        kern = kernel_eval(KernelSpec(t=1.0, indices=indices, ic=ic))
+        state = kern._ensure(float(z.max()))
+        assert state["law"] is not None
+        for n in indices:
+            _, got = kern._line_factors(n, z, state, row=False)
+            ref = _column_factor_per_node(kern, n, z, state)
+            scale = np.abs(ref).max()
+            assert scale > 0
+            assert np.abs(got - ref).max() <= 1e-14 * scale
+
+    def test_point_evaluation_builds_one_factor_per_line(self, monkeypatch):
+        # a block needs line i's row factor and line j's column factor only
+        kern = kernel_eval(KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC))
+        zi, zj = np.linspace(-5.0, 0.5, 3), np.linspace(-4.0, 0.0, 4)
+        ref = kern.block(3, 9, zi, zj)
+        seen = []
+
+        def recording(name):
+            real = getattr(ExtendedKernelEval, name)
+
+            def run(self, n, nodes, z):
+                seen.append((name, z.size))
+                return real(self, n, nodes, z)
+            return run
+
+        for name in ("_s_matrix", "_sbar_vec", "_s_sbar"):
+            monkeypatch.setattr(ExtendedKernelEval, name, recording(name))
+        assert np.array_equal(kern.block(3, 9, zi, zj), ref)
+        assert {name for name, _ in seen} == {"_s_matrix", "_sbar_vec"}
+        assert all(size == (zi.size if name == "_s_matrix" else zj.size)
+                   for name, size in seen)
+
+
+def _volterra_leg_per_target(m, src, tgt):
+    """The leg matrix with every (target, panel) pair re-panelled on its
+    own, the loop that the vectorized pass over targets at or below a
+    panel's lower edge replaces."""
+    order = src.order
+    refx, lam = kernel_mod._bary_ref(order)
+    glx, glw = _gl_rule(order)
+    edges = src.edges[0]
+    T = np.zeros((tgt.size, src.nodes.size))
+    for j, y in enumerate(tgt):
+        for p in range(len(edges) - 1):
+            a, b = edges[p], edges[p + 1]
+            if b <= y:
+                continue
+            lo = max(a, y)
+            if b - lo < 1e-14:
+                continue
+            half = 0.5 * (b - lo)
+            xs = 0.5 * (b + lo) + half * glx
+            q = q_exp_pow(m, xs, y)
+            u = (2.0 * xs - (a + b)) / (b - a)
+            r = kernel_mod._bary_eval_matrix(u, refx, lam)
+            T[j, p * order:(p + 1) * order] += (half * glw * q) @ r
+    return T
+
+
+class TestVolterraLeg:
+    @pytest.mark.parametrize("lo, hi, m", [(-1.5, 0.0, 3), (-0.5, 1.0, 1),
+                                           (0.0, 2.0, 7)])
+    def test_matches_per_target_loop(self, lo, hi, m):
+        levels = [2.0, 1.5, 1.0, 0.5, 0.0, -0.5, -1.0, -1.5]
+        src = build_scheme([(lo, 6.0)], order=16, splits=levels,
+                           max_panel=0.7)
+        tgt = build_scheme([(hi, 6.0)], order=16, splits=levels,
+                           max_panel=0.7).nodes
+        # targets on panel edges, above the top and below the bottom too
+        tgt = np.concatenate([tgt, src.edges[0], [6.5, lo - 2.0]])
+        assert np.array_equal(kernel_mod._volterra_leg_matrix(m, src, tgt),
+                              _volterra_leg_per_target(m, src, tgt))
