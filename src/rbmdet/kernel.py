@@ -192,11 +192,14 @@ class ExtendedKernelEval:
     In the hitting representation a block factors as A(n_i, z_i)^T
     B(n_j, z_j) minus the walk term: A holds the weighted S factors on the
     eta nodes, B the Sbar factors with the hitting-law expectation reduced
-    onto the eta nodes.  Both depend on one index line only, so ``matrix``
-    builds (A, B) once per line, under one discretization for the whole
-    assembly, and keeps no factor after the call; ``block`` builds line
-    i's A and line j's B only.  S_n and Sbar_n on a line's atom nodes share
-    an argument and come from one Hermite recurrence to degree n.
+    onto the eta nodes.  Both depend on one index line only, so ``factors``
+    and ``matrix`` build (A, B) once per line, under one discretization for
+    the whole assembly, and keep no factor after the call; ``block`` builds
+    line i's A and line j's B only.  ``factors`` hands out the factors and
+    the walk terms of one assembly (conjugated gauge only), from which a
+    determinant needs no N x N matrix (see ``fredholm``); ``matrix``
+    multiplies the same factors out.  S_n and Sbar_n on a line's atom nodes
+    share an argument and come from one Hermite recurrence to degree n.
     """
 
     def __init__(self, spec: KernelSpec):
@@ -246,11 +249,8 @@ class ExtendedKernelEval:
         """Kernel on the concatenation of ``zs``, one node array per index
         line of the spec in order; each block is what ``block`` gives."""
         idx = self.spec.indices
-        zs = [np.atleast_1d(np.asarray(z, dtype=float)) for z in zs]
-        if len(zs) != len(idx):
-            raise ValueError(f"need {len(idx)} node arrays, got {len(zs)}")
+        zs = self._assembly_nodes(zs)
         offs = np.cumsum([0] + [z.size for z in zs])
-        self._count(int(offs[-1]) ** 2)
         state = self._discretization(zs)
         facs = None
         if self.spec.representation == "hitting":
@@ -265,6 +265,37 @@ class ExtendedKernelEval:
                 out[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = \
                     self._finish(ni, nj, zi, zj, st)
         return out
+
+    def factors(self, zs):
+        """The kernel on the concatenation of ``zs`` in factored form, or
+        None unless the spec is the conjugated hitting representation.
+
+        Returns ([(A_1, B_1), ...], walk) with one factor pair per index
+        line, both m x N_i on the same m eta nodes, and walk[i, j] =
+        Q_exp^{n_j-n_i}(z_i, z_j) for i < j, so that block (i, j) of
+        ``matrix(zs)`` is A_i^T B_j - walk[i, j] (no walk term for i >= j).
+        """
+        spec = self.spec
+        if spec.representation != "hitting" or not spec.conjugated:
+            return None
+        idx = spec.indices
+        zs = self._assembly_nodes(zs)
+        state = self._discretization(zs)
+        facs = [self._line_factors(n, z, state) for n, z in zip(idx, zs)]
+        walk = {(i, j): q_exp_pow(idx[j] - idx[i], zs[i][:, None],
+                                  zs[j][None, :])
+                for j in range(len(idx)) for i in range(j)}
+        return facs, walk
+
+    def _assembly_nodes(self, zs):
+        """The per-line node arrays of one assembly, counted as N^2 kernel
+        evaluations."""
+        zs = [np.atleast_1d(np.asarray(z, dtype=float)) for z in zs]
+        if len(zs) != len(self.spec.indices):
+            raise ValueError(f"need {len(self.spec.indices)} node arrays, "
+                             f"got {len(zs)}")
+        self._count(sum(z.size for z in zs) ** 2)
+        return zs
 
     def _count(self, entries: int):
         with self._lock:

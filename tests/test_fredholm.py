@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,22 +236,23 @@ class TestRbmProbability:
 class TestDivergenceStop:
     @pytest.mark.parametrize("n", [100, 200])
     def test_edge_refinement_stops_when_estimate_grows(self, n, monkeypatch):
-        # packed data at the spectral edge at t = 1: the estimate grows from
-        # round 1 to round 2, and doubling on would exhaust memory
+        # the third round would meet the target; the second already failed
+        # to improve on the first, so refinement stops there rather than
+        # doubling on
+        script = iter([(0.97, 1e-3), (6.5, 13.0), (0.97, 1e-15)])
         rounds = []
 
-        def counted(system, shrink=2.0):
-            rounds.append(fredholm_det(system, shrink))
-            return rounds[-1]
+        def scripted(system, shrink=2.0):
+            rounds.append(system.order)
+            value, err = next(script)
+            return DetResult(value, err, system.order, 0.0)
 
-        monkeypatch.setattr(fr, "fredholm_det", counted)
+        monkeypatch.setattr(fr, "fredholm_det", scripted)
         spec = KernelSpec(t=1.0, indices=(n,), ic=idata.packed(0.0))
         with pytest.raises(ConvergenceError, match="diverges") as info:
             rbm_probability(spec, [-2.0 * math.sqrt(n)])
-        assert len(rounds) == 2
-        assert rounds[1].error_estimate >= rounds[0].error_estimate
-        assert info.value.value == rounds[1].value
-        assert info.value.error_estimate == rounds[1].error_estimate
+        assert rounds == [40, 80]
+        assert (info.value.value, info.value.error_estimate) == (6.5, 13.0)
 
     def test_fixed_point_refinement_stops_when_estimate_grows(
             self, monkeypatch):
@@ -267,6 +269,157 @@ class TestDivergenceStop:
             sc.fixedpoint_probability(spec)
         assert (info.value.value, info.value.error_estimate) == (0.5, 1e-3)
         assert next(errs) == 1e-9
+
+
+EIGHT_BLOCK_IC = idata.from_positions(
+    [2.0, 1.5, 1.0, 0.5, 0.0, -0.5, -1.0, -1.5], extend_last=True)
+
+
+def _nw_spec(wedges, eps, x, scale=1.0):
+    """Narrow-wedge data at T = 1 with one index line per point x (in
+    increasing index order) and its thresholds at a = 0, Brownian-scaled by
+    ``scale``: (t, X0, a) -> (ct, sqrt(c) X0, sqrt(c) a)."""
+    ic = idata.narrow_wedge_approx(wedges, eps)
+    r = math.sqrt(scale)
+    ic = idata.InitialCondition(tuple(r * v for v in ic.levels),
+                                n_inf=ic.n_inf, extend_last=ic.extend_last)
+    pts = sorted(x, key=lambda xx: sc.scale_vars(eps, 1.0, xx, 0.0).n)
+    spec = KernelSpec(t=scale * eps ** -1.5,
+                      indices=tuple(sc.scale_vars(eps, 1.0, xx, 0.0).n
+                                    for xx in pts), ic=ic)
+    return spec, [r * sc.scaled_threshold(eps, 1.0, xx, 0.0) for xx in pts]
+
+
+def _first_round(monkeypatch, spec, a):
+    """The system and shrink of a query's first refinement round."""
+    seen = []
+
+    def accept(system, shrink=2.0):
+        seen.append((system, shrink))
+        return DetResult(0.5, 0.0, system.order, 0.0)
+
+    monkeypatch.setattr(fr, "fredholm_det", accept)
+    rbm_probability(spec, a)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _factored_two_line_kernel(spread):
+    """(kernel, factors) of one kernel A_i^T B_j - walk on two lines, the
+    factors on 12 eta nodes with eta row r of A scaled by 2^s_r and of B by
+    2^-s_r, s_r from -spread to spread; the kernel does not change."""
+    eta = np.linspace(-3.0, 3.0, 12)
+    s = np.exp2(np.round(np.linspace(-spread, spread, eta.size)))[:, None]
+
+    def factors(xs):
+        facs = [(s * np.exp(-(eta[:, None] - x[None, :]) ** 2) / (i + 2),
+                 np.exp(-0.5 * (eta[:, None] - x[None, :]) ** 2) / s)
+                for i, x in enumerate(xs)]
+        walk = {(0, 1): np.exp(-np.abs(xs[0][:, None] - xs[1][None, :]))}
+        return facs, walk
+
+    def kernel(xs):
+        facs, walk = factors(xs)
+        return np.block([[facs[i][0].T @ facs[j][1] - walk.get((i, j), 0.0)
+                          for j in range(2)] for i in range(2)])
+
+    return kernel, factors
+
+
+class TestFactoredDeterminant:
+    """Hitting-representation systems in the conjugated gauge take their
+    determinants from the kernel's eta-layer factors, m x m, where every
+    other system factors its N x N matrix."""
+
+    def test_factors_that_split_the_scale_unevenly(self):
+        # unbalanced, G would hold entries of 2^1800
+        kernel, factors = _factored_two_line_kernel(900)
+        dense = NystromSystem(intervals=((-4.0, 1.0), (-5.0, -0.5)),
+                              order=12, max_panel=1.0,
+                              kernel=_factored_two_line_kernel(0)[0])
+        system = replace(dense, kernel=kernel, factors=factors)
+        small = system.assemble().matrix()
+        assert small.shape == (12, 12)
+        assert 0.1 < dense.det() < 0.9
+        assert abs(system.det(small) - dense.det()) <= 1e-14
+        assert abs(fredholm_det(system).error_estimate
+                   - fredholm_det(dense).error_estimate) <= 1e-14
+
+    @pytest.mark.parametrize("spec, a", [
+        (KernelSpec(t=1.0, indices=(15,), ic=idata.packed(0.0)),
+         [-2.0 * math.sqrt(15)]),
+        (KernelSpec(t=1.0, indices=(3, 9), ic=EIGHT_BLOCK_IC), [-0.25, -3.5]),
+        # three lines: back substitution through two walk blocks
+        (KernelSpec(t=1.0, indices=(2, 5, 9), ic=EIGHT_BLOCK_IC),
+         [0.3, -1.2, -3.0]),
+        _nw_spec((0.0, -1.0), 0.1, (-0.5, 0.5)),
+    ], ids=["packed15", "step39", "three_lines", "two_wedges"])
+    def test_matches_the_full_matrix(self, spec, a, monkeypatch):
+        system, shrink = _first_round(monkeypatch, spec, a)
+        assembled = system.assemble()
+        small = assembled.matrix()
+        assert small.shape[0] < system.size
+        full = replace(system, factors=None).matrix()
+        keep, _ = system.shrunk_cut(shrink)
+        assert keep.size < system.size
+        assert abs(system.det(small) - system.det(full)) <= 1e-13
+        assert abs(system.det(assembled.matrix(keep))
+                   - system.det(full[np.ix_(keep, keep)])) <= 1e-13
+
+    @pytest.mark.parametrize("n", [60, 100, 200])
+    def test_packed_edge_at_unit_time_matches_canonical_time(self, n):
+        # the same law at t = 1 and, by Brownian scaling, at t = n; at t = 1
+        # the eta-layer factors differ by many orders of magnitude from row
+        # to row, which unbalanced pivoting does not survive
+        unit = rbm_probability(
+            KernelSpec(t=1.0, indices=(n,), ic=idata.packed(0.0)),
+            [-2.0 * math.sqrt(n)])
+        canonical = rbm_probability(
+            KernelSpec(t=float(n), indices=(n,), ic=idata.packed(0.0)),
+            [-2.0 * n])
+        assert abs(unit.value - canonical.value) <= 1e-13
+
+    def test_narrow_wedge_at_four_times_the_time(self):
+        # the 0.03 narrow wedge at 4t: rows of A reach 2^548 and rows of B
+        # 2^-647, so neither squared row norms nor their ratio are finite
+        spec, a = _nw_spec((0.0,), 0.03, (0.0,), scale=4.0)
+        res = rbm_probability(spec, a)
+        assert math.isfinite(res.value) and 0.0 <= res.value <= 1.0
+        assert res.error_estimate < 1e-6
+
+    @pytest.mark.parametrize("kind", ["biorth", "operator_step",
+                                      "plain_gauge", "fixed_point",
+                                      "tracy_widom"])
+    def test_other_kernels_keep_the_full_matrix(self, kind, monkeypatch):
+        calls = []
+        real = NystromSystem.matrix
+
+        def matrix(self):
+            calls.append(self.size)
+            return real(self)
+
+        monkeypatch.setattr(NystromSystem, "matrix", matrix)
+        if kind == "fixed_point":
+            sc.fixedpoint_probability(
+                sc.FixedPointSpec(wedges=(0.0,), T=1.0, x=(0.0,),
+                                  a_out=(0.0,)), target=1.0, max_rounds=1)
+        elif kind == "tracy_widom":
+            tracy_widom_gue_cdf(-1.0)
+        else:
+            rep = "hitting" if kind == "plain_gauge" else kind
+            spec = KernelSpec(t=1.0, indices=(1, 3), ic=idata.from_positions(
+                [0.5, 0.0, -0.5], extend_last=True), representation=rep,
+                conjugated=kind != "plain_gauge")
+            rbm_probability(spec, [-1.0, -2.5])
+        assert calls
+
+    def test_hitting_queries_build_no_full_matrix(self, monkeypatch):
+        def matrix(self):
+            raise AssertionError("N x N matrix assembled")
+
+        monkeypatch.setattr(NystromSystem, "matrix", matrix)
+        spec = KernelSpec(t=1.0, indices=(3, 9), ic=EIGHT_BLOCK_IC)
+        assert 0.0 < rbm_probability(spec, [-0.25, -3.5]).value < 1.0
 
 
 # The two callers of the refinement driver, each on a query whose kernel is

@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,34 +259,62 @@ class TestKernelEval:
 
     def test_one_build_when_a_later_line_reaches_higher(self, monkeypatch):
         # line 9's window ends at -0.5, above line 3's at -3: the assembly
-        # takes its discretization from all lines, so no block is left on
+        # takes its discretization from all lines, so no factor is left on
         # one built for line 3 alone
         spec = KernelSpec(t=1.0, indices=(3, 9), ic=idata.from_positions(
             [2.0, 1.5, 1.0, 0.5, 0.0, -0.5, -1.0, -1.5], extend_last=True))
         kern = kernel_eval(spec)
-        builds, matrices = [], []
+        builds, assemblies = [], []
         real_build = ExtendedKernelEval._build
-        real_matrix = NystromSystem.matrix
+        real_factors = ExtendedKernelEval.factors
 
         def build(self, *args):
             builds.append(args)
             return real_build(self, *args)
 
-        def matrix(self):
-            out = real_matrix(self)
-            matrices.append((self, out.copy()))
+        def factors(self, zs):
+            out = real_factors(self, zs)
+            assemblies.append((zs, out))
             return out
 
         monkeypatch.setattr(ExtendedKernelEval, "_build", build)
-        monkeypatch.setattr(NystromSystem, "matrix", matrix)
+        monkeypatch.setattr(ExtendedKernelEval, "factors", factors)
         rbm_probability(spec, [-3.0, -0.5], kern=kern)
         assert len(builds) == 1
-        system, first = matrices[0]
-        top = max(float(s.nodes.max()) for s in system.schemes)
+        zs, (facs, walk) = assemblies[0]
+        top = max(float(z.max()) for z in zs)
         ref = kernel_eval(spec)
         ref.block(3, 3, np.array([top]), np.array([top]))
-        assert np.array_equal(first, real_matrix(replace(system,
-                                                         kernel=ref.matrix)))
+        ref_facs, ref_walk = real_factors(ref, zs)
+        for (a, b), (ra, rb) in zip(facs, ref_facs):
+            assert np.array_equal(a, ra) and np.array_equal(b, rb)
+        assert walk.keys() == ref_walk.keys() == {(0, 1)}
+        assert np.array_equal(walk[0, 1], ref_walk[0, 1])
+
+    @pytest.mark.parametrize("indices", [(3, 9), (2, 5, 9)])
+    def test_factors_give_the_matrix(self, indices):
+        spec = KernelSpec(t=1.0, indices=indices, ic=STEP_IC)
+        rng = np.random.default_rng(7)
+        zs = [np.sort(rng.uniform(-7.0, 1.0, 5 + k))
+              for k in range(len(indices))]
+        kern = kernel_eval(spec)
+        facs, walk = kern.factors(zs)
+        assert kern.evaluations == sum(z.size for z in zs) ** 2
+        assert len({a.shape[0] for a, b in facs} |
+                   {b.shape[0] for a, b in facs}) == 1
+        got = np.block([[facs[i][0].T @ facs[j][1]
+                         - walk.get((i, j), 0.0)
+                         for j in range(len(zs))] for i in range(len(zs))])
+        assert np.array_equal(got, kern.matrix(zs))
+
+    @pytest.mark.parametrize("rep, conjugated", [
+        ("hitting", False), ("operator_step", True), ("biorth", True)])
+    def test_no_factors_outside_the_conjugated_hitting_kernel(
+            self, rep, conjugated):
+        spec = KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC,
+                          representation=rep, conjugated=conjugated)
+        z = np.linspace(-6.0, 0.5, 4)
+        assert kernel_eval(spec).factors((z, z)) is None
 
     def test_falling_lower_end_does_not_rebuild(self, monkeypatch):
         spec = KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC)
