@@ -17,6 +17,13 @@ statistical one.
 All randomness flows from a user seed through numpy SeedSequence spawning
 (counter-based Philox streams): per-particle streams for one noise field,
 per-chunk streams for Monte Carlo, deterministic regardless of scheduling.
+
+Reflection works in place on a buffer of increments (``_reflect_paths``), so
+Monte Carlo holds one block of ``_MC_BLOCK`` paths per worker (5 MB for
+n = 5 at 1000 steps) plus one gap row, whatever the chunk size or path
+count.  A chunk draws its blocks one after another from
+its own stream, which gives the very numbers one draw of the whole chunk
+would.
 """
 
 from __future__ import annotations
@@ -32,11 +39,36 @@ from .initial_data import InitialCondition
 # paths (matrices) per Monte Carlo (GUE) chunk; chunk c uses stream (seed, c)
 _MC_CHUNK = 512
 _GUE_CHUNK = 2048
+# paths drawn and reflected at once within a Monte Carlo chunk
+_MC_BLOCK = 128
 
 
 def _philox(seed, *key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=key)))
+
+
+def _grid_steps(t: float, dt: float) -> int:
+    """Number of dt steps in t, which must be a whole number >= 1 of them
+    (to a relative 1e-9)."""
+    if not dt > 0:
+        raise ValueError("need dt > 0")
+    ratio = t / dt
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    if steps < 1 or not math.isclose(ratio, steps, rel_tol=1e-9):
+        raise ValueError(f"t={t} is not a whole number (>= 1) of dt={dt} "
+                         "steps")
+    return steps
+
+
+def _levels(ic: InitialCondition, n: int) -> np.ndarray:
+    """X0(1..n), which reflection needs finite and nonincreasing."""
+    levels = np.array([ic.level(i) for i in range(1, n + 1)], dtype=float)
+    if not np.all(np.isfinite(levels)):
+        raise ValueError("reflection requires finite levels for all particles")
+    if np.any(np.diff(levels) > 0):
+        raise ValueError("reflection requires nonincreasing levels")
+    return levels
 
 
 @dataclass(frozen=True)
@@ -79,10 +111,9 @@ class NoiseField:
 
 def sample_noise(n_particles: int, horizon: float, dt: float,
                  seed: int) -> NoiseField:
-    """Deterministic-in-seed noise field with Normal(0, dt) increments."""
-    if dt <= 0 or horizon < dt:
-        raise ValueError("need dt > 0 and horizon >= dt")
-    steps = int(round(horizon / dt))
+    """Deterministic-in-seed noise field with Normal(0, dt) increments over a
+    horizon of a whole number of dt steps."""
+    steps = _grid_steps(horizon, dt)
     inc = np.empty((n_particles, steps))
     for k in range(n_particles):
         inc[k] = _philox(seed, k).normal(0.0, math.sqrt(dt), size=steps)
@@ -101,32 +132,35 @@ class PathEnsemble:
         return bool(np.all(np.diff(self.paths, axis=0) <= tol))
 
 
-def _reflect_paths(levels: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """Vectorized Skorokhod recursion, possibly batched.
+def _reflect_paths(levels: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Vectorized Skorokhod recursion, in place, possibly batched.
 
-    levels: (..., N); inc: (..., N, M).  Row k is reflected down off row k-1:
+    levels: (N,), nonincreasing; x: (..., N, M) holding the increments over
+    t_1 .. t_M, overwritten with the reflected paths at t_1 .. t_M and
+    returned.  Row k is reflected down off row k-1:
     X_k(t) = W_k(t) + min(0, min_{s<=t}(X_{k-1}(s) - W_k(s))).
+    The gap at t_0 = 0 is levels[k-1] - levels[k] >= 0, so seeding the
+    running minimum with 0 stands for it.  Beyond x, the recursion holds one
+    gap row of shape (..., M).
     """
-    w = np.concatenate([np.zeros(inc.shape[:-1] + (1,)), np.cumsum(inc, axis=-1)],
-                       axis=-1)
-    w = w + levels[..., None]
-    x = np.empty_like(w)
-    x[..., 0, :] = w[..., 0, :]
-    n = w.shape[-2]
-    for k in range(1, n):
-        gap = x[..., k - 1, :] - w[..., k, :]
-        running = np.minimum.accumulate(gap, axis=-1)
-        x[..., k, :] = w[..., k, :] + np.minimum(running, 0.0)
+    np.cumsum(x, axis=-1, out=x)
+    x += levels[:, None]
+    gap = np.empty(x.shape[:-2] + x.shape[-1:])
+    for k in range(1, x.shape[-2]):
+        np.subtract(x[..., k - 1, :], x[..., k, :], out=gap)
+        np.minimum(gap[..., :1], 0.0, out=gap[..., :1])
+        np.minimum.accumulate(gap, axis=-1, out=gap)
+        x[..., k, :] += gap
     return x
 
 
 def rbm_reflect(ic: InitialCondition, noise: NoiseField) -> PathEnsemble:
     """Particle paths by recursive reflection off the previous particle."""
-    n = noise.n_particles
-    levels = np.array([ic.level(i) for i in range(1, n + 1)], dtype=float)
-    if not np.all(np.isfinite(levels)):
-        raise ValueError("reflection requires finite levels for all particles")
-    x = _reflect_paths(levels, noise.increments)
+    levels = _levels(ic, noise.n_particles)
+    x = np.empty((noise.n_particles, noise.n_steps + 1))
+    x[:, 0] = levels
+    x[:, 1:] = noise.increments
+    _reflect_paths(levels, x[:, 1:])
     return PathEnsemble(dt=noise.dt, paths=x, construction="reflect")
 
 
@@ -181,33 +215,44 @@ def mc_distribution(ic: InitialCondition, t: float, indices, a,
                     paths: int, dt: float, seed: int, threads: int = 1):
     """Empirical P(X_t(n_j) >= a_j for all j) with binomial standard error.
 
-    Chunked; chunk c draws from the stream (seed, c), and the count
-    reduction is a fixed-order sum, so the estimate is identical for any
-    thread count.
+    t must be a whole number of dt steps.  Chunked; chunk c draws from the
+    stream (seed, c), and the count reduction is a fixed-order sum, so the
+    estimate is identical for any thread count.  A chunk draws and reflects
+    its paths _MC_BLOCK at a time into one reused buffer; each block
+    continues the chunk's stream, so the numbers are those of one draw of
+    the whole chunk.  A worker holds _MC_BLOCK * max(indices) * t/dt
+    float64 for the paths and _MC_BLOCK * t/dt for the reflection's gap
+    row: about 6 MB for index 5 at 1000 steps.
     """
     indices = [int(n) for n in np.atleast_1d(indices)]
     a = [float(v) for v in np.atleast_1d(a)]
     if len(indices) != len(a):
         raise ValueError("need one threshold per index")
+    if min(indices) < 1:
+        raise ValueError("particle indices start at 1")
     if paths < 1:
         raise ValueError("paths must be >= 1")
     n = max(indices)
-    levels = np.array([ic.level(i) for i in range(1, n + 1)], dtype=float)
-    steps = int(round(t / dt))
-    if steps < 1:
-        raise ValueError("t/dt must be >= 1")
+    levels = _levels(ic, n)
+    steps = _grid_steps(t, dt)
     sel = np.array(indices, dtype=int) - 1
     thresh = np.array(a)
+    scale = math.sqrt(dt)
 
     n_chunks = (paths + _MC_CHUNK - 1) // _MC_CHUNK
     sizes = [min(_MC_CHUNK, paths - c * _MC_CHUNK) for c in range(n_chunks)]
 
     def run_chunk(c: int) -> int:
         rng = _philox(seed, c)
-        inc = rng.normal(0.0, math.sqrt(dt), size=(sizes[c], n, steps))
-        x = _reflect_paths(levels[None, :], inc)
-        ok = np.all(x[:, sel, -1] >= thresh[None, :], axis=1)
-        return int(np.sum(ok))
+        buf = np.empty((min(_MC_BLOCK, sizes[c]), n, steps))
+        hits = 0
+        for start in range(0, sizes[c], _MC_BLOCK):
+            x = buf[:min(_MC_BLOCK, sizes[c] - start)]
+            rng.standard_normal(out=x)
+            x *= scale
+            _reflect_paths(levels, x)
+            hits += int(np.sum(np.all(x[:, sel, -1] >= thresh, axis=1)))
+        return hits
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,55 @@ from rbmdet import simulate as sim
 
 TW_MEAN = -1.7711  # mean of the beta=2 Tracy-Widom law
 
+STEP_IC = idata.from_positions([2.0, 1.5, 1.0, 1.0, 0.5, 0.0, -0.5],
+                               extend_last=True)
+
+
+def _reference_reflect(levels, inc):
+    """The allocate-everything recursion: W with its t = 0 column, then a new
+    row per particle, reflected off the running minimum of the gap."""
+    w = np.concatenate([np.zeros(inc.shape[:-1] + (1,)),
+                        np.cumsum(inc, axis=-1)], axis=-1)
+    w = w + levels[..., None]
+    x = np.empty_like(w)
+    x[..., 0, :] = w[..., 0, :]
+    for k in range(1, w.shape[-2]):
+        gap = x[..., k - 1, :] - w[..., k, :]
+        running = np.minimum.accumulate(gap, axis=-1)
+        x[..., k, :] = w[..., k, :] + np.minimum(running, 0.0)
+    return x
+
+
+def _reference_mc(ic, t, indices, a, paths, dt, seed):
+    """mc_distribution drawing each 512-path chunk in one normal() call and
+    reflecting it with the reference recursion."""
+    n = max(indices)
+    levels = np.array([ic.level(i) for i in range(1, n + 1)])
+    steps = round(t / dt)
+    sel = np.array(indices) - 1
+    hits = 0
+    for c, start in enumerate(range(0, paths, 512)):
+        rng = sim._philox(seed, c)
+        inc = rng.normal(0.0, math.sqrt(dt),
+                         size=(min(512, paths - start), n, steps))
+        x = _reference_reflect(levels[None, :], inc)
+        hits += int(np.sum(np.all(x[:, sel, -1] >= np.array(a), axis=1)))
+    p_hat = hits / paths
+    return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / paths) / paths)
+
 
 class TestNoise:
+    def test_horizon_must_be_whole_steps(self):
+        with pytest.raises(ValueError, match="whole number"):
+            sim.sample_noise(2, 1.0, 0.3, seed=1)
+        with pytest.raises(ValueError, match="whole number"):
+            sim.sample_noise(2, 0.5, 1.0, seed=1)
+        with pytest.raises(ValueError, match="dt > 0"):
+            sim.sample_noise(2, 1.0, 0.0, seed=1)
+        # float quotients a few ulps off a whole number are accepted
+        assert sim.sample_noise(1, 0.3, 0.1, seed=1).n_steps == 3
+        assert sim.sample_noise(1, 1.0, 1e-3, seed=1).n_steps == 1000
+
     def test_seed_reproducibility(self):
         a = sim.sample_noise(3, 1.0, 0.01, seed=5)
         b = sim.sample_noise(3, 1.0, 0.01, seed=5)
@@ -40,6 +88,22 @@ class TestReflect:
                                seed=None)
         ens = sim.rbm_reflect(idata.from_positions([0.0, 0.0]), noise)
         assert ens.paths[1, 1] == pytest.approx(0.3, abs=1e-15)
+
+    @pytest.mark.parametrize("positions", [
+        [0.9, 0.4, 0.1, -0.3, -1.2],
+        [0.5, 0.5, 0.5, 0.5],
+        [1.0, 1.0, 0.0, 0.0, 0.0, -1.0],
+    ])
+    def test_paths_equal_reference_recursion(self, positions):
+        noise = sim.sample_noise(len(positions), 1.0, 1e-3, seed=31)
+        ens = sim.rbm_reflect(idata.from_positions(positions), noise)
+        ref = _reference_reflect(np.array(positions), noise.increments)
+        assert np.array_equal(ens.paths, ref)
+
+    def test_increasing_levels_rejected(self):
+        noise = sim.sample_noise(2, 1.0, 0.01, seed=2)
+        with pytest.raises(ValueError, match="nonincreasing"):
+            sim.rbm_reflect(idata.InitialCondition((0.0, 1.0)), noise)
 
     def test_ordering_invariant(self):
         rng = np.random.default_rng(9)
@@ -125,6 +189,57 @@ class TestMcDistribution:
         b = sim.mc_distribution(*args, paths=30000, dt=2e-3, seed=11,
                                 threads=4)
         assert a == b
+
+    @pytest.mark.parametrize("ic, indices, a, paths", [
+        (idata.packed(0.0), [5], [-3.0], 1000),
+        (idata.packed(0.5), [2, 4], [-0.5, -1.5], 3000),
+        (STEP_IC, [3, 6, 8], [0.0, -1.0, -2.0], 1000),
+        (STEP_IC, [2, 9], [0.5, -2.5], 3000),
+    ], ids=["packed-1", "packed-2", "step-3", "step-2"])
+    def test_bitwise_equal_to_reference(self, ic, indices, a, paths):
+        ref = _reference_mc(ic, 1.0, indices, a, paths, 2e-3, seed=5)
+        for threads in (1, 2):
+            assert sim.mc_distribution(ic, 1.0, indices, a, paths, 2e-3,
+                                       seed=5, threads=threads) == ref
+
+    def test_block_draws_continue_the_chunk_stream(self):
+        one = sim._philox(4, 0).normal(0.0, math.sqrt(1e-3), size=(300, 3, 7))
+        rng = sim._philox(4, 0)
+        blocks = np.empty_like(one)
+        for start in (0, 128, 256):
+            b = blocks[start:start + 128]
+            rng.standard_normal(out=b)
+            b *= math.sqrt(1e-3)
+        assert np.array_equal(blocks, one)
+
+    def test_pinned_estimate(self):
+        est, _ = sim.mc_distribution(idata.packed(0.0), 1.0, [5], [-4.0],
+                                     paths=20000, dt=1e-3, seed=7)
+        assert est == 0.9256
+
+    def test_peak_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            sim.mc_distribution(idata.packed(0.0), 1.0, [5], [-4.0],
+                                paths=2048, dt=1e-3, seed=7, threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_invalid_inputs_rejected(self):
+        with pytest.raises(ValueError, match="start at 1"):
+            sim.mc_distribution(idata.packed(0.0), 1.0, [0, 3], [5.0, -2.0],
+                                paths=100, dt=1e-2, seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            sim.mc_distribution(idata.InitialCondition((0.0,), n_inf=2), 1.0,
+                                [3], [0.0], paths=100, dt=1e-2, seed=1)
+        with pytest.raises(ValueError, match="nonincreasing"):
+            sim.mc_distribution(idata.InitialCondition((0.0, 1.0)), 1.0,
+                                [2], [0.0], paths=100, dt=1e-2, seed=1)
+        with pytest.raises(ValueError, match="whole number"):
+            sim.mc_distribution(idata.packed(0.0), 1.0, [1], [0.0],
+                                paths=100, dt=0.3, seed=1)
 
     def test_determinant_agreement_after_bias_extrapolation(self):
         # the grid estimate carries an O(sqrt(dt)) reflection bias; the
