@@ -9,13 +9,13 @@ panel edge, so its matrix is a principal submatrix of the full one.
 ``refine`` is the one refinement loop around the quadrature: the RBM and
 the fixed-point probabilities each supply only their system and schedule.
 
-A kernel that factors through an eta layer, K = A^T B minus a walk term
-(the conjugated hitting representation, ``ExtendedKernelEval.factors``),
-never forms the N x N matrix: by Sylvester's identity its determinant is
-that of an m x m matrix on the m eta nodes, balanced before it is factored.
-Every other kernel (biorthogonal, operator-step, the plain gauge, the
-fixed-point and Airy kernels) factors its N x N matrix; the fixed-point
-kernel's inner dimension is larger than N.
+The RBM kernel factors through a layer, K = A^T B minus a walk term
+(``ExtendedKernelEval.factors``), and a system given those factors never
+forms the N x N matrix: by Sylvester's identity its determinant is that of
+an m x m matrix on the m layer rows, balanced before it is factored.  The
+hitting and biorthogonal kernels take that route; the operator-step kernel
+(whose layer outgrows N), the fixed-point kernel (whose inner dimension is
+larger than N too) and the Airy kernel factor their N x N matrices.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class NystromSystem:
     ``kernel(xs)`` takes the tuple of per-line node arrays and returns a new
     matrix of the kernel on their concatenation, so a kernel that factors
     per line builds each line's factors once per assembly.  ``factors(xs)``,
-    if given, returns the same kernel in factored form or None (see
+    if given, returns the same kernel in factored form (see
     ``ExtendedKernelEval.factors``); the determinant then comes from those
     factors and ``kernel`` is not called.  ``pad_side`` says which end of
     each interval is the truncation of an infinite tail (used by the
@@ -79,14 +79,12 @@ class NystromSystem:
 
     def assemble(self):
         """The system assembled once for its determinant and its
-        shrunk-domain rerun: from the kernel's factors when it offers them,
+        shrunk-domain rerun: from the kernel's factors when it has them,
         otherwise as the N x N ``matrix``."""
-        fac = None
-        if self.factors is not None:
-            fac = self.factors(tuple(s.nodes for s in self.schemes))
-        if fac is None:
+        if self.factors is None:
             return _Dense(self.matrix())
-        return _Factored(*fac, [np.sqrt(s.weights) for s in self.schemes])
+        return _Factored(*self.factors(tuple(s.nodes for s in self.schemes)),
+                         [np.sqrt(s.weights) for s in self.schemes])
 
     def det(self, matrix: np.ndarray | None = None) -> float:
         """Determinant of ``matrix``, by default the assembled system."""
@@ -137,7 +135,8 @@ class _Dense:
 
 
 class _Factored:
-    """A system whose kernel is A^T B minus a walk term, reduced to m x m.
+    """A system whose kernel is A^T B minus a walk term, reduced to m x m;
+    A and B of every line have the same m layer rows.
 
     With D = W^{1/2} and the walk term Q on the blocks i < j, I - D K D =
     U - D A^T B D where U = I + D Q D is block unit upper triangular, so
@@ -146,7 +145,7 @@ class _Factored:
     substitution over the lines.
 
     Two exact diagonal similarities by powers of 2 leave the determinant
-    as it is and make partial pivoting work.  Each eta row of A is scaled
+    as it is and make partial pivoting work.  Each layer row of A is scaled
     by 2^-k and of B by 2^k, one k per row for all lines, to bring the
     row's largest entries of A and B together; this keeps G in floating
     range however a row's scale is split between A and B (on the narrow
@@ -326,12 +325,17 @@ def rbm_probability(spec: KernelSpec, a, target: float = 1e-6,
     # levels; a threshold far above it must not drag the window away
     reach = spec.ic.min_level - 2.0 * math.sqrt(spec.n_max * t)
 
+    # the operator-step layer has one eta scheme per block and outgrows N:
+    # on 8-block step data m = 1,856 against N = 1,120, and m x m takes
+    # 2.9 s cold against 1.0 s for N x N
+    factors = None if spec.representation == "operator_step" else kern.factors
+
     def system_at(order, pad):
         intervals = tuple((min(aj, reach) - pad, aj) for aj in a)
         return NystromSystem(intervals=intervals, order=order,
                              kernel=kern.matrix, splits=splits,
                              max_panel=max_panel, pad_side="lower",
-                             factors=kern.factors)
+                             factors=factors)
 
     return refine(system_at, order, pad,
                   lambda pad: pad + 3.0 * math.sqrt(t) + 2.0,

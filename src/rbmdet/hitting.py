@@ -27,6 +27,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.special import gammaincc, gammaln
 
+from .errors import ConvergenceError
 from .initial_data import InitialCondition, StepProfile, blocks
 from .quad import _gl_rule, panel_edges
 
@@ -245,6 +246,10 @@ def hitting_law_exact(profile: StepProfile, eta: float, n_max: int,
     ``method="inclusion_exclusion"`` evaluates every component independently
     through the signed free-propagation expansion instead; the two must agree
     to rounding and are compared in the test suite.
+
+    The sweep raises ConvergenceError when its masses are off balance,
+    |total_mass() + survivor_mass + dead_mass - 1| > 1e-6; the expansion
+    balances by construction.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -288,9 +293,18 @@ def hitting_law_exact(profile: StepProfile, eta: float, n_max: int,
         dead += extra_dead
     else:
         survivor = sum(p.exp_mass(eta) for p in pieces)
-    return HittingLaw(start=eta, horizon=n_max, atom_mass=0.0,
-                      components=components, survivor_mass=survivor,
-                      dead_mass=dead)
+    law = HittingLaw(start=eta, horizon=n_max, atom_mass=0.0,
+                     components=components, survivor_mass=survivor,
+                     dead_mass=dead)
+    # the sweep's polynomial algebra cancels factors up to e^{d} on a
+    # profile spanning d walk units, and past d of about 40 loses the law
+    balance = law.total_mass() + survivor + dead - 1.0
+    if not abs(balance) <= 1e-6:
+        raise ConvergenceError(
+            f"exact hitting law from eta={eta!r} to horizon {n_max} is off "
+            f"its mass balance by {balance:.3e}", value=law.total_mass(),
+            error_estimate=abs(balance))
+    return law
 
 
 def _law_inclusion_exclusion(blks, eta, n_max, order, panel_max):

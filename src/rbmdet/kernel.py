@@ -6,25 +6,28 @@ Building blocks (log-scale internally):
     Sbar(t, n; z1, z2) = e^{z2-z1} psibar_{n-1}(t, z1-z2)
     Sbar_epi(z1, z2)   = E_{B_0=z1}[ Sbar(t, n-tau; B_tau, z2) ; tau < n ]
 
-Full kernel between index lines (n_i, n_j), conjugated form (the default for
-quadrature; the plain form differs by e^{z_i-z_j} and gives the same
-determinants):
+Full kernel between index lines (n_i, n_j), in the conjugated gauge
+(multiplied by e^{z_j-z_i}, which leaves determinants unchanged):
 
     Kt(n_i, z_i; n_j, z_j) = -Q_exp^{n_j-n_i}(z_i, z_j) 1{n_i < n_j}
                              + int deta S(t, n_i; eta, z_i) Sbar_epi(eta, z_j)
 
-Representations of the second term:
+Every representation writes the second term as a product A_i^T B_j through
+a layer on which each factor depends on one index line only:
 
-* ``hitting``      - the defining double integral; the epoch-0 atom of the
-  hitting law is exact, so it contributes a single 1-D integral, and the
-  density components contribute tensorized panel quadratures.
+* ``hitting``      - the defining double integral; the layer is the eta
+  nodes.  The epoch-0 atom of the hitting law is exact, so it contributes
+  a single 1-D integral, and the density components contribute tensorized
+  panel quadratures.
 * ``biorth``       - sum_{k=1}^{n_j} Psi^{n_i}_{n_i-k}(z_i) Phi^{n_j}_{n_j-k}(z_j)
-  with exact polynomial Phi's (finite levels, moderate n only).
+  e^{z_j-z_i} with exact polynomial Phi's (finite levels, moderate n only);
+  the layer is the index k = 1..n_max.
 * ``operator_step``- inclusion-exclusion over block subsets,
-  (S)* chi Q^... chi ... Sbar, quadrature-discretized.  The signed chains
-  ending at block k sum to C_k = S_{n_i-s_k} - sum_{j<k} Leg_{jk} C_j, so
-  L blocks cost L carries and L(L-1)/2 legs where there were 2^L - 1
-  chains; practical as a cross-check of ``hitting`` on step data.
+  (S)* chi Q^... chi ... Sbar, quadrature-discretized; the layer is every
+  block's eta nodes.  The signed chains ending at block k sum to
+  C_k = S_{n_i-s_k} - sum_{j<k} Leg_{jk} C_j, so L blocks cost L carries
+  and L(L-1)/2 legs where there were 2^L - 1 chains; practical as a
+  cross-check of ``hitting`` on step data.
 """
 
 from __future__ import annotations
@@ -139,13 +142,12 @@ def sbar_epi(ic: InitialCondition, t: float, n: int, z1: float, z2) -> float:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """What to evaluate: time, index lines, data, representation, gauge."""
+    """What to evaluate: time, index lines, data, representation."""
 
     t: float
     indices: tuple
     ic: InitialCondition
     representation: str = "hitting"
-    conjugated: bool = True
 
     def __post_init__(self):
         if self.t <= 0:
@@ -189,16 +191,13 @@ class ExtendedKernelEval:
     never changed afterwards, and kept for every rebuild that leaves that
     top where it was.
 
-    In the hitting representation a block factors as A(n_i, z_i)^T
-    B(n_j, z_j) minus the walk term: A holds the weighted S factors on the
-    eta nodes, B the Sbar factors with the hitting-law expectation reduced
-    onto the eta nodes.  Both depend on one index line only, so ``factors``
-    and ``matrix`` build (A, B) once per line, under one discretization for
-    the whole assembly, and keep no factor after the call; ``block`` builds
-    line i's A and line j's B only.  ``factors`` hands out the factors and
-    the walk terms of one assembly (conjugated gauge only), from which a
-    determinant needs no N x N matrix (see ``fredholm``); ``matrix``
-    multiplies the same factors out.  S_n and Sbar_n on a line's atom nodes
+    In every representation a block is A(n_i, z_i)^T B(n_j, z_j) minus
+    the walk term, with A and B from ``_line_factors``.  Both depend on
+    one index line only, so ``factors`` builds (A, B) once per line, under
+    one discretization for the whole assembly, and keeps no factor after
+    the call; ``block`` builds line i's A and line j's B only.  A
+    determinant needs no N x N matrix from the factors (see ``fredholm``);
+    ``matrix`` multiplies them out.  S_n and Sbar_n on a line's atom nodes
     share an argument and come from one Hermite recurrence to degree n.
     """
 
@@ -242,44 +241,41 @@ class ExtendedKernelEval:
         zj = np.atleast_1d(np.asarray(zj, dtype=float))
         self._count(zi.size * zj.size)
         state = self._discretization((zi, zj))
-        return self._finish(ni, nj, zi, zj,
-                            self._second_term(ni, nj, zi, zj, state))
+        a, _ = self._line_factors(ni, zi, state, col=False)
+        _, b = self._line_factors(nj, zj, state, row=False)
+        out = a[:len(b)].T @ b
+        if ni < nj:
+            out = out - q_exp_pow(nj - ni, zi[:, None], zj[None, :])
+        return out
 
     def matrix(self, zs) -> np.ndarray:
         """Kernel on the concatenation of ``zs``, one node array per index
         line of the spec in order; each block is what ``block`` gives."""
-        idx = self.spec.indices
-        zs = self._assembly_nodes(zs)
-        offs = np.cumsum([0] + [z.size for z in zs])
-        state = self._discretization(zs)
-        facs = None
-        if self.spec.representation == "hitting":
-            facs = [self._line_factors(n, z, state) for n, z in zip(idx, zs)]
+        facs, walk = self.factors(zs)
+        offs = np.cumsum([0] + [a.shape[1] for a, _ in facs])
         out = np.empty((offs[-1], offs[-1]))
-        for i, (ni, zi) in enumerate(zip(idx, zs)):
-            for j, (nj, zj) in enumerate(zip(idx, zs)):
-                if facs is None:
-                    st = self._second_term(ni, nj, zi, zj, state)
-                else:
-                    st = facs[i][0].T @ facs[j][1]
+        for i, (a, _) in enumerate(facs):
+            for j, (_, b) in enumerate(facs):
                 out[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = \
-                    self._finish(ni, nj, zi, zj, st)
+                    a[:len(b)].T @ b - walk.get((i, j), 0.0)
         return out
 
     def factors(self, zs):
-        """The kernel on the concatenation of ``zs`` in factored form, or
-        None unless the spec is the conjugated hitting representation.
+        """The kernel on the concatenation of ``zs`` in factored form.
 
         Returns ([(A_1, B_1), ...], walk) with one factor pair per index
-        line, both m x N_i on the same m eta nodes, and walk[i, j] =
-        Q_exp^{n_j-n_i}(z_i, z_j) for i < j, so that block (i, j) of
-        ``matrix(zs)`` is A_i^T B_j - walk[i, j] (no walk term for i >= j).
+        line and walk[i, j] = Q_exp^{n_j-n_i}(z_i, z_j) for i < j.  Every
+        A_i is m x N_i on the representation's layer (``_line_factors``)
+        and B_j holds its first m_j <= m rows, so that block (i, j) of
+        ``matrix(zs)`` is A_i[:m_j]^T B_j - walk[i, j] (no walk term for
+        i >= j).  m_j < m only for operator_step.
         """
-        spec = self.spec
-        if spec.representation != "hitting" or not spec.conjugated:
-            return None
-        idx = spec.indices
-        zs = self._assembly_nodes(zs)
+        idx = self.spec.indices
+        zs = [np.atleast_1d(np.asarray(z, dtype=float)) for z in zs]
+        if len(zs) != len(idx):
+            raise ValueError(f"need {len(idx)} node arrays, got {len(zs)}")
+        # one assembly counts as N^2 kernel evaluations
+        self._count(sum(z.size for z in zs) ** 2)
         state = self._discretization(zs)
         facs = [self._line_factors(n, z, state) for n, z in zip(idx, zs)]
         walk = {(i, j): q_exp_pow(idx[j] - idx[i], zs[i][:, None],
@@ -287,45 +283,9 @@ class ExtendedKernelEval:
                 for j in range(len(idx)) for i in range(j)}
         return facs, walk
 
-    def _assembly_nodes(self, zs):
-        """The per-line node arrays of one assembly, counted as N^2 kernel
-        evaluations."""
-        zs = [np.atleast_1d(np.asarray(z, dtype=float)) for z in zs]
-        if len(zs) != len(self.spec.indices):
-            raise ValueError(f"need {len(self.spec.indices)} node arrays, "
-                             f"got {len(zs)}")
-        self._count(sum(z.size for z in zs) ** 2)
-        return zs
-
     def _count(self, entries: int):
         with self._lock:
             self._evals += entries
-
-    def _second_term(self, ni, nj, zi, zj, state):
-        """The epigraph term on zi x zj in the representation's own gauge."""
-        rep = self.spec.representation
-        if rep == "hitting":
-            a, _ = self._line_factors(ni, zi, state, col=False)
-            _, b = self._line_factors(nj, zj, state, row=False)
-            return a.T @ b
-        if rep == "operator_step":
-            return self._st_operator_step(ni, nj, zi, zj, state)
-        return self._st_biorth(ni, nj, zi, zj)
-
-    def _finish(self, ni, nj, zi, zj, st):
-        """The kernel from its second term ``st``: gauge, then walk term."""
-        native_conj = self.spec.representation != "biorth"
-        if self.spec.conjugated and not native_conj:
-            st = st * np.exp(zj[None, :] - zi[:, None])
-        elif not self.spec.conjugated and native_conj:
-            st = st * np.exp(zi[:, None] - zj[None, :])
-        if ni < nj:
-            m = nj - ni
-            if self.spec.conjugated:
-                st = st - q_exp_pow(m, zi[:, None], zj[None, :])
-            else:
-                st = st - _bo.pinv_delta(m, zi[:, None], zj[None, :])
-        return st
 
     # -- discretization backing the hitting representation ----------------
 
@@ -446,12 +406,21 @@ class ExtendedKernelEval:
     def _line_factors(self, n, z, state, row=True, col=True):
         """(A, B) of line n on nodes z; a factor not asked for is None.
 
-        A is the weighted S(t, n; eta, z) on the atom and law eta nodes.  B
-        is Sbar(t, n; eta, z) on the atom nodes, then the hitting-law
-        expectation of Sbar(t, n - ell; b, z) on the law eta nodes: per
-        epoch ell < n, Sbar on the epoch's distinct law nodes reduced by its
-        sparse weight matrix.
+        The rows are the representation's layer: the eta nodes
+        (hitting), every block's eta nodes (operator_step,
+        ``_chain_factors``) or k = 1..n_max (biorth, ``_biorth_factors``).
+
+        In the hitting representation A is the weighted S(t, n; eta, z) on
+        the atom and law eta nodes.  B is Sbar(t, n; eta, z) on the atom
+        nodes, then the hitting-law expectation of Sbar(t, n - ell; b, z)
+        on the law eta nodes: per epoch ell < n, Sbar on the epoch's
+        distinct law nodes reduced by its sparse weight matrix.
         """
+        rep = self.spec.representation
+        if rep == "operator_step":
+            return self._chain_factors(n, z, state, row, col)
+        if rep == "biorth":
+            return self._biorth_factors(n, z, row, col)
         rows = [np.empty((0, z.size))]
         cols = [np.empty((0, z.size))]
         if state["atom"] is not None:
@@ -478,42 +447,52 @@ class ExtendedKernelEval:
         return (np.concatenate(rows) if row else None,
                 np.concatenate(cols) if col else None)
 
-    # -- operator-factorized representation --------------------------------
+    def _chain_factors(self, n, z, state, row, col):
+        """Operator-step factors of line n, one row group per block k with
+        an eta scheme, in start order.
 
-    def _st_operator_step(self, ni, nj, zi, zj, state):
-        """Sum over the blocks k with s_k < n_j of (C_k w_k)^T
-        Sbar(n_j - s_k), where the carry C_k = S(n_i - s_k) - sum_{j<k}
-        Leg_{jk} C_j holds every signed chain of blocks ending at k."""
+        A holds the weighted carries C_k w_k, where C_k = S(n - s_k) -
+        sum_{j<k} Leg_{jk} C_j sums every signed chain of blocks ending at
+        k.  B holds Sbar(n - s_k) for the leading blocks with s_k < n only:
+        the later blocks' rows would be zero.
+        """
         schemes, legs = state["chains"]
         blks = self._profile.blocks_within(self.spec.n_max)
-        out = np.zeros((zi.size, zj.size))
-        carries = {}
-        for k, (blk, sch) in enumerate(zip(blks, schemes)):
-            if blk.start >= nj:
-                break
-            if sch is None:
-                continue
-            # left factor with all leading walk powers collapsed into the index
-            carry = self._s_matrix(ni - blk.start, sch.nodes, zi)
-            for j, prev in carries.items():
-                carry -= legs[j, k] @ prev
-            carries[k] = carry
-            sb = self._sbar_vec(nj - blk.start, sch.nodes, zj)
-            out += (carry * sch.weights[:, None]).T @ sb
-        return out
+        live = [(k, blk.start, sch)
+                for k, (blk, sch) in enumerate(zip(blks, schemes))
+                if sch is not None]
+        a = b = None
+        if row:
+            carries, rows = {}, [np.empty((0, z.size))]
+            for k, start, sch in live:
+                # all leading walk powers collapsed into the index
+                carry = self._s_matrix(n - start, sch.nodes, z)
+                for j, prev in carries.items():
+                    carry -= legs[j, k] @ prev
+                carries[k] = carry
+                rows.append(carry * sch.weights[:, None])
+            a = np.concatenate(rows)
+        if col:
+            b = np.concatenate([np.empty((0, z.size))] + [
+                self._sbar_vec(n - start, sch.nodes, z)
+                for _, start, sch in live if start < n])
+        return a, b
 
-    # -- biorthogonal representation ---------------------------------------
-
-    def _st_biorth(self, ni, nj, zi, zj):
+    def _biorth_factors(self, n, z, row, col):
+        """Biorthogonal factors of line n on the rows k = 1..n_max: A_k =
+        Psi^n_{n-k}(z) e^{-z}, and B_k = Phi^n_{n-k}(z) e^{z} for k <= n,
+        zero above (every line's B has the full height)."""
         spec = self.spec
-        t = spec.t
-        psi = np.empty((nj, zi.size))
-        phi = np.empty((nj, zj.size))
-        phis = self._phi_tables[nj]
-        for k in range(1, nj + 1):
-            psi[k - 1] = _bo.psi_n_k(spec.ic, ni, ni - k, t, zi)
-            phi[k - 1] = phis[nj - k](zj)
-        return psi.T @ phi
+        a = b = None
+        if row:
+            a = np.array([_bo.psi_n_k(spec.ic, n, n - k, spec.t, z)
+                          for k in range(1, spec.n_max + 1)]) * np.exp(-z)
+        if col:
+            b = np.zeros((spec.n_max, z.size))
+            for k, phi in enumerate(reversed(self._phi_tables[n])):
+                b[k] = phi(z)
+            b *= np.exp(z)
+        return a, b
 
 
 def kernel_eval(spec: KernelSpec) -> ExtendedKernelEval:

@@ -198,15 +198,13 @@ def rbm_variational(ic: InitialCondition, noise: NoiseField) -> PathEnsemble:
     levels = np.array([ic.level(i) for i in range(1, n + 1)], dtype=float)
     if not np.all(np.isfinite(levels)):
         raise ValueError("variational path requires finite levels")
-    dual = noise.negated()
-    m = noise.n_steps
-    x = np.full((n, m + 1), np.inf)
+    w = noise.negated().paths()
+    x = np.full(w.shape, np.inf)
     for l in range(1, n + 1):
-        g = _lpp_rows(dual, l, l)
+        g = w[l - 1]
         x[l - 1] = np.minimum(x[l - 1], levels[l - 1] - g)
         for k in range(l + 1, n + 1):
-            wk = np.concatenate([[0.0], np.cumsum(dual.increments[k - 1])])
-            g = wk + np.maximum.accumulate(g - wk)
+            g = w[k - 1] + np.maximum.accumulate(g - w[k - 1])
             x[k - 1] = np.minimum(x[k - 1], levels[l - 1] - g)
     return PathEnsemble(dt=noise.dt, paths=x, construction="variational")
 

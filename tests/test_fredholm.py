@@ -198,15 +198,6 @@ class TestRbmProbability:
         assert res_h.value <= min(m1, m3) + 1e-8
         assert res_h.value >= m1 + m3 - 1.0 - 1e-8
 
-    def test_conjugation_invariance(self):
-        ic = idata.from_positions([0.5, 0.0, -0.5], extend_last=True)
-        av = [-1.0, -2.5]
-        r1 = rbm_probability(KernelSpec(t=1.0, indices=(1, 3), ic=ic,
-                                        conjugated=True), av)
-        r2 = rbm_probability(KernelSpec(t=1.0, indices=(1, 3), ic=ic,
-                                        conjugated=False), av)
-        assert r1.value == pytest.approx(r2.value, abs=1e-8)
-
     def test_small_time_matches_brownian_scaling(self):
         # the pad at t = 1e-4 is narrower than the default shrink; the law
         # is the one at t = 1, a = 1 under Brownian scaling, i.e. 1 - Phi(1)
@@ -327,9 +318,9 @@ def _factored_two_line_kernel(spread):
 
 
 class TestFactoredDeterminant:
-    """Hitting-representation systems in the conjugated gauge take their
-    determinants from the kernel's eta-layer factors, m x m, where every
-    other system factors its N x N matrix."""
+    """Hitting and biorthogonal systems take their determinants from the
+    kernel's layer factors, m x m, where every other system factors its
+    N x N matrix."""
 
     def test_factors_that_split_the_scale_unevenly(self):
         # unbalanced, G would hold entries of 2^1800
@@ -353,7 +344,9 @@ class TestFactoredDeterminant:
         (KernelSpec(t=1.0, indices=(2, 5, 9), ic=EIGHT_BLOCK_IC),
          [0.3, -1.2, -3.0]),
         _nw_spec((0.0, -1.0), 0.1, (-0.5, 0.5)),
-    ], ids=["packed15", "step39", "three_lines", "two_wedges"])
+        (KernelSpec(t=1.0, indices=(3, 9), ic=EIGHT_BLOCK_IC,
+                    representation="biorth"), [-0.25, -3.5]),
+    ], ids=["packed15", "step39", "three_lines", "two_wedges", "biorth"])
     def test_matches_the_full_matrix(self, spec, a, monkeypatch):
         system, shrink = _first_round(monkeypatch, spec, a)
         assembled = system.assemble()
@@ -387,8 +380,7 @@ class TestFactoredDeterminant:
         assert math.isfinite(res.value) and 0.0 <= res.value <= 1.0
         assert res.error_estimate < 1e-6
 
-    @pytest.mark.parametrize("kind", ["biorth", "operator_step",
-                                      "plain_gauge", "fixed_point",
+    @pytest.mark.parametrize("kind", ["operator_step", "fixed_point",
                                       "tracy_widom"])
     def test_other_kernels_keep_the_full_matrix(self, kind, monkeypatch):
         calls = []
@@ -406,10 +398,8 @@ class TestFactoredDeterminant:
         elif kind == "tracy_widom":
             tracy_widom_gue_cdf(-1.0)
         else:
-            rep = "hitting" if kind == "plain_gauge" else kind
             spec = KernelSpec(t=1.0, indices=(1, 3), ic=idata.from_positions(
-                [0.5, 0.0, -0.5], extend_last=True), representation=rep,
-                conjugated=kind != "plain_gauge")
+                [0.5, 0.0, -0.5], extend_last=True), representation=kind)
             rbm_probability(spec, [-1.0, -2.5])
         assert calls
 

@@ -5,6 +5,7 @@ import pytest
 
 from rbmdet import hitting as ht
 from rbmdet import initial_data as idata
+from rbmdet.errors import ConvergenceError
 
 SINGLE_WEDGE_L2_MASS = 1.0 - 2.0 / math.e  # int_0^1 (1-b) e^{b-1} db
 # the data of TestGridLaw; the walk starts below the first level
@@ -85,6 +86,28 @@ class TestExactLaw:
             law = ht.law_from_blocks(ic, eta, int(rng.integers(1, 9)))
             total = law.total_mass() + law.survivor_mass + law.dead_mass
             assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("span, raises", [(40, False), (80, True)])
+    def test_sweep_off_its_mass_balance_raises(self, span, raises):
+        # unit blocks X0(k) = -k from the middle of the span: the balance is
+        # off by 2.9e-9 at span 40 and by 6.9 at span 80
+        prof = idata.blocks(idata.from_positions(
+            [-float(k) for k in range(1, span + 1)], extend_last=True))
+        if raises:
+            with pytest.raises(ConvergenceError):
+                ht.hitting_law_exact(prof, -0.5 * span, span)
+        else:
+            law = ht.hitting_law_exact(prof, -0.5 * span, span)
+            total = law.total_mass() + law.survivor_mass + law.dead_mass
+            assert total == pytest.approx(1.0, abs=1e-6)
+
+    def test_two_narrow_wedges_at_eps_005_raise(self):
+        # the law behind the hitting kernel of two wedges (0, -1) at
+        # eps = 0.05, T = 1, x = -0.5, whose determinant was off by 1.2e-3
+        # with an estimate of 1e-16 before the sweep checked its balance
+        ic = idata.narrow_wedge_approx([0.0, -1.0], eps=0.05)
+        with pytest.raises(ConvergenceError):
+            ht.hitting_law_exact(idata.blocks(ic), -0.11, 109)
 
     def test_support_only_at_block_starts(self):
         ic = idata.from_positions([2.0, 2.0, 0.5, -1.0, -1.0],

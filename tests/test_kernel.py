@@ -127,18 +127,6 @@ class TestKernelEval:
             m - 1)
         assert with_both == pytest.approx(first + second, rel=1e-9)
 
-    def test_gauge_relation(self):
-        conj = kernel_eval(KernelSpec(t=1.3, indices=(2, 5), ic=STEP_IC,
-                                      conjugated=True))
-        plain = kernel_eval(KernelSpec(t=1.3, indices=(2, 5), ic=STEP_IC,
-                                       conjugated=False))
-        for (ni, zi, nj, zj) in [(2, 0.3, 5, -1.0), (5, -2.0, 2, 1.0),
-                                 (5, 0.0, 5, -0.7)]:
-            a = conj((ni, zi), (nj, zj))
-            b = plain((ni, zi), (nj, zj))
-            assert a == pytest.approx(b * math.exp(zj - zi),
-                                      rel=1e-12, abs=1e-14)
-
     def test_three_representations_agree(self):
         rng = np.random.default_rng(11)
         indices = (2, 5, 8)
@@ -170,12 +158,10 @@ class TestKernelEval:
             b = e_o((ni, zi), (nj, zj))
             assert abs(a - b) / max(1.0, abs(a)) < 1e-9
 
-    @pytest.mark.parametrize("rep, conjugated", [
-        ("hitting", True), ("hitting", False), ("operator_step", True),
-        ("biorth", True)])
-    def test_matrix_matches_block_assembly(self, rep, conjugated):
+    @pytest.mark.parametrize("rep", kernel_mod.REPRESENTATIONS)
+    def test_matrix_matches_block_assembly(self, rep):
         spec = KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC,
-                          representation=rep, conjugated=conjugated)
+                          representation=rep)
         rng = np.random.default_rng(5)
         zs = (np.linspace(-7.0, 1.0, 9), rng.uniform(-6.0, -2.5, 7))
 
@@ -293,28 +279,25 @@ class TestKernelEval:
 
     @pytest.mark.parametrize("indices", [(3, 9), (2, 5, 9)])
     def test_factors_give_the_matrix(self, indices):
-        spec = KernelSpec(t=1.0, indices=indices, ic=STEP_IC)
         rng = np.random.default_rng(7)
         zs = [np.sort(rng.uniform(-7.0, 1.0, 5 + k))
               for k in range(len(indices))]
-        kern = kernel_eval(spec)
-        facs, walk = kern.factors(zs)
-        assert kern.evaluations == sum(z.size for z in zs) ** 2
-        assert len({a.shape[0] for a, b in facs} |
-                   {b.shape[0] for a, b in facs}) == 1
-        got = np.block([[facs[i][0].T @ facs[j][1]
-                         - walk.get((i, j), 0.0)
-                         for j in range(len(zs))] for i in range(len(zs))])
-        assert np.array_equal(got, kern.matrix(zs))
-
-    @pytest.mark.parametrize("rep, conjugated", [
-        ("hitting", False), ("operator_step", True), ("biorth", True)])
-    def test_no_factors_outside_the_conjugated_hitting_kernel(
-            self, rep, conjugated):
-        spec = KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC,
-                          representation=rep, conjugated=conjugated)
-        z = np.linspace(-6.0, 0.5, 4)
-        assert kernel_eval(spec).factors((z, z)) is None
+        for rep in kernel_mod.REPRESENTATIONS:
+            kern = kernel_eval(KernelSpec(t=1.0, indices=indices, ic=STEP_IC,
+                                          representation=rep))
+            facs, walk = kern.factors(zs)
+            assert kern.evaluations == sum(z.size for z in zs) ** 2
+            # one layer of m rows; B_j holds its first m_j rows, all of
+            # them except in the operator-step kernel
+            m = {a.shape[0] for a, b in facs}
+            heights = {b.shape[0] for a, b in facs}
+            assert len(m) == 1 and max(heights) <= min(m)
+            assert rep == "operator_step" or heights == m
+            got = np.block([[facs[i][0][:len(facs[j][1])].T @ facs[j][1]
+                             - walk.get((i, j), 0.0)
+                             for j in range(len(zs))]
+                            for i in range(len(zs))])
+            assert np.array_equal(got, kern.matrix(zs))
 
     def test_falling_lower_end_does_not_rebuild(self, monkeypatch):
         spec = KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC)
@@ -384,6 +367,17 @@ class TestKernelEval:
                 for rep in ("hitting", "operator_step")]
         assert 0.05 < vals[0] < 0.95
         assert abs(vals[0] - vals[1]) < 1e-12
+
+    def test_biorth_determinants_match_hitting(self):
+        # both m x m; with the biorthogonal determinant N x N they differ by
+        # 2.7e-15, the error of the N x N LU
+        for a in STEP_BASES:
+            vals = [rbm_probability(KernelSpec(t=1.0, indices=(3, 9),
+                                               ic=EIGHT_BLOCK_IC,
+                                               representation=rep),
+                                    list(a)).value
+                    for rep in ("hitting", "biorth")]
+            assert abs(vals[0] - vals[1]) <= 1.5e-15
 
     def test_finite_output_and_counter(self):
         spec = KernelSpec(t=1.0, indices=(1, 2), ic=idata.packed(0.0))

@@ -135,7 +135,30 @@ class TestLpp:
                                                                 abs=1e-14)
 
 
+def _reference_variational(levels, noise):
+    """rbm_variational recomputing the dual row's prefix sums at every
+    step of every start row, as it did before they were taken once."""
+    dual = noise.negated()
+    n, m = dual.increments.shape
+    x = np.full((n, m + 1), np.inf)
+    for l in range(1, n + 1):
+        g = np.concatenate([[0.0], np.cumsum(dual.increments[l - 1])])
+        x[l - 1] = np.minimum(x[l - 1], levels[l - 1] - g)
+        for k in range(l + 1, n + 1):
+            wk = np.concatenate([[0.0], np.cumsum(dual.increments[k - 1])])
+            g = wk + np.maximum.accumulate(g - wk)
+            x[k - 1] = np.minimum(x[k - 1], levels[l - 1] - g)
+    return x
+
+
 class TestDuality:
+    @pytest.mark.parametrize("n", [12, 60])
+    def test_variational_paths_equal_per_row_recomputation(self, n):
+        lv = np.sort(np.random.default_rng(n).uniform(-2, 2, n))[::-1]
+        noise = sim.sample_noise(n, 1.0, 1e-3, seed=n)
+        got = sim.rbm_variational(idata.from_positions(lv), noise)
+        assert np.array_equal(got.paths, _reference_variational(lv, noise))
+
     def test_exact_pathwise_identity(self):
         rng = np.random.default_rng(0)
         worst = 0.0
