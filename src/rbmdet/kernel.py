@@ -18,7 +18,9 @@ a layer on which each factor depends on one index line only:
 * ``hitting``      - the defining double integral; the layer is the eta
   nodes.  The epoch-0 atom of the hitting law is exact, so it contributes
   a single 1-D integral, and the density components contribute tensorized
-  panel quadratures.
+  panel quadratures.  Interpolation from the eta nodes onto the law nodes
+  is folded into the law weights, so Sbar_epi needs Sbar on the eta nodes
+  only, once per epoch.
 * ``biorth``       - sum_{k=1}^{n_j} Psi^{n_i}_{n_i-k}(z_i) Phi^{n_j}_{n_j-k}(z_j)
   e^{z_j-z_i} with exact polynomial Phi's (finite levels, moderate n only);
   the layer is the index k = 1..n_max.
@@ -186,10 +188,10 @@ class ExtendedKernelEval:
     hitting/operator_step representations is (re)built under a lock
     whenever the requested nodes reach above its upper end (nothing in it
     depends on the lower end).  Its hitting-law layer (the eta nodes, their
-    laws, and per epoch the distinct law nodes with a sparse weight matrix)
-    depends only on min(c0, upper end); it is built under the same lock,
-    never changed afterwards, and kept for every rebuild that leaves that
-    top where it was.
+    laws, and per epoch the law weights folded onto the eta nodes) depends
+    only on min(c0, upper end); it is built under the same lock, never
+    changed afterwards, and kept for every rebuild that leaves that top
+    where it was.
 
     In every representation a block is A(n_i, z_i)^T B(n_j, z_j) minus
     the walk term, with A and B from ``_line_factors``.  Both depend on
@@ -340,20 +342,27 @@ class ExtendedKernelEval:
 
     def _law_layer(self, law_lo, law_hi, splits, panel):
         """The eta nodes and weights on [law_lo, law_hi] and, per epoch ell,
-        the distinct hitting-law nodes u with the sparse matrix W (eta x u)
-        of weighted law densities, so that the law expectation of f(ell, b)
-        at every eta is sum_ell W_ell @ f(ell, u).
+        the folded law weights (rows, cols, W): the law expectation of
+        Sbar(t, n - ell; b, z) at the eta nodes eta[rows] is W @ Sbar(t,
+        n - ell; eta[cols], z), so Sbar is evaluated on the eta scheme's
+        own nodes b and never on the law nodes u.
+
+        W is the epoch's weighted law densities (eta x u) times the matrix
+        that interpolates from the b nodes of u's panel onto u.  Sbar =
+        e^{z-b} psibar(b - z) with psibar a polynomial, so the factor
+        e^{b-u} in that matrix leaves the polynomial part to interpolate:
+        exact below the panel order, and spectrally accurate above it,
+        since the panels are sized by the bulk wavelength.  rows and cols
+        span the eta nodes the epoch's laws start from and the panels its
+        law nodes fall in.
 
         Nothing here depends on the upper end beyond law_hi, so a rebuild
         that leaves law_hi unchanged reuses the layer.
         """
-        # imported here, not at the top: only data with a block below c0
-        # build a law layer, and the import costs every other process
-        # about 1.6 MB of peak memory
-        from scipy.sparse import csr_matrix
-
         sch = build_scheme([(law_lo, law_hi)], order=_ETA_ORDER,
                            splits=splits, max_panel=panel)
+        refx, lam = _bary_ref(_ETA_ORDER)
+        edges = sch.edges[0]
         per_block = {}
         for a, e in enumerate(sch.nodes):
             law = hitting_law_exact(self._profile, float(e), self.spec.n_max,
@@ -365,12 +374,25 @@ class ExtendedKernelEval:
                      comp.weights * comp.values))
         epochs = {}
         for ell, items in per_block.items():
-            src, nodes, wv = (np.concatenate(v) for v in zip(*items))
-            # the law nodes of every eta above a block coincide: evaluate
-            # Sbar once per distinct node
-            u, inv = np.unique(nodes, return_inverse=True)
-            epochs[ell] = (u, csr_matrix((wv, (src, inv)),
-                                         shape=(sch.nodes.size, u.size)))
+            src, u, wv = (np.concatenate(v) for v in zip(*items))
+            if u.min() < edges[0] or u.max() > edges[-1]:
+                raise RuntimeError(
+                    f"epoch {ell} law nodes [{u.min()!r}, {u.max()!r}] leave "
+                    f"the eta scheme [{edges[0]!r}, {edges[-1]!r}]")
+            p = np.minimum(np.searchsorted(edges, u, side="right") - 1,
+                           edges.size - 2)
+            lo, hi = edges[p], edges[p + 1]
+            interp = _bary_eval_matrix((2.0 * u - (lo + hi)) / (hi - lo),
+                                       refx, lam)
+            col = p[:, None] * _ETA_ORDER + np.arange(_ETA_ORDER)
+            rows = slice(src.min(), src.max() + 1)
+            cols = slice(p.min() * _ETA_ORDER, (p.max() + 1) * _ETA_ORDER)
+            shape = (rows.stop - rows.start, cols.stop - cols.start)
+            flat = (src - rows.start)[:, None] * shape[1] + col - cols.start
+            vals = wv[:, None] * interp * np.exp(sch.nodes[col] - u[:, None])
+            w = np.bincount(flat.ravel(), vals.ravel(),
+                            minlength=shape[0] * shape[1])
+            epochs[ell] = (rows, cols, w.reshape(shape))
         return sch.nodes, sch.weights, epochs
 
     def _s_matrix(self, n, eta, z):
@@ -413,8 +435,9 @@ class ExtendedKernelEval:
         In the hitting representation A is the weighted S(t, n; eta, z) on
         the atom and law eta nodes.  B is Sbar(t, n; eta, z) on the atom
         nodes, then the hitting-law expectation of Sbar(t, n - ell; b, z)
-        on the law eta nodes: per epoch ell < n, Sbar on the epoch's
-        distinct law nodes reduced by its sparse weight matrix.
+        on the law eta nodes: per epoch ell < n, Sbar on the eta nodes the
+        epoch's law nodes fall among, times its folded weights
+        (``_law_layer``).
         """
         rep = self.spec.representation
         if rep == "operator_step":
@@ -440,9 +463,9 @@ class ExtendedKernelEval:
                 rows.append(self._s_matrix(n, eta, z) * w_eta[:, None])
             if col:
                 g = np.zeros((eta.size, z.size))
-                for ell, (u, wmat) in epochs.items():
+                for ell, (r, c, w) in epochs.items():
                     if ell < n:
-                        g += wmat @ self._sbar_vec(n - ell, u, z)
+                        g[r] += w @ self._sbar_vec(n - ell, eta[c], z)
                 cols.append(g)
         return (np.concatenate(rows) if row else None,
                 np.concatenate(cols) if col else None)

@@ -372,6 +372,17 @@ class TestFactoredDeterminant:
             [-2.0 * n])
         assert abs(unit.value - canonical.value) <= 1e-13
 
+    @pytest.mark.parametrize("eps, x", [(0.1, (-0.5,)), (0.1, (-0.5, 0.5)),
+                                        (0.09, (-0.5,))])
+    def test_two_wedges_hitting_matches_operator_step(self, eps, x):
+        # line 48 at eps = 0.09: Sbar's degree is past the eta panel order,
+        # so the law layer's interpolation onto the law nodes is not exact
+        spec, a = _nw_spec((0.0, -1.0), eps, x)
+        hit = rbm_probability(spec, a).value
+        step = rbm_probability(replace(spec, representation="operator_step"),
+                               a).value
+        assert abs(hit - step) <= 1e-13
+
     def test_narrow_wedge_at_four_times_the_time(self):
         # the 0.03 narrow wedge at 4t: rows of A reach 2^548 and rows of B
         # 2^-647, so neither squared row norms nor their ratio are finite

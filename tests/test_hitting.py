@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from rbmdet import hitting as ht
 from rbmdet import initial_data as idata
@@ -46,6 +47,19 @@ class TestQExpPow:
         v = ht.q_exp_pow(300, 0.0, -300.0)
         # Gamma(300) density at its mean, ~ 1/sqrt(2 pi 300)
         assert v == pytest.approx(1 / math.sqrt(2 * math.pi * 300), rel=0.01)
+
+
+def test_polynomial_helpers_are_bitwise_numpy():
+    rng = np.random.default_rng(3)
+    for size in range(1, 40):
+        c = rng.standard_normal(size) * np.exp2(rng.integers(-200, 201, size))
+        assert ht._polyint(c).tobytes() == npoly.polyint(c).tobytes()
+        der = npoly.polyder(c)
+        if size == 1:
+            # a constant's derivative: numpy keeps the zero's sign
+            assert ht._polyder(c).tolist() == [0.0] and der.tolist() == [0.0]
+        else:
+            assert ht._polyder(c).tobytes() == der.tobytes()
 
 
 class TestExactLaw:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -399,16 +400,14 @@ class TestKernelEval:
             KernelSpec(t=1.0, indices=(6,), ic=ic, representation="biorth")
 
 
-def _column_factor_per_node(kern, n, z, state):
-    """B of line n with Sbar evaluated on every law node of every eta and
-    scattered row by row with np.add.at: the reduction the law layer's
-    distinct nodes and sparse weights replace."""
-    cols = []
-    if state["atom"] is not None:
-        cols.append(kern._sbar_vec(n, state["atom"][0], z))
+def _column_factor_per_node(kern, ns, z, state):
+    """B of each line n in ns with Sbar evaluated on every law node of every
+    eta and scattered row by row with np.add.at: the reduction the law
+    layer's folded weights replace.  Returns {n: (B, M)}, M the same
+    scatter of |W||Sbar|, the scale of the rounding that B's sums carry."""
+    per_block = {}
     if state["law"] is not None:
         eta = state["law"][0]
-        per_block = {}
         for a, e in enumerate(eta):
             law = hitting_law_exact(
                 blocks(kern.spec.ic), float(e), kern.spec.n_max,
@@ -418,14 +417,25 @@ def _column_factor_per_node(kern, n, z, state):
                 per_block.setdefault(ell, []).append(
                     (np.full(comp.nodes.size, a), comp.nodes,
                      comp.weights * comp.values))
-        g = np.zeros((eta.size, z.size))
-        for ell, items in per_block.items():
-            if ell < n:
-                src, nodes, wv = (np.concatenate(v) for v in zip(*items))
-                np.add.at(g, src, kern._sbar_vec(n - ell, nodes, z)
-                          * wv[:, None])
-        cols.append(g)
-    return np.concatenate(cols)
+    out = {}
+    for n in ns:
+        cols, mags = [], []
+        if state["atom"] is not None:
+            cols.append(kern._sbar_vec(n, state["atom"][0], z))
+            mags.append(np.abs(cols[-1]))
+        if state["law"] is not None:
+            g = np.zeros((eta.size, z.size))
+            g_abs = np.zeros((eta.size, z.size))
+            for ell, items in per_block.items():
+                if ell < n:
+                    src, nodes, wv = (np.concatenate(v) for v in zip(*items))
+                    terms = kern._sbar_vec(n - ell, nodes, z) * wv[:, None]
+                    np.add.at(g, src, terms)
+                    np.add.at(g_abs, src, np.abs(terms))
+            cols.append(g)
+            mags.append(g_abs)
+        out[n] = np.concatenate(cols), np.concatenate(mags)
+    return out
 
 
 class TestLawLayer:
@@ -510,17 +520,70 @@ class TestLawLayer:
     @pytest.mark.parametrize("ic, indices, z", [
         (EIGHT_BLOCK_IC, (3, 9), np.linspace(-6.0, 1.0, 7)),
         (idata.narrow_wedge_approx([0.0, -1.0], eps=0.1), (10, 24),
-         np.linspace(-24.0, 1.0, 9))])
-    def test_sparse_reduction_matches_per_node_scatter(self, ic, indices, z):
+         np.linspace(-24.0, 1.0, 9)),
+        # line 48: Sbar's degree in b is past the eta panel order
+        (idata.narrow_wedge_approx([0.0, -1.0], eps=0.09), (48,),
+         np.linspace(-30.0, 1.0, 9))])
+    def test_folded_weights_match_per_node_scatter(self, ic, indices, z):
         kern = kernel_eval(KernelSpec(t=1.0, indices=indices, ic=ic))
         state = kern._ensure(float(z.max()))
         assert state["law"] is not None
+        refs = _column_factor_per_node(kern, indices, z, state)
         for n in indices:
             _, got = kern._line_factors(n, z, state, row=False)
-            ref = _column_factor_per_node(kern, n, z, state)
+            ref, _ = refs[n]
             scale = np.abs(ref).max()
             assert scale > 0
             assert np.abs(got - ref).max() <= 1e-14 * scale
+
+    def test_folded_weights_under_cancelling_terms(self):
+        # unit blocks X0(k) = -k: Sbar of degree up to 29 changes sign in
+        # b, so the terms of B outweigh it by 5e3 here, and B carries that
+        # much rounding in any order of summation; bound the fold by the
+        # terms it sums
+        ic = idata.from_positions([-float(k) for k in range(1, 30)],
+                                  extend_last=True)
+        kern = kernel_eval(KernelSpec(t=1.0, indices=(12, 30), ic=ic))
+        z = np.linspace(-30.0, 1.0, 9)
+        state = kern._ensure(float(z.max()))
+        for n, (ref, mag) in _column_factor_per_node(
+                kern, (12, 30), z, state).items():
+            _, got = kern._line_factors(n, z, state, row=False)
+            assert np.abs(got - ref).max() <= 1e-14 * mag.max()
+
+    def test_sbar_once_per_eta_node(self, monkeypatch):
+        # every epoch's law nodes lie between two levels, among the eta
+        # panels there; the lines' column factors evaluate Sbar on at most
+        # the eta nodes, summed over epochs
+        spec = KernelSpec(t=1.0, indices=(3, 9), ic=EIGHT_BLOCK_IC)
+        kern = kernel_eval(spec)
+        zs = [np.linspace(-6.0, 1.0, 40), np.linspace(-7.0, -0.5, 40)]
+        state = kern._discretization(zs)
+        rows = []
+        real = special.psibar_log
+
+        def counting(n, t, x):
+            rows.append(np.shape(x)[0])
+            return real(n, t, x)
+
+        monkeypatch.setattr(special, "psibar_log", counting)
+        for n, z in zip(spec.indices, zs):
+            del rows[:]
+            kern._line_factors(n, z, state)
+            assert 0 < sum(rows) <= state["law"][0].size == 112
+
+    def test_law_node_outside_the_eta_scheme_raises(self, monkeypatch):
+        def lifted(*args, **kw):
+            law = hitting_law_exact(*args, **kw)
+            return dataclasses.replace(law, components={
+                ell: dataclasses.replace(c, nodes=c.nodes + 10.0)
+                for ell, c in law.components.items()})
+
+        monkeypatch.setattr(kernel_mod, "hitting_law_exact", lifted)
+        kern = kernel_eval(KernelSpec(t=1.0, indices=(3, 9),
+                                      ic=EIGHT_BLOCK_IC))
+        with pytest.raises(RuntimeError, match="leave the eta scheme"):
+            kern.block(3, 9, np.zeros(1), np.zeros(1))
 
     def test_point_evaluation_builds_one_factor_per_line(self, monkeypatch):
         # a block needs line i's row factor and line j's column factor only
