@@ -14,8 +14,10 @@ The RBM kernel factors through a layer, K = A^T B minus a walk term
 forms the N x N matrix: by Sylvester's identity its determinant is that of
 an m x m matrix on the m layer rows, balanced before it is factored.  The
 hitting and biorthogonal kernels take that route; the operator-step kernel
-(whose layer outgrows N), the fixed-point kernel (whose inner dimension is
-larger than N too) and the Airy kernel factor their N x N matrices.
+(whose layer outgrows N) and the fixed-point and Airy kernels, which have
+no ``factors``, factor their N x N matrices.  The fixed-point kernel's
+inner dimension (v nodes times wedges) is below N: 336 against N = 960 on
+two wedges and two points at T = 1.
 """
 
 from __future__ import annotations
@@ -313,6 +315,8 @@ def rbm_probability(spec: KernelSpec, a, target: float = 1e-6,
     a = [float(v) for v in np.atleast_1d(a)]
     if len(a) != len(spec.indices):
         raise ValueError("need one threshold per index")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"thresholds a must be finite, got {a}")
     t = spec.t
     if pad is None:
         pad = 10.0 * math.sqrt(t) + (spec.ic.max_level - spec.ic.min_level)

@@ -152,8 +152,8 @@ class KernelSpec:
     representation: str = "hitting"
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("t must be > 0")
+        if not 0 < self.t < math.inf:
+            raise ValueError(f"t must be finite and > 0, got {self.t}")
         idx = tuple(int(n) for n in self.indices)
         if not idx or any(n < 1 for n in idx) or \
                 any(b <= a for a, b in zip(idx[:-1], idx[1:])):

@@ -272,6 +272,8 @@ def gue_edge_sample(n: int, samples: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     out = np.empty(samples)
     done = 0
     c = 0

@@ -190,6 +190,13 @@ class TestGueAndScaling:
         assert len(rows) == 2
         assert all(r["z"] < 5 for r in rows)
 
+    @pytest.mark.parametrize("paths", ["0", "-5"])
+    def test_gue_without_samples_exits_2(self, capsys, paths):
+        code, _, err = run(capsys, "gue", "--n", "2", "--paths", paths,
+                           "--seed", "4", "--a", "0")
+        assert code == 2
+        assert "samples must be >= 1" in err
+
     def test_scaling_csv(self, capsys):
         code, out, _ = run(capsys, "scaling", "--wedges", "0", "--t", "1",
                            "--x", "0", "--a", "0", "--eps", "0.2,0.1",

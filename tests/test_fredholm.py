@@ -215,6 +215,12 @@ class TestRbmProbability:
         with pytest.raises(ValueError):
             rbm_probability(spec, [0.0, 1.0])
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, a):
+        spec = KernelSpec(t=1.0, indices=(1, 2), ic=idata.packed(0.0))
+        with pytest.raises(ValueError, match="thresholds a must be finite"):
+            rbm_probability(spec, [0.0, a])
+
     def test_wedge_data_probability(self):
         # leading-infinity data exercise the no-atom branch end to end
         ic = idata.narrow_wedge_approx([-1.0], eps=0.5)

@@ -105,6 +105,13 @@ class TestCollapsedWalkPowers:
             assert got == pytest.approx(ref, rel=1e-9, abs=1e-11)
 
 
+class TestKernelSpec:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be finite and > 0"):
+            KernelSpec(t=t, indices=(1,), ic=idata.packed(0.0))
+
+
 class TestKernelEval:
     def test_same_index_drops_first_term(self):
         spec = KernelSpec(t=1.0, indices=(3,), ic=idata.packed(0.0))

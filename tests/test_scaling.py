@@ -8,6 +8,9 @@ from rbmdet import scaling as sc
 from rbmdet import special
 from rbmdet.fredholm import NystromSystem
 
+# the benchmark's two-wedge, two-point query
+FP2_SPEC = dict(wedges=(0.0, -1.0), T=1.0, x=(0.0, 0.5), a_out=(0.0, 0.5))
+
 
 class TestScaleVars:
     def test_origin_point(self):
@@ -121,23 +124,52 @@ class TestFixedPointKernel:
                            rtol=1e-12, atol=1e-14)
 
     def test_two_wedge_kernel_against_brute_force(self):
-        spec = sc.FixedPointSpec(wedges=(-0.4, -1.0), T=1.0, x=(0.0,),
-                                 a_out=(0.0,))
-        kern = sc.FixedPointKernel(spec)
-        ui, uj = -0.7, -1.2
-        got = kern.block(0, 0, np.array([ui]), np.array([uj]))[0, 0]
-        a1, a2 = spec.wedges
-        t1 = quad(lambda v: sc.s_fp(1.0, -a1, v - ui)
-                  * sc.s_fp(1.0, a1, v - uj), 0, 40, limit=300)[0]
-        t2 = quad(lambda v: sc.s_fp(1.0, -a2, v - ui)
-                  * sc.s_fp(1.0, a2, v - uj), 0, 40, limit=300)[0]
-        inner = quad(
-            lambda v1: sc.s_fp(1.0, -a1, v1 - ui) * quad(
-                lambda v2: sc.heat2(a1 - a2, v1, v2)
-                * sc.s_fp(1.0, a2, v2 - uj), 0, 30, limit=200)[0],
-            0, 30, limit=200)[0]
-        ref = t1 + t2 - inner
+        got, ref = _two_wedge_brute_force(1.0, 0.0, -0.7, -1.2)
         assert got == pytest.approx(ref, rel=1e-7)
+
+    # a_out < 0 puts u nodes above 0, where Ai oscillates for v < u
+    @pytest.mark.parametrize("T, a_out, ui, uj", [
+        (1.0, -1.5, 1.2, 0.4), (8.0, 0.0, -0.7, -1.2), (8.0, -1.5, 1.2, 0.4)])
+    def test_two_wedge_kernel_against_brute_force_above_zero_and_late(
+            self, T, a_out, ui, uj):
+        got, ref = _two_wedge_brute_force(T, a_out, ui, uj)
+        assert got == pytest.approx(ref, rel=1e-7)
+
+
+def _two_wedge_brute_force(T, a_out, ui, uj):
+    """Two-wedge kernel entry and its value by nested scipy quadrature."""
+    spec = sc.FixedPointSpec(wedges=(-0.4, -1.0), T=T, x=(0.0,),
+                             a_out=(a_out,))
+    kern = sc.FixedPointKernel(spec)
+    got = kern.block(0, 0, np.array([ui]), np.array([uj]))[0, 0]
+    a1, a2 = spec.wedges
+    top = 40.0 * T ** (1.0 / 3.0)
+    t1 = quad(lambda v: sc.s_fp(T, -a1, v - ui)
+              * sc.s_fp(T, a1, v - uj), 0, top, limit=300)[0]
+    t2 = quad(lambda v: sc.s_fp(T, -a2, v - ui)
+              * sc.s_fp(T, a2, v - uj), 0, top, limit=300)[0]
+    inner = quad(
+        lambda v1: sc.s_fp(T, -a1, v1 - ui) * quad(
+            lambda v2: sc.heat2(a1 - a2, v1, v2)
+            * sc.s_fp(T, a2, v2 - uj), 0, 0.75 * top, limit=200)[0],
+        0, 0.75 * top, limit=200)[0]
+    return got, t1 + t2 - inner
+
+
+class TestFixedPointSpecValidation:
+    @pytest.mark.parametrize("field, value, match", [
+        ("T", math.nan, "T must be finite"),
+        ("T", math.inf, "T must be finite"),
+        ("x", (0.0, math.nan), "x must be finite"),
+        ("x", (-math.inf, 0.5), "x must be finite"),
+        ("a_out", (math.nan, 0.5), "a_out must be finite"),
+        ("a_out", (0.0, math.inf), "a_out must be finite"),
+        ("wedges", (0.0, math.nan), "wedges must be finite"),
+        ("wedges", (0.0, -math.inf), "wedges must be finite"),
+    ])
+    def test_non_finite_field_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            sc.FixedPointSpec(**{**FP2_SPEC, field: value})
 
 
 def _fp_block_per_subset(kern, i, j, ui, uj):
@@ -312,6 +344,63 @@ class TestFixedPointSharedFactors:
         ref = np.block([[_fp_block_per_subset(kern, i, j, u[i], u[j])
                          for j in range(2)] for i in range(2)])
         np.testing.assert_allclose(kern.matrix(u), ref, rtol=0, atol=1e-14)
+
+
+# specs from the sweep the v grid was sized on (T from 0.001 to 27, 1-3
+# wedges and points, |x| <= 2, a_out in [-2.5, 1]), where S_fp's exponents
+# are O(1); at T = 0.1 with |x| >= 1.5, where they reach 10^2, the two
+# grids below differ by up to 8e-14 max|K|
+V_GRID_SPECS = [
+    dict(wedges=(0.0,), T=1.0, x=(0.0,), a_out=(0.0,)),
+    dict(FP2_SPEC),
+    dict(wedges=(0.0, -0.5, -2.0), T=1.0, x=(-1.0, 0.3, 2.0),
+         a_out=(-2.27, 0.44, -2.27)),
+    dict(wedges=(0.0, -1.0), T=0.1, x=(0.0, 0.5), a_out=(0.73, -1.57)),
+    dict(wedges=(0.0,), T=8.0, x=(-2.0,), a_out=(-0.99,)),
+    dict(wedges=(0.0, -1.0), T=8.0, x=(-2.0, 2.0), a_out=(-0.5, 1.0)),
+    dict(wedges=(0.0,), T=27.0, x=(1.5,), a_out=(-2.45,)),
+    dict(wedges=(0.0, -0.5, -2.0), T=27.0, x=(0.0, 0.5),
+         a_out=(-1.6, 0.9)),
+    dict(wedges=(0.0, -0.01), T=27.0, x=(0.0, 0.5), a_out=(0.0, -0.5)),
+]
+
+
+def _fp_round_one_nodes(spec, order=16):
+    """u nodes of the first fixedpoint_probability round, at ``order``."""
+    T = spec.T
+    pad = 16.0 * T ** (1.0 / 3.0) + 2.0 * max(abs(min(spec.wedges)), 1.0)
+    system = NystromSystem(
+        intervals=tuple((-a - pad, -a) for a in spec.a_out), order=order,
+        kernel=None, max_panel=max(1.2 * T ** (1.0 / 3.0), 0.25))
+    return [sch.nodes for sch in system.schemes]
+
+
+class TestFixedPointVGrid:
+    @pytest.mark.parametrize("params", V_GRID_SPECS)
+    def test_matrix_converged_in_the_v_grid(self, params, monkeypatch):
+        # against the v grid with twice the pad and half the panel width.
+        # The two grids round apart by 2-4e-15 of the summed |C_k| |R_k|
+        # (S_fp's few ulp, times the sum), so 1e-15 max|K| is below the
+        # floor; a pad at G(s*) = 20 misses by up to 1.7e-12 max|K|
+        spec = sc.FixedPointSpec(**params)
+        us = _fp_round_one_nodes(spec)
+        got = sc.FixedPointKernel(spec).matrix(us)
+        fine = sc.FixedPointKernel(spec)
+        fine.v_pad *= 2.0
+        build = sc.build_scheme
+        monkeypatch.setattr(
+            sc, "build_scheme", lambda intervals, order, max_panel: build(
+                intervals, order=order, max_panel=max_panel / 2.0))
+        ref = fine.matrix(us)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_fp2_v_scheme_size(self, monkeypatch):
+        # v_pad = 10.4 (the e^-40 decay) + 2 span = 12.4: 7 panels of 24
+        # nodes, where a pad of 42 T^{1/3} + 6 took 1,152
+        schemes = _count_v_schemes(monkeypatch)
+        sc.fixedpoint_probability(sc.FixedPointSpec(**FP2_SPEC))
+        assert schemes and all(s.order == 24 for s in schemes)
+        assert max(s.size for s in schemes) <= 200
 
 
 class TestFixedPointProbability:

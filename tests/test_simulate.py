@@ -307,6 +307,11 @@ class TestGue:
             se = math.sqrt(max(emp * (1 - emp), 1e-5) / lam.size)
             assert abs(det - emp) < 3 * se
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_fewer_than_one_sample_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            sim.gue_edge_sample(3, samples, seed=1)
+
     def test_seed_determinism(self):
         assert np.array_equal(sim.gue_edge_sample(3, 1000, seed=1),
                               sim.gue_edge_sample(3, 1000, seed=1))
