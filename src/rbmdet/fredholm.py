@@ -14,10 +14,9 @@ The RBM kernel factors through a layer, K = A^T B minus a walk term
 forms the N x N matrix: by Sylvester's identity its determinant is that of
 an m x m matrix on the m layer rows, balanced before it is factored.  The
 hitting and biorthogonal kernels take that route; the operator-step kernel
-(whose layer outgrows N) and the fixed-point and Airy kernels, which have
-no ``factors``, factor their N x N matrices.  The fixed-point kernel's
-inner dimension (v nodes times wedges) is below N: 336 against N = 960 on
-two wedges and two points at T = 1.
+(whose layer outgrows N), the fixed-point kernel (whose heat term between
+points is block upper triangular only where the x decrease) and the Airy
+kernel, which has no ``factors``, factor their N x N matrices.
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ class NystromSystem:
     per line builds each line's factors once per assembly.  ``factors(xs)``,
     if given, returns the same kernel in factored form (see
     ``ExtendedKernelEval.factors``); the determinant then comes from those
-    factors and ``kernel`` is not called.  ``pad_side`` says which end of
-    each interval is the truncation of an infinite tail (used by the
-    shrunk-domain error rerun).
+    factors and ``kernel`` is not called.  The lower end of each interval
+    is the truncation of an infinite tail (used by the shrunk-domain error
+    rerun).
     """
 
     intervals: tuple
@@ -51,7 +50,6 @@ class NystromSystem:
     kernel: object
     splits: tuple = ()
     max_panel: float | None = None
-    pad_side: str = "lower"
     schemes: tuple = None
     factors: object = None
 
@@ -97,10 +95,10 @@ class NystromSystem:
 
     def shrunk_cut(self, amount: float):
         """Node indices and intervals of the domain shrunk by about
-        ``amount`` at the padded end of every interval.
+        ``amount`` at the lower, padded end of every interval.
 
         The shrink is capped at half of each interval, and the cut is the
-        first panel edge at least that far inside the padded end, so the
+        first panel edge at least that far above the lower end, so the
         shrunk system's nodes are a subset of this system's nodes.  An
         interval with no panel edge past the cut drops out entirely.
         """
@@ -108,16 +106,10 @@ class NystromSystem:
         pos = 0
         for (lo, hi), sch in zip(self.intervals, self.schemes):
             edges = sch.edges[0]
-            s = min(amount, 0.5 * (hi - lo))
-            if self.pad_side == "lower":
-                p = int(np.searchsorted(edges, lo + s, side="left"))
-                first, last = p * self.order, sch.size
-                intervals.append((float(edges[p]), hi))
-            else:
-                p = int(np.searchsorted(edges, hi - s, side="right")) - 1
-                first, last = 0, p * self.order
-                intervals.append((lo, float(edges[p])))
-            keep.append(np.arange(pos + first, pos + last))
+            p = int(np.searchsorted(edges, lo + min(amount, 0.5 * (hi - lo)),
+                                    side="left"))
+            intervals.append((float(edges[p]), hi))
+            keep.append(np.arange(pos + p * self.order, pos + sch.size))
             pos += sch.size
         return np.concatenate(keep), tuple(intervals)
 
@@ -338,8 +330,7 @@ def rbm_probability(spec: KernelSpec, a, target: float = 1e-6,
         intervals = tuple((min(aj, reach) - pad, aj) for aj in a)
         return NystromSystem(intervals=intervals, order=order,
                              kernel=kern.matrix, splits=splits,
-                             max_panel=max_panel, pad_side="lower",
-                             factors=factors)
+                             max_panel=max_panel, factors=factors)
 
     return refine(system_at, order, pad,
                   lambda pad: pad + 3.0 * math.sqrt(t) + 2.0,

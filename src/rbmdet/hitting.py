@@ -29,7 +29,7 @@ from scipy.special import gammaincc, gammaln
 
 from .errors import ConvergenceError
 from .initial_data import InitialCondition, StepProfile, blocks
-from .quad import _gl_rule, panel_edges
+from .quad import gauss_legendre_panels
 
 
 def q_exp_pow(m: int, x, y):
@@ -229,22 +229,22 @@ class HittingLaw:
         return total
 
 
-def _pieces_to_component(ell, pieces, x0, order, panel_max):
-    xg, wg = _gl_rule(order)
+# Gauss-Legendre nodes per panel on which an exact law is sampled
+_LAW_ORDER = 20
+
+
+def _pieces_to_component(ell, pieces, x0, panel_max):
     nodes, weights, values = [], [], []
     mass = 0.0
     for p in pieces:
         if p.hi - p.lo < 1e-13:
             continue
         mass += p.exp_mass(x0)
-        edges = panel_edges(p.lo, p.hi, max_panel=panel_max)
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            mid = 0.5 * (b + a)
-            ns = mid + half * xg
-            nodes.append(ns)
-            weights.append(half * wg)
-            values.append(np.exp(ns - x0) * p.eval_poly(ns))
+        ns, ws, _ = gauss_legendre_panels(p.lo, p.hi, order=_LAW_ORDER,
+                                          max_panel=panel_max)
+        nodes.append(ns)
+        weights.append(ws)
+        values.append(np.exp(ns - x0) * p.eval_poly(ns))
     if not nodes or mass <= 0:
         return None
     return LawComponent(
@@ -257,13 +257,14 @@ def _pieces_to_component(ell, pieces, x0, order, panel_max):
 
 
 def hitting_law_exact(profile: StepProfile, eta: float, n_max: int,
-                      order: int = 20, panel_max: float = 2.0,
+                      panel_max: float = 2.0,
                       method: str = "sweep") -> HittingLaw:
     """Exact hitting law for a step profile, by the survive/hit sweep.
 
     ``method="inclusion_exclusion"`` evaluates every component independently
     through the signed free-propagation expansion instead; the two must agree
-    to rounding and are compared in the test suite.
+    to rounding and are compared in the test suite.  Each component is
+    sampled on Gauss-Legendre panels of 20 nodes, at most ``panel_max`` wide.
 
     The sweep raises ConvergenceError when its masses are off balance,
     |total_mass() + survivor_mass + dead_mass - 1| > 1e-6; the expansion
@@ -278,7 +279,7 @@ def hitting_law_exact(profile: StepProfile, eta: float, n_max: int,
     if blks[0].start == 0 and eta >= blks[0].level:
         return HittingLaw(start=eta, horizon=n_max, atom_mass=1.0)
     if method == "inclusion_exclusion":
-        return _law_inclusion_exclusion(blks, eta, n_max, order, panel_max)
+        return _law_inclusion_exclusion(blks, eta, n_max, panel_max)
     if method != "sweep":
         raise ValueError(f"unknown method {method!r}")
 
@@ -302,7 +303,7 @@ def hitting_law_exact(profile: StepProfile, eta: float, n_max: int,
                 pieces, d = _propagate_one_step(pieces, cut, eta)
                 dead += d
         pieces, hit = _split_pieces(pieces, blk.level)
-        comp = _pieces_to_component(blk.start, hit, eta, order, panel_max)
+        comp = _pieces_to_component(blk.start, hit, eta, panel_max)
         if comp is not None:
             components[blk.start] = comp
         prev_epoch = blk.start
@@ -325,7 +326,7 @@ def hitting_law_exact(profile: StepProfile, eta: float, n_max: int,
     return law
 
 
-def _law_inclusion_exclusion(blks, eta, n_max, order, panel_max):
+def _law_inclusion_exclusion(blks, eta, n_max, panel_max):
     """Signed expansion of the survival indicators:
 
     prod_i 1{B_{s_i} < L_i} = sum_S (-1)^{|S|} prod_{i in S} 1{B_{s_i} >= L_i}
@@ -335,7 +336,6 @@ def _law_inclusion_exclusion(blks, eta, n_max, order, panel_max):
     grouped by the last block, minus the component masses: that is the
     dead mass (nothing survives above the last level, as in the sweep).
     """
-    xg, wg = _gl_rule(order)
     components = {}
     no_hit = 1.0
     levels = [b.level for b in blks]
@@ -343,11 +343,8 @@ def _law_inclusion_exclusion(blks, eta, n_max, order, panel_max):
         cut = blk.level
         if eta <= cut:
             continue
-        edges = panel_edges(cut, eta, splits=levels, max_panel=panel_max)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        weights = (half[:, None] * wg[None, :]).ravel()
+        nodes, weights, _ = gauss_legendre_panels(
+            cut, eta, order=_LAW_ORDER, splits=levels, max_panel=panel_max)
         acc = np.zeros_like(nodes)
         mass = 0.0
         earlier = blks[:j]

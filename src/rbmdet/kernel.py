@@ -50,6 +50,19 @@ from .quad import Scheme, _gl_rule, build_scheme
 REPRESENTATIONS = ("hitting", "biorth", "operator_step")
 
 
+def factored_matrix(facs, walk) -> np.ndarray:
+    """The kernel multiplied out of ``(facs, walk)``, the form ``factors``
+    returns: block (i, j) is A_i[:m_j]^T B_j - walk.get((i, j), 0), with
+    facs[i] = (A_i, B_i) and m_j the height of B_j."""
+    offs = np.cumsum([0] + [a.shape[1] for a, _ in facs])
+    out = np.empty((offs[-1], offs[-1]))
+    for i, (a, _) in enumerate(facs):
+        for j, (_, b) in enumerate(facs):
+            out[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = \
+                a[:len(b)].T @ b - walk.get((i, j), 0.0)
+    return out
+
+
 @lru_cache(maxsize=32)
 def _bary_ref(order: int):
     """Reference Gauss-Legendre nodes and barycentric weights."""
@@ -173,9 +186,8 @@ class KernelSpec:
 
 
 # quadrature of the eta layer (order) and of the hitting laws on it
-# (order, largest panel)
+# (largest panel)
 _ETA_ORDER = 16
-_B_ORDER = 20
 _B_PANEL = 2.0
 
 
@@ -253,14 +265,7 @@ class ExtendedKernelEval:
     def matrix(self, zs) -> np.ndarray:
         """Kernel on the concatenation of ``zs``, one node array per index
         line of the spec in order; each block is what ``block`` gives."""
-        facs, walk = self.factors(zs)
-        offs = np.cumsum([0] + [a.shape[1] for a, _ in facs])
-        out = np.empty((offs[-1], offs[-1]))
-        for i, (a, _) in enumerate(facs):
-            for j, (_, b) in enumerate(facs):
-                out[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = \
-                    a[:len(b)].T @ b - walk.get((i, j), 0.0)
-        return out
+        return factored_matrix(*self.factors(zs))
 
     def factors(self, zs):
         """The kernel on the concatenation of ``zs`` in factored form.
@@ -366,7 +371,6 @@ class ExtendedKernelEval:
         per_block = {}
         for a, e in enumerate(sch.nodes):
             law = hitting_law_exact(self._profile, float(e), self.spec.n_max,
-                                    order=_B_ORDER,
                                     panel_max=min(_B_PANEL, 4 * self._airy_w))
             for ell, comp in law.components.items():
                 per_block.setdefault(ell, []).append(

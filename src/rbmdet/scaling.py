@@ -34,7 +34,7 @@ from .fredholm import DetResult, NystromSystem, rbm_probability, refine
 # the benchmark's tracer wraps fredholm_det under this module's name too
 from .fredholm import fredholm_det  # noqa: F401
 from .initial_data import narrow_wedge_approx
-from .kernel import KernelSpec
+from .kernel import KernelSpec, factored_matrix
 from .quad import build_scheme
 
 
@@ -165,18 +165,21 @@ class FixedPointKernel:
     """Extended fixed-point kernel for multiple narrow wedges.
 
     block(i, j, ui, uj) returns the kernel matrix between evaluation points
-    x_i and x_j, and matrix(us) the kernel on the concatenated nodes of all
-    points; the epigraph operator is the inclusion-exclusion sum over wedge
-    subsets of chains of half-line cuts and diffusion-2 propagators.
+    x_i and x_j, matrix(us) the kernel on the concatenated nodes of all
+    points, and factors(us) the same kernel in the RBM kernel's factored
+    form, which ``matrix`` multiplies out (``kernel.factored_matrix``); the
+    epigraph operator is the inclusion-exclusion sum over wedge subsets of
+    chains of half-line cuts and diffusion-2 propagators.
 
     Every chain starts with S_fp(T, x_i - a_k; v - u_i) and ends with
     S_fp(T, a_k - x_j; v - u_j), so its factors depend on one point's nodes
     only.  The chains ending at wedge k sum to one weighted carry, C_k =
-    (S_fp(T, x_i - a_k) - sum_{j<k} H(a_j - a_k) C_j) w.  ``matrix`` builds
-    the factors once per point: one Airy evaluation per (point, wedge),
-    shared by the offsets +-(x_i - a_k); one carry per wedge, not one chain
-    per wedge subset; and each heat propagator once per gap.  Nothing is
-    kept between calls.
+    (S_fp(T, x_i - a_k) - sum_{j<k} H(a_j - a_k) C_j) w, and a block is
+    sum_k C_k^T S_fp(T, a_k - x_j) minus H(x_i - x_j) for x_i > x_j.
+    ``factors`` builds the factors once per point: one Airy evaluation per
+    (point, wedge), shared by the offsets +-(x_i - a_k); one carry per
+    wedge, not one chain per wedge subset; and each heat propagator once
+    per gap.  Nothing is kept between calls.
 
     The v grid is [0, u_top + v_pad], u_top the highest u node.  In s =
     T^{-1/3}(v - u_top) a factor is e^{p s} Ai(s + p^2) up to constants, p
@@ -185,9 +188,11 @@ class FixedPointKernel:
     least G(s) = r^2 (2 r + 3 dx) / 12, r = sqrt(4 s + dx^2) - dx.  v_pad =
     T^{1/3} s* + 2 span with G(s*) = 40 (s* = 9.65 at dx = 0), and 2 span
     covers the heat-propagated carries.  Panels are 2 max(T^{1/3}, 1/8)
-    wide, at most 8 sqrt(2 g) for the narrowest wedge gap g.  On 108 specs
-    (T from 0.001 to 27) the matrix first moves at G(s*) = 20, a pad 1/1.6
-    of this one, and (uncapped) at panels of 6 T^{1/3}; see README.
+    wide, at most 8 sqrt(2 g) for the narrowest wedge gap g, and at most
+    1.5 wavelengths of Ai at the lowest v - u = -u_top, 3 pi sqrt(T /
+    u_top), u_top taken as max(0, -min a_out).  On 108 specs (T from 0.001
+    to 27) the matrix first moves at G(s*) = 20, a pad 1/1.6 of this one,
+    and (uncapped) at panels of 6 T^{1/3}; see README.
     """
 
     def __init__(self, spec: FixedPointSpec, order: int = 24):
@@ -202,82 +207,81 @@ class FixedPointKernel:
         self.v_pad = T ** (1.0 / 3.0) * r * (r + 2.0 * dx) / 4.0 + 2.0 * span
         # every u node lies below max(-a_out): one v grid serves all blocks
         self._u_hi = max(0.0, -min(spec.a_out))
-        # at most 8 widths sqrt(2 g) of the narrowest heat propagator
+        # at most 8 widths sqrt(2 g) of the narrowest heat propagator, and
+        # 1.5 wavelengths 2 pi sqrt(T / u_top) of Ai at the lowest v - u
         gap = min((a - b for a, b in zip(spec.wedges, spec.wedges[1:])),
                   default=math.inf)
+        wave = 3.0 * math.pi * math.sqrt(T / self._u_hi) if self._u_hi > 0 \
+            else math.inf
         self._v_panel = min(2.0 * max(T ** (1.0 / 3.0), 0.125),
-                            8.0 * math.sqrt(2.0 * gap))
+                            8.0 * math.sqrt(2.0 * gap), wave)
 
     def _v_scheme(self, upper: float):
         return build_scheme([(0.0, upper)], order=self.order,
                             max_panel=self._v_panel)
 
     def block(self, i: int, j: int, ui, uj) -> np.ndarray:
-        """Kernel matrix between nodes ui of point i and uj of point j."""
-        ui = np.atleast_1d(np.asarray(ui, dtype=float))
-        uj = np.atleast_1d(np.asarray(uj, dtype=float))
-        sch = self._v_scheme(float(max(self._u_hi, ui.max(), uj.max()))
-                             + self.v_pad)
-        heat = {}
-        out = np.zeros((ui.size, uj.size))
-        self._fill(out, i, j, ui, uj, self._point_factors(i, ui, sch, heat)[0],
-                   self._point_factors(j, uj, sch, heat)[1])
-        return out
+        """Kernel matrix between nodes ui of point i and uj of point j: block
+        (0, 1) of the factored form on the two points."""
+        ((a, _), (_, b)), walk = self._factors((i, j), (ui, uj))
+        return a.T @ b - walk.get((0, 1), 0.0)
 
     def matrix(self, us) -> np.ndarray:
         """Kernel on the concatenation of ``us``, one node array per
         evaluation point in order; each block is what ``block`` gives."""
-        us = [np.atleast_1d(np.asarray(u, dtype=float)) for u in us]
+        return factored_matrix(*self.factors(us))
+
+    def factors(self, us):
+        """``ExtendedKernelEval.factors`` of this kernel: A_i, B_i are point
+        i's ``_point_factors`` on one v grid, and the heat propagator
+        between points stands in the walk term's place, walk[i, j] =
+        H(x_i - x_j)(u_i, u_j) for x_i > x_j only (block upper triangular
+        only where the x decrease)."""
         if len(us) != len(self.spec.x):
             raise ValueError(f"need {len(self.spec.x)} node arrays, "
                              f"got {len(us)}")
+        return self._factors(range(len(us)), us)
+
+    def _factors(self, points, us):
+        """``factors`` of the points ``points`` on the node arrays ``us``,
+        indexed by position in ``points``."""
+        us = [np.atleast_1d(np.asarray(u, dtype=float)) for u in us]
+        x = [self.spec.x[i] for i in points]
         sch = self._v_scheme(float(max(self._u_hi, *(u.max() for u in us)))
                              + self.v_pad)
         heat = {}
         facs = [self._point_factors(i, u, sch, heat)
-                for i, u in enumerate(us)]
-        offs = np.cumsum([0] + [u.size for u in us])
-        out = np.zeros((offs[-1], offs[-1]))
-        for i, ui in enumerate(us):
-            for j, uj in enumerate(us):
-                self._fill(out[offs[i]:offs[i + 1], offs[j]:offs[j + 1]],
-                           i, j, ui, uj, facs[i][0], facs[j][1])
-        return out
+                for i, u in zip(points, us)]
+        walk = {(i, j): heat2(x[i] - x[j], us[i][:, None], us[j][None, :])
+                for i in range(len(x)) for j in range(len(x)) if x[i] > x[j]}
+        return facs, walk
 
     def _point_factors(self, i, u, sch, heat):
-        """Carries and ends of point i on nodes u over the v nodes of
-        ``sch``: the weighted carry C_k and the right factor S_fp(T, a_k -
-        x_i; v - u) per wedge k.  ``heat`` holds the propagators per gap,
-        filled on first use."""
+        """(A, B) of point i on nodes u over the V v nodes of ``sch``, one
+        block of V rows per wedge k: the weighted carry C_k w in A and the
+        right factor S_fp(T, a_k - x_i; v - u) in B.  ``heat`` holds the
+        propagators per gap, filled on first use."""
         spec, T = self.spec, self.spec.T
         x, wedges = spec.x[i], spec.wedges
         nodes, w = sch.nodes, sch.weights
         arg = nodes[:, None] - u[None, :]
-        carries, rights = [], []
+        carries = np.empty((len(wedges), nodes.size, u.size))
+        rights = np.empty_like(carries)
         for k, a in enumerate(wedges):
             off = x - a
             airy = _fp_airy(T, off, arg)
             left = s_fp(T, off, arg, airy=airy)
             # S_fp(T, -0) is S_fp(T, 0): at offset 0 one call serves both
-            rights.append(left if off == 0 else s_fp(T, -off, arg, airy=airy))
-            carry = left * w[:, None]
+            rights[k] = left if off == 0 else s_fp(T, -off, arg, airy=airy)
+            carries[k] = left * w[:, None]
             for j in range(k):
                 g = wedges[j] - a
                 if g not in heat:
                     heat[g] = heat2(g, nodes[:, None], nodes[None, :])
                 # the propagator is symmetric: H^T C = H C
-                carry -= (heat[g] @ carries[j]) * w[:, None]
-            carries.append(carry)
-        return carries, rights
-
-    def _fill(self, out, i, j, ui, uj, carries, rights):
-        """Add the (i, j) block to ``out`` from point i's carries and point
-        j's right factors."""
-        xi, xj = self.spec.x[i], self.spec.x[j]
-        if xi > xj:
-            out -= heat2(xi - xj, ui[:, None], uj[None, :])
-        for carry, right in zip(carries, rights):
-            out += carry.T @ right
+                carries[k] -= (heat[g] @ carries[j]) * w[:, None]
+        shape = (len(wedges) * nodes.size, u.size)
+        return carries.reshape(shape), rights.reshape(shape)
 
 
 def fixedpoint_probability(spec: FixedPointSpec, target: float = 1e-7,
@@ -300,8 +304,7 @@ def fixedpoint_probability(spec: FixedPointSpec, target: float = 1e-7,
     def system_at(order, pad):
         intervals = tuple((-aj - pad, -aj) for aj in spec.a_out)
         return NystromSystem(intervals=intervals, order=order,
-                             kernel=kern.matrix, max_panel=max_panel,
-                             pad_side="lower")
+                             kernel=kern.matrix, max_panel=max_panel)
 
     return refine(system_at, order, pad,
                   lambda pad: pad + 6.0 * T ** (1.0 / 3.0),
@@ -331,8 +334,7 @@ def tracy_widom_gue_cdf(s: float, order: int = 40) -> float:
         return out
 
     system = NystromSystem(intervals=((s, s + 40.0),), order=order,
-                           kernel=k_airy, max_panel=1.5,
-                           pad_side="upper")
+                           kernel=k_airy, max_panel=1.5)
     return float(system.det())
 
 

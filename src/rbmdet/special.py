@@ -265,21 +265,6 @@ _AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 _AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
 
 
-def _airy_taylor_step(c, a, b, h, nterms=40):
-    """March y'' = x y from (y(c), y'(c)) = (a, b) to c + h by Taylor series."""
-    T = [a, b]
-    for k in range(nterms - 2):
-        prev = T[k - 1] if k >= 1 else 0.0
-        T.append((c * T[k] + prev) / ((k + 1) * (k + 2)))
-    y = 0.0
-    yp = 0.0
-    for k in range(len(T) - 1, -1, -1):
-        y = y * h + T[k]
-        if k >= 1:
-            yp = yp * h + k * T[k]
-    return y, yp
-
-
 def _asy_coeffs(kmax=40):
     c = [1.0]
     d = [1.0]
@@ -292,30 +277,6 @@ def _asy_coeffs(kmax=40):
 
 
 _ASY_C, _ASY_D = _asy_coeffs()
-
-
-def _asy_series(coeffs, zinv):
-    """Optimally truncated sum of coeffs[k] * (-zinv)^k."""
-    total = 0.0
-    term_prev = math.inf
-    x = 1.0
-    for k, ck in enumerate(coeffs):
-        term = ck * x
-        if abs(term) > abs(term_prev):
-            break
-        total += term
-        term_prev = term
-        x *= -zinv
-    return total
-
-
-def _airy_asy_pos(x: float):
-    """(Ai, Ai') for large positive x via the exponential asymptotics."""
-    zeta = 2.0 / 3.0 * x ** 1.5
-    pre = math.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-    ai = pre * x ** -0.25 * _asy_series(_ASY_C, 1.0 / zeta)
-    aip = -pre * x ** 0.25 * _asy_series(_ASY_D, 1.0 / zeta)
-    return ai, aip
 
 
 def _build_airy_anchors():
@@ -331,11 +292,10 @@ def _build_airy_anchors():
     aip = np.empty(n)
     i0 = int(round((0.0 - _AIRY_LO) / _AIRY_STEP))
     # downward march from the asymptotic seed at the right end
-    a, b = _airy_asy_pos(grid[-1])
-    ai[-1], aip[-1] = a, b
+    ai[-1:], aip[-1:] = _airy_asy_pos_vec(grid[-1:])
     for i in range(n - 2, -1, -1):
-        a, b = _airy_taylor_step(grid[i + 1], a, b, -_AIRY_STEP)
-        ai[i], aip[i] = a, b
+        ai[i], aip[i] = _airy_taylor_batch(grid[i + 1], ai[i + 1], aip[i + 1],
+                                           -_AIRY_STEP, nterms=40)
     drift = max(abs(ai[i0] - _AI0), abs(aip[i0] - _AIP0))
     if drift > 1e-12:
         raise RuntimeError(f"Airy anchor march inconsistent at 0: {drift:.2e}")
@@ -354,7 +314,7 @@ def _airy_anchor_table():
 
 
 def _airy_taylor_batch(c, a, b, h, nterms=26):
-    """Taylor march from a single anchor to a vector of offsets h."""
+    """Taylor march from a single anchor to offsets h (array or scalar)."""
     T = [a, b]
     for k in range(nterms - 2):
         prev = T[k - 1] if k >= 1 else 0.0

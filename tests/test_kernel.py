@@ -418,7 +418,6 @@ def _column_factor_per_node(kern, ns, z, state):
         for a, e in enumerate(eta):
             law = hitting_law_exact(
                 blocks(kern.spec.ic), float(e), kern.spec.n_max,
-                order=kernel_mod._B_ORDER,
                 panel_max=min(kernel_mod._B_PANEL, 4 * kern._airy_w))
             for ell, comp in law.components.items():
                 per_block.setdefault(ell, []).append(

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from rbmdet import scaling as sc
 from rbmdet import special
 from rbmdet.fredholm import NystromSystem
+from rbmdet.kernel import factored_matrix
 
 # the benchmark's two-wedge, two-point query
 FP2_SPEC = dict(wedges=(0.0, -1.0), T=1.0, x=(0.0, 0.5), a_out=(0.0, 0.5))
@@ -340,7 +341,8 @@ class TestFixedPointSharedFactors:
         kern = sc.FixedPointKernel(spec, order=24)
         sch = kern._v_scheme(kern.v_pad)
         carries, rights = kern._point_factors(0, u[0], sch, {})
-        assert len(carries) == len(rights) == len(spec.wedges)
+        assert carries.shape == rights.shape \
+            == (len(spec.wedges) * sch.size, u[0].size)
         ref = np.block([[_fp_block_per_subset(kern, i, j, u[i], u[j])
                          for j in range(2)] for i in range(2)])
         np.testing.assert_allclose(kern.matrix(u), ref, rtol=0, atol=1e-14)
@@ -362,6 +364,9 @@ V_GRID_SPECS = [
     dict(wedges=(0.0, -0.5, -2.0), T=27.0, x=(0.0, 0.5),
          a_out=(-1.6, 0.9)),
     dict(wedges=(0.0, -0.01), T=27.0, x=(0.0, 0.5), a_out=(0.0, -0.5)),
+    # u nodes up to 2.4 at T = 1e-4: Ai's wavelength in v, 2 pi sqrt(T /
+    # 2.4) = 0.04, sets the panel (the 1/4 floor was 1.7e-5 max|K| off)
+    dict(wedges=(0.0,), T=1e-4, x=(0.0,), a_out=(-2.4,)),
 ]
 
 
@@ -401,6 +406,30 @@ class TestFixedPointVGrid:
         sc.fixedpoint_probability(sc.FixedPointSpec(**FP2_SPEC))
         assert schemes and all(s.order == 24 for s in schemes)
         assert max(s.size for s in schemes) <= 200
+
+
+class TestFixedPointFactors:
+    @pytest.mark.parametrize("x, keys", [((0.0, 0.5), {(1, 0)}),
+                                         ((0.5, 0.0), {(0, 1)}),
+                                         ((0.3, 0.3), set())])
+    def test_factored_form_multiplies_out_to_the_matrix(self, x, keys):
+        spec = sc.FixedPointSpec(wedges=(0.0, -1.0), T=1.0, x=x,
+                                 a_out=(0.0, 0.5))
+        kern = sc.FixedPointKernel(spec)
+        us = _fp_round_one_nodes(spec)
+        facs, walk = kern.factors(us)
+        # the heat term between points stands where x_i > x_j only
+        assert set(walk) == keys
+        full = kern.matrix(us)
+        assert np.array_equal(factored_matrix(facs, walk), full)
+        # every u node lies below the top of the v grid, so a block and
+        # the matrix share it
+        offs = np.cumsum([0] + [u.size for u in us])
+        for i in range(2):
+            for j in range(2):
+                assert np.array_equal(
+                    kern.block(i, j, us[i], us[j]),
+                    full[offs[i]:offs[i + 1], offs[j]:offs[j + 1]])
 
 
 class TestFixedPointProbability:

@@ -383,6 +383,22 @@ class TestAiry:
         assert err_shift < 5e-3
 
 
+    def test_anchor_table_pinned(self):
+        # entries of the marched anchor table as the table built by a
+        # scalar Taylor stepper and asymptotic seed gave them (float.hex)
+        grid, ai, aip = sp._build_airy_anchors()
+        pinned = {
+            -20.0: ("-0x1.69479d94e9675p-3", "0x1.c9255202fe18bp-1"),
+            -5.0: ("0x1.672de4d9e1d41p-2", "0x1.4f0ba25cb5a7ep-2"),
+            0.25: ("0x1.2a26e236cdddcp-2", "-0x1.fe1446cddeab0p-3"),
+            5.0: ("0x1.c66df1a2952e4p-14", "-0x1.036ea91e217e9p-12"),
+            12.0: ("0x1.39b7a11f5a8f7p-43", "-0x1.114c208e15bebp-41"),
+        }
+        for x, (a, b) in pinned.items():
+            (i,) = np.flatnonzero(grid == x)
+            assert float(ai[i]).hex() == a and float(aip[i]).hex() == b
+
+
 class TestContour:
     def test_sbar_unit_residue(self):
         # n=1 reduces to exp(z2 - z1), equal to 1 on the diagonal
