@@ -158,7 +158,7 @@ def gram(ic: InitialCondition, n: int, t: float, order: int = 24) -> np.ndarray:
     for _ in range(4):
         w = math.sqrt(2.0 * t * (40.0 + (n - 1) * math.log(spread + w)))
     lo, hi = min(levels) - w, max(levels) + w
-    scheme = build_scheme([(lo, hi)], order=order,
+    scheme = build_scheme(lo, hi, order=order,
                           max_panel=max(0.5 * math.sqrt(t), 0.5))
     xs = scheme.nodes
     psi = np.empty((n, xs.size))

@@ -56,9 +56,9 @@ class NystromSystem:
     def __post_init__(self):
         if self.schemes is None:
             schemes = tuple(
-                build_scheme([iv], order=self.order, splits=self.splits,
+                build_scheme(lo, hi, order=self.order, splits=self.splits,
                              max_panel=self.max_panel)
-                for iv in self.intervals)
+                for lo, hi in self.intervals)
             object.__setattr__(self, "schemes", schemes)
 
     @property
@@ -105,10 +105,10 @@ class NystromSystem:
         keep, intervals = [], []
         pos = 0
         for (lo, hi), sch in zip(self.intervals, self.schemes):
-            edges = sch.edges[0]
-            p = int(np.searchsorted(edges, lo + min(amount, 0.5 * (hi - lo)),
+            p = int(np.searchsorted(sch.edges,
+                                    lo + min(amount, 0.5 * (hi - lo)),
                                     side="left"))
-            intervals.append((float(edges[p]), hi))
+            intervals.append((float(sch.edges[p]), hi))
             keep.append(np.arange(pos + p * self.order, pos + sch.size))
             pos += sch.size
         return np.concatenate(keep), tuple(intervals)
@@ -302,7 +302,8 @@ def rbm_probability(spec: KernelSpec, a, target: float = 1e-6,
     pads converge.  ``refine`` starts at ``order`` (40 by default) and, for
     at most ``max_rounds`` rounds (4), doubles the order and grows the pad
     by 3 sqrt(t) + 2 until the error estimate is below ``target``, with a
-    floor of 1e-14 in the [0, 1] check.
+    floor of 1e-14 in the [0, 1] check.  A shared ``kern`` must have been
+    built for ``spec``.
     """
     a = [float(v) for v in np.atleast_1d(a)]
     if len(a) != len(spec.indices):
@@ -314,6 +315,8 @@ def rbm_probability(spec: KernelSpec, a, target: float = 1e-6,
         pad = 10.0 * math.sqrt(t) + (spec.ic.max_level - spec.ic.min_level)
     if kern is None:
         kern = kernel_eval(spec)
+    elif kern.spec != spec:
+        raise ValueError("kern was built for another spec")
     # panels resolve the bulk oscillation of psi_n in the z variables
     max_panel = 1.5 * math.pi * math.sqrt(t / spec.n_max)
     splits = tuple(spec.ic.levels)

@@ -29,7 +29,7 @@ from scipy.special import gammaincc, gammaln
 
 from .errors import ConvergenceError
 from .initial_data import InitialCondition, StepProfile, blocks
-from .quad import gauss_legendre_panels
+from .quad import build_scheme
 
 
 def q_exp_pow(m: int, x, y):
@@ -240,11 +240,10 @@ def _pieces_to_component(ell, pieces, x0, panel_max):
         if p.hi - p.lo < 1e-13:
             continue
         mass += p.exp_mass(x0)
-        ns, ws, _ = gauss_legendre_panels(p.lo, p.hi, order=_LAW_ORDER,
-                                          max_panel=panel_max)
-        nodes.append(ns)
-        weights.append(ws)
-        values.append(np.exp(ns - x0) * p.eval_poly(ns))
+        sch = build_scheme(p.lo, p.hi, order=_LAW_ORDER, max_panel=panel_max)
+        nodes.append(sch.nodes)
+        weights.append(sch.weights)
+        values.append(np.exp(sch.nodes - x0) * p.eval_poly(sch.nodes))
     if not nodes or mass <= 0:
         return None
     return LawComponent(
@@ -343,8 +342,9 @@ def _law_inclusion_exclusion(blks, eta, n_max, panel_max):
         cut = blk.level
         if eta <= cut:
             continue
-        nodes, weights, _ = gauss_legendre_panels(
-            cut, eta, order=_LAW_ORDER, splits=levels, max_panel=panel_max)
+        sch = build_scheme(cut, eta, order=_LAW_ORDER, splits=levels,
+                           max_panel=panel_max)
+        nodes = sch.nodes
         acc = np.zeros_like(nodes)
         mass = 0.0
         earlier = blks[:j]
@@ -379,7 +379,7 @@ def _law_inclusion_exclusion(blks, eta, n_max, panel_max):
         no_hit -= mass
         if mass > 1e-15:
             components[blk.start] = LawComponent(
-                ell=blk.start, nodes=nodes, weights=weights, values=acc,
+                ell=blk.start, nodes=nodes, weights=sch.weights, values=acc,
                 mass=mass)
     return HittingLaw(start=eta, horizon=n_max, atom_mass=0.0,
                       components=components, survivor_mass=0.0,

@@ -115,10 +115,6 @@ class StepProfile:
             if blk.length is not None and blk.length <= 0:
                 raise ValueError("block lengths must be positive")
 
-    @property
-    def starts(self):
-        return [b.start for b in self.blocks]
-
     def blocks_within(self, horizon: int):
         """Blocks whose start epoch is < horizon."""
         return [b for b in self.blocks if b.start < horizon]

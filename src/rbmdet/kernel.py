@@ -100,7 +100,7 @@ def _volterra_leg_matrix(m: int, src: Scheme, tgt: np.ndarray) -> np.ndarray:
     order = src.order
     refx, lam = _bary_ref(order)
     glx, glw = _gl_rule(order)
-    edges = src.edges[0]
+    edges = src.edges
     T = np.zeros((tgt.size, src.nodes.size))
     for p in range(len(edges) - 1):
         a, b = edges[p], edges[p + 1]
@@ -125,22 +125,46 @@ def _volterra_leg_matrix(m: int, src: Scheme, tgt: np.ndarray) -> np.ndarray:
     return T
 
 
+def _s(t, n, x):
+    """S(t, n) at x = z1 - z2, through the log-scale psi form.
+
+    Negative n is the smoothed kernel obtained by collapsing walk
+    transition powers into the S index, (S_n)* Q^l = (S_{n-l})*, which for
+    l > n turns the heat derivative into a repeated Gaussian integral.
+    """
+    if n >= 0:
+        la, sg = special.psi_log(n, t, x)
+        return sg * np.exp(la + x)
+    m = -n
+    j = _bo.gauss_repeated_integral(m, -x / math.sqrt(t))
+    return np.exp(x) * t ** ((m - 1) / 2.0) * j
+
+
+def _sbar(t, n, x):
+    """Sbar(t, n) at x = z1 - z2, n >= 1."""
+    la, sg = special.psibar_log(n - 1, t, x)
+    return sg * np.exp(la - x)
+
+
+def _s_sbar(t, n, x):
+    """S(t, n) and Sbar(t, n) at x = z1 - z2, n >= 1, from one recurrence;
+    bitwise equal to ``_s`` and ``_sbar``."""
+    (la, sg), (lb, sb) = special.psi_psibar_log(n, t, x)
+    return sg * np.exp(la + x), sb * np.exp(lb - x)
+
+
 def s_ops(kind: str, t: float, n: int, z1, z2):
     """S (kind="S", n >= 0) or Sbar (kind="Sbar", n >= 1) at (z1, z2),
     vectorized, computed through the log-scale psi forms."""
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    x = z1 - z2
+    x = np.asarray(z1, dtype=float) - np.asarray(z2, dtype=float)
     if kind == "S":
         if n < 0:
             raise ValueError("kind='S' requires n >= 0")
-        la, sg = special.psi_log(n, t, x)
-        out = sg * np.exp(la + x)
+        out = _s(t, n, x)
     elif kind == "Sbar":
         if n < 1:
             raise ValueError("kind='Sbar' requires n >= 1")
-        la, sg = special.psibar_log(n - 1, t, x)
-        out = sg * np.exp(la - x)
+        out = _sbar(t, n, x)
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return float(out) if out.ndim == 0 else out
@@ -167,6 +191,9 @@ class KernelSpec:
     def __post_init__(self):
         if not 0 < self.t < math.inf:
             raise ValueError(f"t must be finite and > 0, got {self.t}")
+        if not all(math.isfinite(n) and n == int(n) for n in self.indices):
+            raise ValueError(f"indices must be whole numbers, got "
+                             f"{self.indices}")
         idx = tuple(int(n) for n in self.indices)
         if not idx or any(n < 1 for n in idx) or \
                 any(b <= a for a, b in zip(idx[:-1], idx[1:])):
@@ -207,12 +234,14 @@ class ExtendedKernelEval:
 
     In every representation a block is A(n_i, z_i)^T B(n_j, z_j) minus
     the walk term, with A and B from ``_line_factors``.  Both depend on
-    one index line only, so ``factors`` builds (A, B) once per line, under
-    one discretization for the whole assembly, and keeps no factor after
-    the call; ``block`` builds line i's A and line j's B only.  A
-    determinant needs no N x N matrix from the factors (see ``fredholm``);
-    ``matrix`` multiplies them out.  S_n and Sbar_n on a line's atom nodes
-    share an argument and come from one Hermite recurrence to degree n.
+    one index line only, so ``factors`` builds the pair (A, B) once per
+    line, under one discretization for the whole assembly, and keeps no
+    factor after the call; ``block`` takes A from line i's pair and B from
+    line j's.  A determinant needs no N x N matrix from the factors (see
+    ``fredholm``); ``matrix`` multiplies them out.  S and Sbar come from
+    the module's ``_s``, ``_sbar`` and ``_s_sbar``; S_n and Sbar_n on a
+    line's atom nodes share an argument and come from one Hermite
+    recurrence to degree n.
     """
 
     def __init__(self, spec: KernelSpec):
@@ -255,8 +284,8 @@ class ExtendedKernelEval:
         zj = np.atleast_1d(np.asarray(zj, dtype=float))
         self._count(zi.size * zj.size)
         state = self._discretization((zi, zj))
-        a, _ = self._line_factors(ni, zi, state, col=False)
-        _, b = self._line_factors(nj, zj, state, row=False)
+        a, _ = self._line_factors(ni, zi, state)
+        _, b = self._line_factors(nj, zj, state)
         out = a[:len(b)].T @ b
         if ni < nj:
             out = out - q_exp_pow(nj - ni, zi[:, None], zj[None, :])
@@ -322,7 +351,7 @@ class ExtendedKernelEval:
         if spec.representation == "operator_step":
             # one eta scheme per block (None above upper) and one Volterra
             # leg per block pair; a rebuild replaces them all
-            schemes = [build_scheme([(b.level, upper)], order=_ETA_ORDER,
+            schemes = [build_scheme(b.level, upper, order=_ETA_ORDER,
                                     splits=levels, max_panel=panel)
                        if upper > b.level else None for b in blks]
             legs = {(j, k): _volterra_leg_matrix(
@@ -333,7 +362,7 @@ class ExtendedKernelEval:
             state["chains"] = (schemes, legs)
             return state
         if math.isfinite(c0) and upper > c0:
-            sch = build_scheme([(c0, upper)], order=_ETA_ORDER,
+            sch = build_scheme(c0, upper, order=_ETA_ORDER,
                                splits=splits, max_panel=panel)
             state["atom"] = (sch.nodes, sch.weights)
         law_hi = min(c0, upper)
@@ -364,10 +393,10 @@ class ExtendedKernelEval:
         Nothing here depends on the upper end beyond law_hi, so a rebuild
         that leaves law_hi unchanged reuses the layer.
         """
-        sch = build_scheme([(law_lo, law_hi)], order=_ETA_ORDER,
-                           splits=splits, max_panel=panel)
+        sch = build_scheme(law_lo, law_hi, order=_ETA_ORDER, splits=splits,
+                           max_panel=panel)
         refx, lam = _bary_ref(_ETA_ORDER)
-        edges = sch.edges[0]
+        edges = sch.edges
         per_block = {}
         for a, e in enumerate(sch.nodes):
             law = hitting_law_exact(self._profile, float(e), self.spec.n_max,
@@ -399,38 +428,8 @@ class ExtendedKernelEval:
             epochs[ell] = (rows, cols, w.reshape(shape))
         return sch.nodes, sch.weights, epochs
 
-    def _s_matrix(self, n, eta, z):
-        """S(t, n; eta, z) on eta x z.
-
-        Negative n is the smoothed kernel obtained by collapsing walk
-        transition powers into the S index, (S_n)* Q^l = (S_{n-l})*, which
-        for l > n turns the heat derivative into a repeated Gaussian
-        integral.
-        """
-        t = self.spec.t
-        x = eta[:, None] - z[None, :]
-        if n >= 0:
-            la, sg = special.psi_log(n, t, x)
-            return sg * np.exp(la + x)
-        m = -n
-        j = _bo.gauss_repeated_integral(m, -x / math.sqrt(t))
-        return np.exp(x) * t ** ((m - 1) / 2.0) * j
-
-    def _sbar_vec(self, n, b, z):
-        """Sbar(t, n; b, z) on b x z."""
-        x = b[:, None] - z[None, :]
-        la, sg = special.psibar_log(n - 1, self.spec.t, x)
-        return sg * np.exp(la - x)
-
-    def _s_sbar(self, n, eta, z):
-        """S(t, n; eta, z) and Sbar(t, n; eta, z) on eta x z, n >= 1, from
-        one recurrence; bitwise equal to ``_s_matrix`` and ``_sbar_vec``."""
-        x = eta[:, None] - z[None, :]
-        (la, sg), (lb, sb) = special.psi_psibar_log(n, self.spec.t, x)
-        return sg * np.exp(la + x), sb * np.exp(lb - x)
-
-    def _line_factors(self, n, z, state, row=True, col=True):
-        """(A, B) of line n on nodes z; a factor not asked for is None.
+    def _line_factors(self, n, z, state):
+        """(A, B) of line n on nodes z.
 
         The rows are the representation's layer: the eta nodes
         (hitting), every block's eta nodes (operator_step,
@@ -443,38 +442,29 @@ class ExtendedKernelEval:
         epoch's law nodes fall among, times its folded weights
         (``_law_layer``).
         """
-        rep = self.spec.representation
+        rep, t = self.spec.representation, self.spec.t
         if rep == "operator_step":
-            return self._chain_factors(n, z, state, row, col)
+            return self._chain_factors(n, z, state)
         if rep == "biorth":
-            return self._biorth_factors(n, z, row, col)
+            return self._biorth_factors(n, z)
         rows = [np.empty((0, z.size))]
         cols = [np.empty((0, z.size))]
         if state["atom"] is not None:
             nodes, w = state["atom"]
-            if row and col:
-                s, sbar = self._s_sbar(n, nodes, z)
-            else:
-                s = self._s_matrix(n, nodes, z) if row else None
-                sbar = self._sbar_vec(n, nodes, z) if col else None
-            if row:
-                rows.append(s * w[:, None])
-            if col:
-                cols.append(sbar)
+            s, sbar = _s_sbar(t, n, nodes[:, None] - z[None, :])
+            rows.append(s * w[:, None])
+            cols.append(sbar)
         if state["law"] is not None:
             eta, w_eta, epochs = state["law"]
-            if row:
-                rows.append(self._s_matrix(n, eta, z) * w_eta[:, None])
-            if col:
-                g = np.zeros((eta.size, z.size))
-                for ell, (r, c, w) in epochs.items():
-                    if ell < n:
-                        g[r] += w @ self._sbar_vec(n - ell, eta[c], z)
-                cols.append(g)
-        return (np.concatenate(rows) if row else None,
-                np.concatenate(cols) if col else None)
+            rows.append(_s(t, n, eta[:, None] - z[None, :]) * w_eta[:, None])
+            g = np.zeros((eta.size, z.size))
+            for ell, (r, c, w) in epochs.items():
+                if ell < n:
+                    g[r] += w @ _sbar(t, n - ell, eta[c, None] - z[None, :])
+            cols.append(g)
+        return np.concatenate(rows), np.concatenate(cols)
 
-    def _chain_factors(self, n, z, state, row, col):
+    def _chain_factors(self, n, z, state):
         """Operator-step factors of line n, one row group per block k with
         an eta scheme, in start order.
 
@@ -483,42 +473,36 @@ class ExtendedKernelEval:
         k.  B holds Sbar(n - s_k) for the leading blocks with s_k < n only:
         the later blocks' rows would be zero.
         """
+        t = self.spec.t
         schemes, legs = state["chains"]
         blks = self._profile.blocks_within(self.spec.n_max)
-        live = [(k, blk.start, sch)
-                for k, (blk, sch) in enumerate(zip(blks, schemes))
-                if sch is not None]
-        a = b = None
-        if row:
-            carries, rows = {}, [np.empty((0, z.size))]
-            for k, start, sch in live:
-                # all leading walk powers collapsed into the index
-                carry = self._s_matrix(n - start, sch.nodes, z)
-                for j, prev in carries.items():
-                    carry -= legs[j, k] @ prev
-                carries[k] = carry
-                rows.append(carry * sch.weights[:, None])
-            a = np.concatenate(rows)
-        if col:
-            b = np.concatenate([np.empty((0, z.size))] + [
-                self._sbar_vec(n - start, sch.nodes, z)
-                for _, start, sch in live if start < n])
-        return a, b
+        carries = {}
+        rows, cols = [np.empty((0, z.size))], [np.empty((0, z.size))]
+        for k, (blk, sch) in enumerate(zip(blks, schemes)):
+            if sch is None:
+                continue
+            x = sch.nodes[:, None] - z[None, :]
+            # all leading walk powers collapsed into the index
+            carry = _s(t, n - blk.start, x)
+            for j, prev in carries.items():
+                carry -= legs[j, k] @ prev
+            carries[k] = carry
+            rows.append(carry * sch.weights[:, None])
+            if blk.start < n:
+                cols.append(_sbar(t, n - blk.start, x))
+        return np.concatenate(rows), np.concatenate(cols)
 
-    def _biorth_factors(self, n, z, row, col):
+    def _biorth_factors(self, n, z):
         """Biorthogonal factors of line n on the rows k = 1..n_max: A_k =
         Psi^n_{n-k}(z) e^{-z}, and B_k = Phi^n_{n-k}(z) e^{z} for k <= n,
         zero above (every line's B has the full height)."""
         spec = self.spec
-        a = b = None
-        if row:
-            a = np.array([_bo.psi_n_k(spec.ic, n, n - k, spec.t, z)
-                          for k in range(1, spec.n_max + 1)]) * np.exp(-z)
-        if col:
-            b = np.zeros((spec.n_max, z.size))
-            for k, phi in enumerate(reversed(self._phi_tables[n])):
-                b[k] = phi(z)
-            b *= np.exp(z)
+        a = np.array([_bo.psi_n_k(spec.ic, n, n - k, spec.t, z)
+                      for k in range(1, spec.n_max + 1)]) * np.exp(-z)
+        b = np.zeros((spec.n_max, z.size))
+        for k, phi in enumerate(reversed(self._phi_tables[n])):
+            b[k] = phi(z)
+        b *= np.exp(z)
         return a, b
 
 

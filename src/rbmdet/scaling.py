@@ -217,7 +217,7 @@ class FixedPointKernel:
                             8.0 * math.sqrt(2.0 * gap), wave)
 
     def _v_scheme(self, upper: float):
-        return build_scheme([(0.0, upper)], order=self.order,
+        return build_scheme(0.0, upper, order=self.order,
                             max_panel=self._v_panel)
 
     def block(self, i: int, j: int, ui, uj) -> np.ndarray:

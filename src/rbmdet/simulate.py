@@ -91,10 +91,6 @@ class NoiseField:
     def n_steps(self) -> int:
         return self.increments.shape[1]
 
-    @property
-    def horizon(self) -> float:
-        return self.n_steps * self.dt
-
     def paths(self, start=None) -> np.ndarray:
         """Brownian paths W_k(t_i) on the grid (column 0 is the start)."""
         n, m = self.increments.shape

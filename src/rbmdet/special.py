@@ -487,6 +487,17 @@ def _contour_s_line(t, n, x, delta, width, step):
     return step * np.sum(vals) / math.pi, step * np.sum(np.abs(vals)) / math.pi
 
 
+def _contour_sbar_circle(t, n, x, r, m):
+    """Periodic trapezoid with m points on the circle |w| = r.
+
+    Returns (value, scale) as ``_contour_s_line`` does.
+    """
+    theta = 2.0 * math.pi * np.arange(m) / m
+    w = r * np.exp(1j * theta)
+    vals = (w ** (1 - n) * np.exp(-0.5 * t * w * w + (w - 1.0) * x)).real
+    return float(np.mean(vals)), float(np.mean(np.abs(vals)))
+
+
 def contour_eval(kind: str, t: float, n: int, z1: float, z2: float,
                  tol: float = 1e-10, with_error: bool = False):
     """Contour-integral value of the S (kind="S", n >= 0) or Sbar
@@ -497,7 +508,9 @@ def contour_eval(kind: str, t: float, n: int, z1: float, z2: float,
     (worst near n ~ 20), so the refinement accepts at the double-precision
     cancellation floor and, with ``with_error``, returns
     (value, achieved error estimate).  Raises ConvergenceError with the
-    achieved error when refinement stalls above both tolerances.
+    achieved error when refinement stalls above both tolerances.  One loop
+    refines both: the line's step is halved and the circle's point count
+    doubled, up to 12 and 9 times.
     """
     if t <= 0:
         raise ValueError("t must be > 0")
@@ -516,44 +529,27 @@ def contour_eval(kind: str, t: float, n: int, z1: float, z2: float,
         width = math.sqrt(2.0 * (709.0) / t)  # beyond this the integrand underflows
         width = min(width, 20.0 / math.sqrt(t) + 10.0)
         step = min(0.25 / math.sqrt(t), 0.5 / (1.0 + abs(x)))
-        prev, _ = _contour_s_line(t, n, x, delta, width, step)
-        best_err = math.inf
-        for _ in range(12):
-            step *= 0.5
-            cur, scale = _contour_s_line(t, n, x, delta, width, step)
-            err = abs(cur - prev)
-            best_err = min(best_err, err)
-            if err <= max(tol * max(1.0, abs(cur)), 2e-16 * scale):
-                return done(cur, max(err, 1e-16 * scale))
-            prev = cur
-        if best_err <= 1e-13 * scale:
-            return done(cur, max(best_err, 1e-16 * scale))
-        raise ConvergenceError(
-            f"S contour stalled (err={err:.2e})", value=cur, error_estimate=err)
-    if kind == "Sbar":
+        runs = (_contour_s_line(t, n, x, delta, width, step / 2 ** k)
+                for k in range(13))
+    elif kind == "Sbar":
         if n < 1:
             raise ValueError("kind='Sbar' requires n >= 1")
         r = (-abs(x) + math.sqrt(x * x + 4.0 * t * max(n - 1, 1))) / (2.0 * t)
         r = max(r, 0.3)
-        m = max(64, 4 * n)
-        prev = None
-        best_err = math.inf
-        for _ in range(10):
-            theta = 2.0 * math.pi * np.arange(m) / m
-            w = r * np.exp(1j * theta)
-            vals = (w ** (1 - n) * np.exp(-0.5 * t * w * w + (w - 1.0) * x)).real
-            cur = float(np.mean(vals))
-            scale = float(np.mean(np.abs(vals)))
-            if prev is not None:
-                err = abs(cur - prev)
-                best_err = min(best_err, err)
-                if err <= max(tol * max(1.0, abs(cur)), 2e-16 * scale):
-                    return done(cur, max(err, 1e-16 * scale))
-            prev = cur
-            m *= 2
-        if best_err <= 1e-13 * scale:
-            return done(cur, max(best_err, 1e-16 * scale))
-        raise ConvergenceError(
-            f"Sbar contour stalled (err={err:.2e})", value=cur,
-            error_estimate=err)
-    raise ValueError(f"unknown kind {kind!r}")
+        runs = (_contour_sbar_circle(t, n, x, r, max(64, 4 * n) * 2 ** k)
+                for k in range(10))
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    prev, _ = next(runs)
+    best_err = math.inf
+    for cur, scale in runs:
+        err = abs(cur - prev)
+        best_err = min(best_err, err)
+        if err <= max(tol * max(1.0, abs(cur)), 2e-16 * scale):
+            return done(cur, max(err, 1e-16 * scale))
+        prev = cur
+    if best_err <= 1e-13 * scale:
+        return done(cur, max(best_err, 1e-16 * scale))
+    raise ConvergenceError(
+        f"{kind} contour stalled (err={err:.2e})", value=cur,
+        error_estimate=err)

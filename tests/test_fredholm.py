@@ -11,29 +11,28 @@ from rbmdet import scaling as sc
 from rbmdet.errors import ConvergenceError
 from rbmdet.fredholm import (DetResult, NystromSystem, fredholm_det,
                              rbm_probability)
-from rbmdet.kernel import KernelSpec
+from rbmdet.kernel import KernelSpec, kernel_eval
 from rbmdet.quad import build_scheme
 from rbmdet.scaling import tracy_widom_gue_cdf
 
 
 class TestBuildQuadrature:
     def test_order_two_nodes(self):
-        sch = build_scheme([(-1.0, 1.0)], order=2)
+        sch = build_scheme(-1.0, 1.0, order=2)
         assert np.allclose(sorted(sch.nodes), [-1 / math.sqrt(3),
                                                1 / math.sqrt(3)])
         assert np.allclose(sch.weights, [1.0, 1.0])
 
     def test_polynomial_exactness(self):
-        sch = build_scheme([(0.0, 1.0)], order=2)
+        sch = build_scheme(0.0, 1.0, order=2)
         assert sch.integrate(sch.nodes ** 2) == pytest.approx(1 / 3,
                                                               abs=1e-15)
         assert sch.integrate(sch.nodes ** 3) == pytest.approx(1 / 4,
                                                               abs=1e-15)
 
     def test_split_point_honored(self):
-        sch = build_scheme([(0.0, 2.0)], order=8, splits=(0.7,))
-        edges = sch.edges[0]
-        assert 0.7 in edges.tolist()
+        sch = build_scheme(0.0, 2.0, order=8, splits=(0.7,))
+        assert 0.7 in sch.edges.tolist()
         # no node straddles: each panel lies on one side of the split
         assert not np.any((sch.nodes > 0.7 - 1e-12)
                           & (sch.nodes < 0.7 + 1e-12))
@@ -124,7 +123,7 @@ class TestShrunkCut:
         for (lo, hi), (clo, chi), sch in zip(system.intervals, cut,
                                              system.schemes):
             # snapped to an existing edge at least the shrink inside
-            assert hi == chi and clo >= lo + 2.0 and clo in sch.edges[0]
+            assert hi == chi and clo >= lo + 2.0 and clo in sch.edges
 
     def test_shrink_capped_at_half_interval(self):
         system = NystromSystem(intervals=((0.0, 1.0),), order=8,
@@ -154,6 +153,17 @@ class TestRbmProbability:
             res = rbm_probability(spec, [a])
             assert res.value == pytest.approx(1.0 - float(ndtr(a)),
                                               abs=1e-6)
+
+    def test_kernel_built_for_another_spec_rejected(self):
+        # the windows come from the spec and the kernel from kern.spec: a
+        # kernel of index 5 once gave index 3's query index 5's 0.0626
+        def spec(n):
+            return KernelSpec(t=1.0, indices=(n,), ic=idata.packed(0.0))
+
+        with pytest.raises(ValueError, match="another spec"):
+            rbm_probability(spec(3), [-2.0], kern=kernel_eval(spec(5)))
+        shared = rbm_probability(spec(3), [-2.0], kern=kernel_eval(spec(3)))
+        assert shared.value == pytest.approx(0.5565291087324464, abs=1e-6)
 
     def test_gaussian_shifted_start_and_time(self):
         spec = KernelSpec(t=2.5, indices=(1,), ic=idata.packed(0.7))

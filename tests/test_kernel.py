@@ -89,8 +89,6 @@ class TestSbarEpi:
 class TestCollapsedWalkPowers:
     def test_s_matrix_negative_index_matches_explicit_integral(self):
         # (S_n)* Q^l = (S_{n-l})*, including l > n where the index smoothes
-        spec = KernelSpec(t=1.1, indices=(2, 5), ic=STEP_IC)
-        kern = kernel_eval(spec)
         z = 0.4
         for n_eff, l in [(1, 1), (-2, 4), (0, 2)]:
             n = 2  # base index
@@ -100,8 +98,7 @@ class TestCollapsedWalkPowers:
                 lambda x: s_ops("S", 1.1, n, x, z)
                 * math.exp(y - x) * (x - y) ** (l - 1) / math.factorial(l - 1),
                 y, 60.0, limit=400)[0]
-            got = float(kern._s_matrix(n_eff, np.array([y]),
-                                       np.array([z]))[0, 0])
+            got = float(kernel_mod._s(1.1, n_eff, np.array([[y - z]]))[0, 0])
             assert got == pytest.approx(ref, rel=1e-9, abs=1e-11)
 
 
@@ -110,6 +107,16 @@ class TestKernelSpec:
     def test_non_finite_time_rejected(self, t):
         with pytest.raises(ValueError, match="t must be finite and > 0"):
             KernelSpec(t=t, indices=(1,), ic=idata.packed(0.0))
+
+    @pytest.mark.parametrize("index", [2.7, math.inf, math.nan, -math.inf])
+    def test_non_integral_index_rejected(self, index):
+        # an index was truncated (2.7 -> 2) or overflowed int() (inf)
+        with pytest.raises(ValueError, match="whole numbers"):
+            KernelSpec(t=1.0, indices=(1, index), ic=idata.packed(0.0))
+
+    def test_whole_float_index_accepted(self):
+        spec = KernelSpec(t=1.0, indices=(2.0, 5), ic=idata.packed(0.0))
+        assert spec.indices == (2, 5)
 
 
 class TestKernelEval:
@@ -412,6 +419,7 @@ def _column_factor_per_node(kern, ns, z, state):
     eta and scattered row by row with np.add.at: the reduction the law
     layer's folded weights replace.  Returns {n: (B, M)}, M the same
     scatter of |W||Sbar|, the scale of the rounding that B's sums carry."""
+    t = kern.spec.t
     per_block = {}
     if state["law"] is not None:
         eta = state["law"][0]
@@ -427,7 +435,7 @@ def _column_factor_per_node(kern, ns, z, state):
     for n in ns:
         cols, mags = [], []
         if state["atom"] is not None:
-            cols.append(kern._sbar_vec(n, state["atom"][0], z))
+            cols.append(kernel_mod._sbar(t, n, state["atom"][0][:, None] - z))
             mags.append(np.abs(cols[-1]))
         if state["law"] is not None:
             g = np.zeros((eta.size, z.size))
@@ -435,7 +443,8 @@ def _column_factor_per_node(kern, ns, z, state):
             for ell, items in per_block.items():
                 if ell < n:
                     src, nodes, wv = (np.concatenate(v) for v in zip(*items))
-                    terms = kern._sbar_vec(n - ell, nodes, z) * wv[:, None]
+                    terms = kernel_mod._sbar(t, n - ell, nodes[:, None] - z) \
+                        * wv[:, None]
                     np.add.at(g, src, terms)
                     np.add.at(g_abs, src, np.abs(terms))
             cols.append(g)
@@ -536,7 +545,7 @@ class TestLawLayer:
         assert state["law"] is not None
         refs = _column_factor_per_node(kern, indices, z, state)
         for n in indices:
-            _, got = kern._line_factors(n, z, state, row=False)
+            _, got = kern._line_factors(n, z, state)
             ref, _ = refs[n]
             scale = np.abs(ref).max()
             assert scale > 0
@@ -554,7 +563,7 @@ class TestLawLayer:
         state = kern._ensure(float(z.max()))
         for n, (ref, mag) in _column_factor_per_node(
                 kern, (12, 30), z, state).items():
-            _, got = kern._line_factors(n, z, state, row=False)
+            _, got = kern._line_factors(n, z, state)
             assert np.abs(got - ref).max() <= 1e-14 * mag.max()
 
     def test_sbar_once_per_eta_node(self, monkeypatch):
@@ -591,28 +600,6 @@ class TestLawLayer:
         with pytest.raises(RuntimeError, match="leave the eta scheme"):
             kern.block(3, 9, np.zeros(1), np.zeros(1))
 
-    def test_point_evaluation_builds_one_factor_per_line(self, monkeypatch):
-        # a block needs line i's row factor and line j's column factor only
-        kern = kernel_eval(KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC))
-        zi, zj = np.linspace(-5.0, 0.5, 3), np.linspace(-4.0, 0.0, 4)
-        ref = kern.block(3, 9, zi, zj)
-        seen = []
-
-        def recording(name):
-            real = getattr(ExtendedKernelEval, name)
-
-            def run(self, n, nodes, z):
-                seen.append((name, z.size))
-                return real(self, n, nodes, z)
-            return run
-
-        for name in ("_s_matrix", "_sbar_vec", "_s_sbar"):
-            monkeypatch.setattr(ExtendedKernelEval, name, recording(name))
-        assert np.array_equal(kern.block(3, 9, zi, zj), ref)
-        assert {name for name, _ in seen} == {"_s_matrix", "_sbar_vec"}
-        assert all(size == (zi.size if name == "_s_matrix" else zj.size)
-                   for name, size in seen)
-
 
 def _volterra_leg_per_target(m, src, tgt):
     """The leg matrix with every (target, panel) pair re-panelled on its
@@ -621,7 +608,7 @@ def _volterra_leg_per_target(m, src, tgt):
     order = src.order
     refx, lam = kernel_mod._bary_ref(order)
     glx, glw = _gl_rule(order)
-    edges = src.edges[0]
+    edges = src.edges
     T = np.zeros((tgt.size, src.nodes.size))
     for j, y in enumerate(tgt):
         for p in range(len(edges) - 1):
@@ -645,11 +632,10 @@ class TestVolterraLeg:
                                            (0.0, 2.0, 7)])
     def test_matches_per_target_loop(self, lo, hi, m):
         levels = [2.0, 1.5, 1.0, 0.5, 0.0, -0.5, -1.0, -1.5]
-        src = build_scheme([(lo, 6.0)], order=16, splits=levels,
-                           max_panel=0.7)
-        tgt = build_scheme([(hi, 6.0)], order=16, splits=levels,
+        src = build_scheme(lo, 6.0, order=16, splits=levels, max_panel=0.7)
+        tgt = build_scheme(hi, 6.0, order=16, splits=levels,
                            max_panel=0.7).nodes
         # targets on panel edges, above the top and below the bottom too
-        tgt = np.concatenate([tgt, src.edges[0], [6.5, lo - 2.0]])
+        tgt = np.concatenate([tgt, src.edges, [6.5, lo - 2.0]])
         assert np.array_equal(kernel_mod._volterra_leg_matrix(m, src, tgt),
                               _volterra_leg_per_target(m, src, tgt))

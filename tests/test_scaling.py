@@ -394,8 +394,8 @@ class TestFixedPointVGrid:
         fine.v_pad *= 2.0
         build = sc.build_scheme
         monkeypatch.setattr(
-            sc, "build_scheme", lambda intervals, order, max_panel: build(
-                intervals, order=order, max_panel=max_panel / 2.0))
+            sc, "build_scheme", lambda lo, hi, order, max_panel: build(
+                lo, hi, order=order, max_panel=max_panel / 2.0))
         ref = fine.matrix(us)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 

@@ -436,3 +436,53 @@ class TestContour:
                                            with_error=True)
                 assert abs(got - ref) <= max(1e-8 * max(1.0, abs(ref)),
                                              5 * err)
+
+    # (kind, t, n, z1, z2) -> value and error estimate as float.hex, pinned
+    # from the contour refinement before its S and Sbar branches shared one
+    # acceptance loop; the last two Sbar rows accept after 2 and 4 circle
+    # doublings, S at n = 20 accepts at the cancellation floor
+    PINNED = [
+        ("S", 1.0, 0, 0.3, -0.4,
+         "0x1.41f25cc964fa6p-1", "0x1.0000000000000p-53"),
+        ("S", 0.5, 2, 1.2, 0.7,
+         "-0x1.72e8fb827ebacp-1", "0x1.a4b455d20caafp-51"),
+        ("S", 1.0, 5, -0.8, 0.6,
+         "0x1.4125f0efc63dbp-5", "0x1.4780000000000p-47"),
+        ("S", 2.0, 12, -1.0, 1.5,
+         "0x1.bde11514d26d2p+0", "0x1.a5eb000000000p-34"),
+        ("S", 1.0, 20, 0.3, -0.4,
+         "-0x1.bc5056b6459c4p+28", "0x1.3f5589015c8d3p+4"),
+        ("S", 0.3, 7, 2.5, 0.0,
+         "0x1.4988d2acd07e7p+7", "0x1.a800000000000p-40"),
+        ("Sbar", 1.0, 1, 0.3, -0.4,
+         "0x1.fc80db9dd5542p-2", "0x1.ca04e3c50d0e5p-55"),
+        ("Sbar", 0.5, 2, 1.2, 0.7,
+         "0x1.368b2fc6f960ap-2", "0x1.7e30c12e2c8e7p-55"),
+        ("Sbar", 2.0, 12, -1.0, 1.5,
+         "-0x1.0b07e3d0b672cp-5", "0x1.38afe43552108p-56"),
+        ("Sbar", 1.0, 20, 0.3, -0.4,
+         "-0x1.407873d8f4bcap-35", "0x1.c000000000000p-82"),
+        ("Sbar", 1.0, 1, -60.0, 0.0,
+         "0x1.79dbca0cc0000p+86", "0x1.1000000000000p+56"),
+        ("Sbar", 1.0, 4, -80.0, 0.0,
+         "-0x1.bc690d46e0000p+131", "0x1.b714b31caf3a7p+97"),
+    ]
+
+    @pytest.mark.parametrize("kind, t, n, z1, z2, value, err", PINNED)
+    def test_pinned_values_and_estimates(self, kind, t, n, z1, z2, value, err):
+        got, got_err = sp.contour_eval(kind, t, n, z1, z2, with_error=True)
+        assert (float(got).hex(), float(got_err).hex()) == (value, err)
+
+    def test_sbar_pinned_rows_need_circle_doublings(self, monkeypatch):
+        real = sp._contour_sbar_circle
+        points = []
+
+        def counting(t, n, x, r, m):
+            points.append(m)
+            return real(t, n, x, r, m)
+
+        monkeypatch.setattr(sp, "_contour_sbar_circle", counting)
+        for n, z1, runs in ((1, -60.0, 3), (4, -80.0, 5)):
+            del points[:]
+            sp.contour_eval("Sbar", 1.0, n, z1, 0.0)
+            assert points == [max(64, 4 * n) * 2 ** k for k in range(runs)]
