@@ -23,15 +23,14 @@ is the scalable route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.special import ndtr
 
 from . import special
-from .hitting import law_from_blocks
-from .initial_data import InitialCondition
+from .hitting import hitting_law_exact
+from .initial_data import InitialCondition, blocks
 from .quad import build_scheme
 
 DEFAULT_N_CAP = 30
@@ -57,20 +56,10 @@ def heat_on_poly(s: float, p: Polynomial) -> Polynomial:
     return out
 
 
-@dataclass(frozen=True)
-class HFamily:
-    """Triangular table (k, l) -> h^n_k(l, .) for 0 <= l <= k <= n-1."""
-
-    n: int
-    table: dict
-
-    def poly(self, k: int, l: int) -> Polynomial:
-        return self.table[(k, l)]
-
-
-def h_family(ic: InitialCondition, n: int) -> HFamily:
-    """Build the polynomial family for level-n data by exact
-    antidifferentiation; all levels X0(1..n) must be finite."""
+def h_family(ic: InitialCondition, n: int) -> dict:
+    """The triangular table (k, l) -> h^n_k(l, .), 0 <= l <= k <= n-1, for
+    level-n data by exact antidifferentiation; all levels X0(1..n) must be
+    finite."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > DEFAULT_N_CAP:
@@ -87,7 +76,7 @@ def h_family(ic: InitialCondition, n: int) -> HFamily:
             prim = table[(k, l + 1)].integ()
             upper = float(prim(ic.level(n - l)))
             table[(k, l)] = Polynomial([upper]) - prim
-    return HFamily(n=n, table=table)
+    return table
 
 
 def gauss_repeated_integral(m: int, w):
@@ -127,9 +116,10 @@ def psi_n_k(ic: InitialCondition, n: int, k: int, t: float, x):
                                                           / math.sqrt(t))
 
 
-def phi_n_k(ic: InitialCondition, fam: HFamily, k: int, t: float) -> Polynomial:
-    """Phi^n_k as an explicit polynomial (backward heat on h^n_k(0, .))."""
-    return heat_on_poly(-t, fam.poly(k, 0))
+def phi_n_k(fam: dict, k: int, t: float) -> Polynomial:
+    """Phi^n_k as an explicit polynomial (backward heat on h^n_k(0, .))
+    from the table ``fam`` of :func:`h_family`."""
+    return heat_on_poly(-t, fam[k, 0])
 
 
 def psi_phi_eval(ic: InitialCondition, n: int, k: int, t: float, x):
@@ -140,7 +130,7 @@ def psi_phi_eval(ic: InitialCondition, n: int, k: int, t: float, x):
         raise ValueError("t must be > 0")
     fam = h_family(ic, n)
     psi = psi_n_k(ic, n, k, t, x)
-    phi = phi_n_k(ic, fam, k, t)(np.asarray(x, dtype=float))
+    phi = phi_n_k(fam, k, t)(np.asarray(x, dtype=float))
     return psi, phi
 
 
@@ -165,7 +155,7 @@ def gram(ic: InitialCondition, n: int, t: float, order: int = 24) -> np.ndarray:
     phi = np.empty((n, xs.size))
     for k in range(n):
         psi[k] = psi_n_k(ic, n, k, t, xs)
-        phi[k] = phi_n_k(ic, fam, k, t)(xs)
+        phi[k] = phi_n_k(fam, k, t)(xs)
     return (psi * scheme.weights) @ phi.T
 
 
@@ -209,10 +199,10 @@ def g0n_eval(ic: InitialCondition, n: int, x1: float, x2,
         for k in range(n):
             w = pinv_delta(n - k, x1, ic.level(n - k))
             if w != 0.0:
-                total = total + w * fam.poly(k, 0)(x2)
+                total = total + w * fam[k, 0](x2)
         return float(total) if total.ndim == 0 else total
     if method == "hitting":
-        law = law_from_blocks(ic, x1, n)
+        law = hitting_law_exact(blocks(ic), x1, n)
         x2v = np.atleast_1d(x2)
         out = np.empty_like(x2v)
         for i, xx in enumerate(x2v):

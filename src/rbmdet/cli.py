@@ -34,10 +34,10 @@ import numpy as np
 from . import __version__, biorth, simulate, special
 from .errors import ConvergenceError
 from .fredholm import rbm_probability
-from .initial_data import InitialCondition, from_positions, \
+from .initial_data import InitialCondition, blocks, from_positions, \
     narrow_wedge_approx, packed, read_csv
-from .hitting import default_grid, hitting_law_grid, hitting_law_mc, \
-    law_from_blocks
+from .hitting import default_grid, hitting_law_exact, hitting_law_grid, \
+    hitting_law_mc
 from .kernel import KernelSpec, kernel_eval, s_ops
 from .scaling import convergence_study
 
@@ -182,7 +182,7 @@ def _cmd_hitting(args):
                                  if args.indices else 8))
     method = args.method or "exact"
     if method == "exact":
-        law = law_from_blocks(ic, eta, n_max)
+        law = hitting_law_exact(blocks(ic), eta, n_max)
     elif method == "grid":
         grid = default_grid(ic, eta, n_max,
                             spacing=float(args.spacing or 1e-3))
@@ -259,7 +259,7 @@ def _cmd_validate(args):
             noise = simulate.sample_noise(n, 1.0, 1e-3, seed + 100 + k)
             a = simulate.rbm_reflect(ic, noise)
             b = simulate.rbm_variational(ic, noise)
-            worst = max(worst, float(np.max(np.abs(a.paths - b.paths))))
+            worst = max(worst, float(np.max(np.abs(a - b))))
         results["duality"] = {"max_pathwise_gap": worst,
                               "threshold": 1e-12, "pass": worst < 1e-12}
     if "gram" in suites:

@@ -28,7 +28,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.special import gammaincc, gammaln
 
 from .errors import ConvergenceError
-from .initial_data import InitialCondition, StepProfile, blocks
+from .initial_data import InitialCondition, StepProfile
 from .quad import build_scheme
 
 
@@ -165,9 +165,9 @@ def _point_mass_spread(eta, m, cut):
 
 @dataclass(frozen=True)
 class LawComponent:
-    """Sub-density of (tau = ell, B_tau in db), quadrature-ready."""
+    """Sub-density of (tau = ell, B_tau in db), quadrature-ready; ``ell``
+    is its key in ``HittingLaw.components``."""
 
-    ell: int
     nodes: np.ndarray
     weights: np.ndarray
     values: np.ndarray
@@ -185,28 +185,22 @@ class HittingLaw:
     The epoch-0 atom (full mass at b = start, present iff start >= c_0) is
     stored exactly and never discretized.
 
-    ``survivor_mass + dead_mass`` is the mass not hit within the horizon, so
-    ``total_mass() + survivor_mass + dead_mass`` is 1 up to the method's
-    error.  How that sum splits between the two fields depends on the method,
-    and no definition of the split is settled yet:
+    ``unhit_mass`` is the mass not hit within the horizon, so
+    ``total_mass() + unhit_mass`` is 1 up to the method's error:
 
-    * exact sweep: ``dead_mass`` is the mass below the last level.  The
-      sweep cuts at that level, so nothing unhit survives above it after
-      the last block start, and ``survivor_mass`` is 0;
-    * inclusion-exclusion: the sweep's split.  ``dead_mass`` is
-      P(no hit), whose signed expansion is 1 minus the signed component
-      masses, so the balance holds by construction; it is the agreement
-      with the sweep's ``dead_mass`` that checks it;
-    * grid: ``dead_mass`` is the mass below the grid bottom;
-    * Monte Carlo: ``dead_mass`` is 0.
+    * exact sweep: the mass that ends below the last level, where the
+      sweep cuts, plus any mass still above it;
+    * inclusion-exclusion: P(no hit), whose signed expansion is 1 minus the
+      signed component masses, so the balance holds by construction; it is
+      the agreement with the sweep's ``unhit_mass`` that checks it;
+    * grid: the survivor's mass plus the mass below the grid bottom;
+    * Monte Carlo: 1 minus the hit fraction.
     """
 
     start: float
-    horizon: int
     atom_mass: float
     components: dict = field(default_factory=dict)
-    survivor_mass: float = 0.0
-    dead_mass: float = 0.0
+    unhit_mass: float = 0.0
 
     def masses(self) -> dict:
         out = {ell: c.mass for ell, c in sorted(self.components.items())}
@@ -233,7 +227,7 @@ class HittingLaw:
 _LAW_ORDER = 20
 
 
-def _pieces_to_component(ell, pieces, x0, panel_max):
+def _pieces_to_component(pieces, x0, panel_max):
     nodes, weights, values = [], [], []
     mass = 0.0
     for p in pieces:
@@ -247,7 +241,6 @@ def _pieces_to_component(ell, pieces, x0, panel_max):
     if not nodes or mass <= 0:
         return None
     return LawComponent(
-        ell=ell,
         nodes=np.concatenate(nodes),
         weights=np.concatenate(weights),
         values=np.concatenate(values),
@@ -266,19 +259,24 @@ def hitting_law_exact(profile: StepProfile, eta: float, n_max: int,
     sampled on Gauss-Legendre panels of 20 nodes, at most ``panel_max`` wide.
 
     The sweep raises ConvergenceError when its masses are off balance,
-    |total_mass() + survivor_mass + dead_mass - 1| > 1e-6; the expansion
-    balances by construction.
+    |total_mass() + unhit_mass - 1| > 1e-6; the expansion balances by
+    construction.  A horizon past the end of finite data is a ValueError.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    last = profile.blocks[-1]
+    if last.length is not None and n_max > last.start + last.length:
+        raise ValueError(
+            f"initial condition has {last.start + last.length} particles, "
+            f"horizon {n_max} requested (construct with extend_last for "
+            "step data)")
     blks = profile.blocks_within(n_max)
     if not blks:
-        return HittingLaw(start=eta, horizon=n_max, atom_mass=0.0,
-                          survivor_mass=1.0)
+        return HittingLaw(start=eta, atom_mass=0.0, unhit_mass=1.0)
     if blks[0].start == 0 and eta >= blks[0].level:
-        return HittingLaw(start=eta, horizon=n_max, atom_mass=1.0)
+        return HittingLaw(start=eta, atom_mass=1.0)
     if method == "inclusion_exclusion":
-        return _law_inclusion_exclusion(blks, eta, n_max, panel_max)
+        return _law_inclusion_exclusion(blks, eta, panel_max)
     if method != "sweep":
         raise ValueError(f"unknown method {method!r}")
 
@@ -302,21 +300,17 @@ def hitting_law_exact(profile: StepProfile, eta: float, n_max: int,
                 pieces, d = _propagate_one_step(pieces, cut, eta)
                 dead += d
         pieces, hit = _split_pieces(pieces, blk.level)
-        comp = _pieces_to_component(blk.start, hit, eta, panel_max)
+        comp = _pieces_to_component(hit, eta, panel_max)
         if comp is not None:
             components[blk.start] = comp
         prev_epoch = blk.start
-    if pieces is None:
-        survivor, extra_dead = (1.0, 0.0) if eta >= cut else (0.0, 1.0)
-        dead += extra_dead
-    else:
-        survivor = sum(p.exp_mass(eta) for p in pieces)
-    law = HittingLaw(start=eta, horizon=n_max, atom_mass=0.0,
-                     components=components, survivor_mass=survivor,
-                     dead_mass=dead)
+    # a point mass never spread is unhit wherever it sits
+    survivor = 1.0 if pieces is None else sum(p.exp_mass(eta) for p in pieces)
+    law = HittingLaw(start=eta, atom_mass=0.0, components=components,
+                     unhit_mass=dead + survivor)
     # the sweep's polynomial algebra cancels factors up to e^{d} on a
     # profile spanning d walk units, and past d of about 40 loses the law
-    balance = law.total_mass() + survivor + dead - 1.0
+    balance = law.total_mass() + law.unhit_mass - 1.0
     if not abs(balance) <= 1e-6:
         raise ConvergenceError(
             f"exact hitting law from eta={eta!r} to horizon {n_max} is off "
@@ -325,7 +319,7 @@ def hitting_law_exact(profile: StepProfile, eta: float, n_max: int,
     return law
 
 
-def _law_inclusion_exclusion(blks, eta, n_max, panel_max):
+def _law_inclusion_exclusion(blks, eta, panel_max):
     """Signed expansion of the survival indicators:
 
     prod_i 1{B_{s_i} < L_i} = sum_S (-1)^{|S|} prod_{i in S} 1{B_{s_i} >= L_i}
@@ -333,7 +327,7 @@ def _law_inclusion_exclusion(blks, eta, n_max, panel_max):
     so each component is a signed sum of free propagations cut from above.
     The same expansion of P(no hit) has the empty subset for its 1 and,
     grouped by the last block, minus the component masses: that is the
-    dead mass (nothing survives above the last level, as in the sweep).
+    unhit mass (nothing survives above the last level, as in the sweep).
     """
     components = {}
     no_hit = 1.0
@@ -379,11 +373,9 @@ def _law_inclusion_exclusion(blks, eta, n_max, panel_max):
         no_hit -= mass
         if mass > 1e-15:
             components[blk.start] = LawComponent(
-                ell=blk.start, nodes=nodes, weights=sch.weights, values=acc,
-                mass=mass)
-    return HittingLaw(start=eta, horizon=n_max, atom_mass=0.0,
-                      components=components, survivor_mass=0.0,
-                      dead_mass=no_hit)
+                nodes=nodes, weights=sch.weights, values=acc, mass=mass)
+    return HittingLaw(start=eta, atom_mass=0.0, components=components,
+                      unhit_mass=no_hit)
 
 
 # ---------------------------------------------------------------------------
@@ -426,16 +418,15 @@ def _trap_weights(y, i_lo, i_hi):
 
 
 def hitting_law_grid(ic: InitialCondition, eta: float,
-                     b_grid: np.ndarray, n_max: int,
-                     leak_tol: float | None = None) -> HittingLaw:
+                     b_grid: np.ndarray, n_max: int) -> HittingLaw:
     """Forward one-step recursion of the survivor sub-density on a grid.
 
     Trapezoid quadrature; at every epoch the part at or above the curve is
     recorded as that epoch's component and removed.  Mass unaccounted for at
-    the end (grid too coarse or too short) beyond ``leak_tol`` raises with
-    the leaked amount.  The default bound, 10 h^2 for the widest gap h,
-    sits above the trapezoid's second-order error and below any first-order
-    fault such as a level or eta falling between nodes.
+    the end (grid too coarse or too short) beyond 10 h^2, for the widest
+    gap h, raises with the leaked amount.  That bound sits above the
+    trapezoid's second-order error and below any first-order fault such as
+    a level or eta falling between nodes.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -444,7 +435,7 @@ def hitting_law_grid(ic: InitialCondition, eta: float,
         raise ValueError("b_grid must be a strictly increasing 1-D grid")
     curve = ic.curve_array(n_max)
     if math.isfinite(curve[0]) and eta >= curve[0]:
-        return HittingLaw(start=eta, horizon=n_max, atom_mass=1.0)
+        return HittingLaw(start=eta, atom_mass=1.0)
     finite = curve[np.isfinite(curve)]
     if finite.size and y[0] > finite.min() - 1e-12:
         raise ValueError("grid does not cover the lowest level")
@@ -452,8 +443,7 @@ def hitting_law_grid(ic: InitialCondition, eta: float,
         raise ValueError("grid does not reach the starting point")
 
     h = np.diff(y)
-    if leak_tol is None:
-        leak_tol = 10.0 * float(h.max()) ** 2
+    leak_tol = 10.0 * float(h.max()) ** 2
     dead = 0.0
     components = {}
     # analytic first step from the point mass at eta
@@ -483,8 +473,7 @@ def hitting_law_grid(ic: InitialCondition, eta: float,
                 vals = p.copy()
                 vals[:idx] = 0.0
                 components[k] = LawComponent(
-                    ell=k, nodes=y.copy(), weights=w_above, values=vals,
-                    mass=mass)
+                    nodes=y.copy(), weights=w_above, values=vals, mass=mass)
             p = p.copy()
             p[idx + 1:] = 0.0
             # the walk only steps down, so the support never grows back
@@ -496,9 +485,8 @@ def hitting_law_grid(ic: InitialCondition, eta: float,
     if leak > leak_tol:
         raise ValueError(f"grid hitting law leaks mass {leak:.3e} "
                          f"(> {leak_tol:.1e}); refine or extend the grid")
-    return HittingLaw(start=eta, horizon=n_max, atom_mass=0.0,
-                      components=components, survivor_mass=survivor,
-                      dead_mass=dead)
+    return HittingLaw(start=eta, atom_mass=0.0, components=components,
+                      unhit_mass=survivor + dead)
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +508,9 @@ def hitting_law_mc(ic: InitialCondition, eta: float, n_max: int,
         raise ValueError("paths must be >= 1")
     curve = ic.curve_array(n_max)
     if math.isfinite(curve[0]) and eta >= curve[0]:
-        return HittingLaw(start=eta, horizon=n_max, atom_mass=1.0)
+        return HittingLaw(start=eta, atom_mass=1.0)
     if n_max == 1:
-        return HittingLaw(start=eta, horizon=n_max, atom_mass=0.0,
-                          survivor_mass=1.0)
+        return HittingLaw(start=eta, atom_mass=0.0, unhit_mass=1.0)
 
     taus = []
     bs = []
@@ -559,15 +546,9 @@ def hitting_law_mc(ic: InitialCondition, eta: float, n_max: int,
         centers = 0.5 * (edges[:-1] + edges[1:])
         density = counts / (paths * widths)
         components[int(ell)] = LawComponent(
-            ell=int(ell), nodes=centers, weights=widths, values=density,
-            mass=p_ell, stderr=se)
+            nodes=centers, weights=widths, values=density, mass=p_ell,
+            stderr=se)
     hit_mass = sum(c.mass for c in components.values())
-    return HittingLaw(start=eta, horizon=n_max, atom_mass=0.0,
-                      components=components,
-                      survivor_mass=1.0 - hit_mass, dead_mass=0.0)
+    return HittingLaw(start=eta, atom_mass=0.0, components=components,
+                      unhit_mass=1.0 - hit_mass)
 
-
-def law_from_blocks(ic: InitialCondition, eta: float, n_max: int,
-                    **kw) -> HittingLaw:
-    """Convenience: exact law straight from an initial condition."""
-    return hitting_law_exact(blocks(ic), eta, n_max, **kw)

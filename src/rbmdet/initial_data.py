@@ -13,7 +13,7 @@ epochs of that curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,9 +72,6 @@ class InitialCondition:
         """c_0 .. c_{n-1} as an array (entries may be +inf)."""
         return np.array([self.curve(k) for k in range(n)], dtype=float)
 
-    def shift(self, c: float) -> "InitialCondition":
-        return replace(self, levels=tuple(v + c for v in self.levels))
-
     @property
     def min_level(self) -> float:
         return self.levels[-1]
@@ -118,17 +115,6 @@ class StepProfile:
     def blocks_within(self, horizon: int):
         """Blocks whose start epoch is < horizon."""
         return [b for b in self.blocks if b.start < horizon]
-
-    def to_initial_condition(self) -> InitialCondition:
-        """Reconstruct the particle levels (exact round trip)."""
-        levels = []
-        for b in self.blocks:
-            if b.length is None:
-                levels.append(b.level)
-            else:
-                levels.extend([b.level] * b.length)
-        return InitialCondition(tuple(levels), n_inf=self.n_inf,
-                                extend_last=self.blocks[-1].length is None)
 
 
 def from_positions(positions, extend_last: bool = False) -> InitialCondition:
@@ -219,34 +205,6 @@ def blocks(ic: InitialCondition) -> StepProfile:
         pos += length
         i = j + 1
     return StepProfile(n_inf=ic.n_inf, blocks=tuple(out))
-
-
-def rescale_profile(ic: InitialCondition, eps: float):
-    """Height-function style rescaling of the initial data.
-
-    Returns f with f(x) = -sqrt(eps) * (X0(-2 x / eps) - 2 x / eps), the
-    particle level linearly interpolated in the index.  Queries left of the
-    first particle (conceptually +inf data) give -inf; diagnostics only.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    sq = math.sqrt(eps)
-
-    def f(x: float) -> float:
-        ix = -2.0 * x / eps
-        if ix < 1.0:
-            return -INF
-        j0 = int(math.floor(ix))
-        j1 = j0 + 1
-        frac = ix - j0
-        v0 = ic.level(j0)
-        v1 = ic.level(j1) if frac > 0 else v0
-        if math.isinf(v0) or math.isinf(v1):
-            return -INF
-        interp = v0 + frac * (v1 - v0)
-        return -sq * (interp + ix)
-
-    return f
 
 
 def read_csv(path) -> InitialCondition:

@@ -94,8 +94,9 @@ def _volterra_leg_matrix(m: int, src: Scheme, tgt: np.ndarray) -> np.ndarray:
     The moving lower limit (the walk kernel vanishes for x <= y) is handled
     by re-panelling each target's integral at y, with f recovered inside
     panels by barycentric interpolation; smooth f keeps spectral accuracy.
-    Targets at or below a panel's lower edge need no re-panelling: they
-    share the panel's own nodes and are done in one vectorized pass.
+    Targets at or below a panel's lower edge need neither: they integrate
+    over the whole panel, on its own nodes and weights, in one vectorized
+    pass.
     """
     order = src.order
     refx, lam = _bary_ref(order)
@@ -107,11 +108,8 @@ def _volterra_leg_matrix(m: int, src: Scheme, tgt: np.ndarray) -> np.ndarray:
         cols = slice(p * order, (p + 1) * order)
         below = tgt <= a
         if np.any(below):
-            half = 0.5 * (b - a)
-            xs = 0.5 * (b + a) + half * glx
-            q = q_exp_pow(m, xs[None, :], tgt[below, None])
-            r = _bary_eval_matrix((2.0 * xs - (a + b)) / (b - a), refx, lam)
-            T[below, cols] = (half * glw * q) @ r
+            T[below, cols] = src.weights[cols] * q_exp_pow(
+                m, src.nodes[None, cols], tgt[below, None])
         for j in np.flatnonzero((tgt > a) & (tgt < b)):
             lo = tgt[j]
             if b - lo < 1e-14:
@@ -201,11 +199,10 @@ class KernelSpec:
         object.__setattr__(self, "indices", idx)
         if self.representation not in REPRESENTATIONS:
             raise ValueError(f"unknown representation {self.representation!r}")
-        if self.representation == "biorth":
-            if self.ic.n_inf > 0:
-                raise ValueError("biorth representation requires finite "
-                                 "levels; use hitting or operator_step")
-            max(self.ic.level(i) for i in range(1, max(idx) + 1))  # must exist
+        if self.representation == "biorth" and self.ic.n_inf > 0:
+            raise ValueError("biorth representation requires finite "
+                             "levels; use hitting or operator_step")
+        self.ic.level(max(idx))  # raises past the end of finite data
 
     @property
     def n_max(self) -> int:
@@ -259,7 +256,7 @@ class ExtendedKernelEval:
         self._reach = 2.0 * math.sqrt(n_max * t) + 12.0 * self._airy_w + 5.0
         if spec.representation == "biorth":
             self._phi_tables = {
-                nj: [_bo.phi_n_k(spec.ic, _bo.h_family(spec.ic, nj), k, t)
+                nj: [_bo.phi_n_k(_bo.h_family(spec.ic, nj), k, t)
                      for k in range(nj)]
                 for nj in spec.indices
             }

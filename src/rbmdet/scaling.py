@@ -46,7 +46,6 @@ class ScaledVars:
     t: float
     n: int
     z: float
-    n_exact: float
     rounding: float
 
 
@@ -60,8 +59,7 @@ def scale_vars(eps: float, T: float, x: float, u: float) -> ScaledVars:
         raise ValueError(
             f"eps={eps} too large for x={x}: scaled index {n_exact:.3f} < 1")
     z = -2.0 * t + 2.0 * x / eps + u / math.sqrt(eps)
-    return ScaledVars(t=t, n=n, z=z, n_exact=n_exact,
-                      rounding=n - n_exact)
+    return ScaledVars(t=t, n=n, z=z, rounding=n - n_exact)
 
 
 def scaled_threshold(eps: float, T: float, x: float, a: float) -> float:

@@ -81,7 +81,6 @@ class NoiseField:
 
     dt: float
     increments: np.ndarray
-    seed: int | None
 
     @property
     def n_particles(self) -> int:
@@ -113,19 +112,7 @@ def sample_noise(n_particles: int, horizon: float, dt: float,
     inc = np.empty((n_particles, steps))
     for k in range(n_particles):
         inc[k] = _philox(seed, k).normal(0.0, math.sqrt(dt), size=steps)
-    return NoiseField(dt=dt, increments=inc, seed=seed)
-
-
-@dataclass(frozen=True)
-class PathEnsemble:
-    """Ordered particle paths on the grid plus the construction tag."""
-
-    dt: float
-    paths: np.ndarray  # (n_particles, n_steps + 1)
-    construction: str
-
-    def is_ordered(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.diff(self.paths, axis=0) <= tol))
+    return NoiseField(dt=dt, increments=inc)
 
 
 def _reflect_paths(levels: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -150,14 +137,15 @@ def _reflect_paths(levels: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def rbm_reflect(ic: InitialCondition, noise: NoiseField) -> PathEnsemble:
-    """Particle paths by recursive reflection off the previous particle."""
+def rbm_reflect(ic: InitialCondition, noise: NoiseField) -> np.ndarray:
+    """Particle paths by recursive reflection off the previous particle:
+    (n_particles, n_steps + 1), column 0 the levels."""
     levels = _levels(ic, noise.n_particles)
     x = np.empty((noise.n_particles, noise.n_steps + 1))
     x[:, 0] = levels
     x[:, 1:] = noise.increments
     _reflect_paths(levels, x[:, 1:])
-    return PathEnsemble(dt=noise.dt, paths=x, construction="reflect")
+    return x
 
 
 def lpp_value(noise: NoiseField, start_row: int, end_row: int,
@@ -186,10 +174,11 @@ def _lpp_rows(noise: NoiseField, start_row: int, end_row: int) -> np.ndarray:
     return g
 
 
-def rbm_variational(ic: InitialCondition, noise: NoiseField) -> PathEnsemble:
+def rbm_variational(ic: InitialCondition, noise: NoiseField) -> np.ndarray:
     """Particle paths from the last-passage variational formula on the same
-    noise: X_t(n) = min_{l <= n}(X0(l) - G[(0,l) -> (t,n)]) with the dual
-    field carrying the negated increments."""
+    noise, shaped as :func:`rbm_reflect`'s: X_t(n) = min_{l <= n}(X0(l) -
+    G[(0,l) -> (t,n)]) with the dual field carrying the negated
+    increments."""
     n = noise.n_particles
     levels = np.array([ic.level(i) for i in range(1, n + 1)], dtype=float)
     if not np.all(np.isfinite(levels)):
@@ -202,7 +191,7 @@ def rbm_variational(ic: InitialCondition, noise: NoiseField) -> PathEnsemble:
         for k in range(l + 1, n + 1):
             g = w[k - 1] + np.maximum.accumulate(g - w[k - 1])
             x[k - 1] = np.minimum(x[k - 1], levels[l - 1] - g)
-    return PathEnsemble(dt=noise.dt, paths=x, construction="variational")
+    return x
 
 
 def mc_distribution(ic: InitialCondition, t: float, indices, a,

@@ -53,28 +53,6 @@ _BIG = 1e120
 _CHUNK = 8192
 
 
-def hermite_eval(k: int, x: float) -> float:
-    """H_k(x) in the probabilists' convention, by three-term recurrence.
-
-    Raises OverflowError once the unnormalized value leaves double range;
-    callers then switch to :func:`hermite_normed_log`.
-    """
-    if k < 0:
-        raise ValueError("degree must be >= 0")
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    if k == 0:
-        return 1.0
-    h_prev, h = 1.0, x
-    for j in range(1, k):
-        h_prev, h = h, x * h - j * h_prev
-        if not math.isfinite(h):
-            raise OverflowError(
-                f"H_{k}({x}) overflows double precision; "
-                "use hermite_normed_log instead")
-    return h
-
-
 def hermite_normed_log(n: int, x):
     """(log|H_n(x)/sqrt(n!)|, sign), vectorized over x.
 
@@ -224,20 +202,6 @@ def psi_psibar_log(n: int, t: float, x):
     x = np.asarray(x, dtype=float)
     (la, sg), (lb, sb) = hermite_normed_log_pair(n, x / math.sqrt(t))
     return (_psi_logabs(la, n, t, x), sg), (_psibar_logabs(lb, n - 1, t), sb)
-
-
-def psi_pair(n: int, t: float, x: float) -> tuple[float, float]:
-    """(psi_n(t, x), psibar_n(t, x)), from one run of the recurrence.
-
-    Computed through the log-scale normalized recurrence, so the pair stays
-    meaningful at scaling-regime arguments where the naive product of
-    t^{-n/2}, exp(-x^2/2t) and H_n would over/underflow.
-    """
-    _check_t(t)
-    x = np.asarray(x, dtype=float)
-    la, sg = hermite_normed_log(n, x / math.sqrt(t))
-    return (float(sg * np.exp(_psi_logabs(la, n, t, x))),
-            float(sg * np.exp(_psibar_logabs(la, n, t))))
 
 
 def oscillator_psi(n: int, x):
@@ -506,9 +470,11 @@ def contour_eval(kind: str, t: float, n: int, z1: float, z2: float,
     Used only as a cross-check of the closed psi-based forms.  The integrand
     cancels down from an L1 mass that can exceed the value by many orders
     (worst near n ~ 20), so the refinement accepts at the double-precision
-    cancellation floor and, with ``with_error``, returns
+    cancellation floor, 2e-16 of that mass, and, with ``with_error``, returns
     (value, achieved error estimate).  Raises ConvergenceError with the
-    achieved error when refinement stalls above both tolerances.  One loop
+    achieved error when refinement stalls above both tolerances, or when
+    the floor exceeds 1e-6 of the value (large t, where the runs are
+    cancellation noise).  One loop
     refines both: the line's step is halved and the circle's point count
     doubled, up to 12 and 9 times.
     """
@@ -541,15 +507,15 @@ def contour_eval(kind: str, t: float, n: int, z1: float, z2: float,
     else:
         raise ValueError(f"unknown kind {kind!r}")
     prev, _ = next(runs)
-    best_err = math.inf
     for cur, scale in runs:
         err = abs(cur - prev)
-        best_err = min(best_err, err)
-        if err <= max(tol * max(1.0, abs(cur)), 2e-16 * scale):
+        # a cancellation floor that is not small against the value means
+        # every run is noise, whatever two of them agree to
+        floor = 2e-16 * scale
+        if (err <= max(tol * max(1.0, abs(cur)), floor)
+                and floor <= 1e-6 * max(1.0, abs(cur))):
             return done(cur, max(err, 1e-16 * scale))
         prev = cur
-    if best_err <= 1e-13 * scale:
-        return done(cur, max(best_err, 1e-16 * scale))
     raise ConvergenceError(
         f"{kind} contour stalled (err={err:.2e})", value=cur,
         error_estimate=err)

@@ -56,7 +56,7 @@ def test_criterion_2_pathwise_duality():
         noise = sim.sample_noise(n, 1.0, 1e-3, seed=4000 + s)
         a = sim.rbm_reflect(ic, noise)
         b = sim.rbm_variational(ic, noise)
-        worst = max(worst, float(np.max(np.abs(a.paths - b.paths))))
+        worst = max(worst, float(np.max(np.abs(a - b))))
     took = time.time() - start
     ok = worst < 1e-12 and took < 30.0
     assert report(2, ok, f"reflection vs variational on shared noise: max "

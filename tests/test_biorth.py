@@ -41,11 +41,11 @@ class TestHeatOnPoly:
 class TestHFamily:
     def test_n1_base_case(self):
         fam = bo.h_family(idata.from_positions([0.4]), 1)
-        assert fam.poly(0, 0).coef.tolist() == [1.0]
+        assert fam[0, 0].coef.tolist() == [1.0]
 
     def test_n2_packed(self):
         fam = bo.h_family(idata.from_positions([0.0, 0.0]), 2)
-        assert np.allclose(fam.poly(1, 0).coef, [0.0, -1.0])
+        assert np.allclose(fam[1, 0].coef, [0.0, -1.0])
 
     def test_boundary_and_degree_invariants(self):
         rng = np.random.default_rng(7)
@@ -54,9 +54,9 @@ class TestHFamily:
             ic = idata.from_positions(lv)
             fam = bo.h_family(ic, n)
             for k in range(n):
-                assert fam.poly(k, k).degree() == 0
+                assert fam[k, k].degree() == 0
                 for l in range(k):
-                    p = fam.poly(k, l)
+                    p = fam[k, l]
                     assert p.degree() == k - l
                     assert p(ic.level(n - l)) == pytest.approx(0.0,
                                                                abs=1e-12)
@@ -70,7 +70,7 @@ class TestHFamily:
             fam = bo.h_family(ic, n)
             for k in range(n):
                 for l in range(n):
-                    p = fam.poly(l, 0)
+                    p = fam[l, 0]
                     d = p.deriv(k) if k <= p.degree() else Polynomial([0.0])
                     got = float(d(ic.level(n - k)))
                     want = (-1.0) ** k if k == l else 0.0

@@ -41,6 +41,14 @@ class TestProb:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
+    def test_index_past_csv_data_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "three.csv"
+        path.write_text("1,0\n2,-1\n3,-2\n")
+        code, _, err = run(capsys, "prob", "--t", "1", "--init-csv",
+                           str(path), "--indices", "5", "--a=-3")
+        assert code == 2
+        assert "3 particles" in err
+
     def test_wedge_source(self, capsys):
         code, out, _ = run(capsys, "prob", "--t", "1", "--indices", "6",
                            "--wedges=-1.0@0.5", "--a=-6.0")
@@ -164,6 +172,14 @@ class TestHitting:
         assert total["masses"]["2"] == pytest.approx(1 - 2 / math.e,
                                                      abs=1e-12)
 
+
+    def test_horizon_past_csv_data_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "three.csv"
+        path.write_text("1,0\n2,-1\n3,-2\n")
+        code, _, err = run(capsys, "hitting", "--init-csv", str(path),
+                           "--eta=-0.5", "--horizon", "6")
+        assert code == 2
+        assert "3 particles" in err
 
 class TestValidate:
     def test_duality_suite(self, capsys):

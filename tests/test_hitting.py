@@ -64,13 +64,13 @@ def test_polynomial_helpers_are_bitwise_numpy():
 
 class TestExactLaw:
     def test_packed_atom(self):
-        law = ht.law_from_blocks(idata.packed(0.0), 0.7, 5)
+        law = ht.hitting_law_exact(idata.blocks(idata.packed(0.0)), 0.7, 5)
         assert law.atom_mass == 1.0
         assert law.components == {}
         assert law.masses() == {0: 1.0}
 
     def test_packed_never_hits_from_below(self):
-        law = ht.law_from_blocks(idata.packed(0.0), -1.0, 5)
+        law = ht.hitting_law_exact(idata.blocks(idata.packed(0.0)), -1.0, 5)
         assert law.total_mass() == 0.0
 
     def test_single_wedge_mass(self):
@@ -86,6 +86,13 @@ class TestExactLaw:
         comp = law.components[2]
         assert abs(comp.mass - SINGLE_WEDGE_L2_MASS) < 3 * comp.stderr
 
+    def test_horizon_past_finite_data_raises(self):
+        # three particles: epochs 0..2 exist, a horizon of 4 needs X0(4)
+        prof = idata.blocks(idata.from_positions([0.0, -1.0, -2.0]))
+        assert ht.hitting_law_exact(prof, -0.5, 3).components
+        with pytest.raises(ValueError, match="3 particles"):
+            ht.hitting_law_exact(prof, -0.5, 4)
+
     def test_horizon_cuts_all_blocks(self):
         law = ht.hitting_law_exact(wedge_profile(6, 0.0), 1.0, 4)
         assert law.total_mass() == 0.0
@@ -97,8 +104,9 @@ class TestExactLaw:
             lv = np.sort(rng.uniform(-2, 2, n))[::-1]
             ic = idata.from_positions(lv, extend_last=True)
             eta = float(rng.uniform(-3, 3))
-            law = ht.law_from_blocks(ic, eta, int(rng.integers(1, 9)))
-            total = law.total_mass() + law.survivor_mass + law.dead_mass
+            law = ht.hitting_law_exact(idata.blocks(ic), eta,
+                                       int(rng.integers(1, 9)))
+            total = law.total_mass() + law.unhit_mass
             assert total == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("span, raises", [(40, False), (80, True)])
@@ -112,7 +120,7 @@ class TestExactLaw:
                 ht.hitting_law_exact(prof, -0.5 * span, span)
         else:
             law = ht.hitting_law_exact(prof, -0.5 * span, span)
-            total = law.total_mass() + law.survivor_mass + law.dead_mass
+            total = law.total_mass() + law.unhit_mass
             assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_two_narrow_wedges_at_eps_005_raise(self):
@@ -126,7 +134,7 @@ class TestExactLaw:
     def test_support_only_at_block_starts(self):
         ic = idata.from_positions([2.0, 2.0, 0.5, -1.0, -1.0],
                                   extend_last=True)
-        law = ht.law_from_blocks(ic, 1.7, 5)
+        law = ht.hitting_law_exact(idata.blocks(ic), 1.7, 5)
         starts = {b.start for b in idata.blocks(ic).blocks}
         assert law.components  # eta below c_0: hits occur at later drops
         assert set(law.components) <= starts
@@ -136,7 +144,7 @@ class TestExactLaw:
 
     def test_atom_monotone_in_eta_packed(self):
         for eta in (-0.5, -1e-9, 0.0, 0.3):
-            law = ht.law_from_blocks(idata.packed(0.0), eta, 3)
+            law = ht.hitting_law_exact(idata.blocks(idata.packed(0.0)), eta, 3)
             assert law.atom_mass == (1.0 if eta >= 0 else 0.0)
 
 
@@ -159,8 +167,8 @@ class TestInclusionExclusion:
 
 
     def test_split_matches_sweep(self):
-        # nothing survives above the last level; the dead mass is P(no hit)
-        # in both, from propagation in the sweep and from signed masses here
+        # the unhit mass is P(no hit) in both, from propagation in the sweep
+        # and from signed masses here
         rng = np.random.default_rng(8)
         for _ in range(15):
             n = int(rng.integers(1, 7))
@@ -171,8 +179,7 @@ class TestInclusionExclusion:
             a = ht.hitting_law_exact(prof, eta, n_max)
             b = ht.hitting_law_exact(prof, eta, n_max,
                                      method="inclusion_exclusion")
-            assert b.survivor_mass == a.survivor_mass
-            assert b.dead_mass == pytest.approx(a.dead_mass, abs=1e-12)
+            assert b.unhit_mass == pytest.approx(a.unhit_mass, abs=1e-12)
 
 
 @pytest.mark.parametrize("method, tol", [("sweep", 1e-12),
@@ -186,10 +193,11 @@ def test_mass_balance_every_method(method, tol):
     elif method == "mc":
         law = ht.hitting_law_mc(ic, GRID_ETA, 6, paths=20000, seed=3)
     else:
-        law = ht.law_from_blocks(ic, GRID_ETA, 6, method=method)
+        law = ht.hitting_law_exact(idata.blocks(ic), GRID_ETA, 6,
+                                   method=method)
     assert law.components
-    assert 0.0 <= law.survivor_mass <= 1.0 and 0.0 <= law.dead_mass <= 1.0
-    total = law.total_mass() + law.survivor_mass + law.dead_mass
+    assert 0.0 <= law.unhit_mass <= 1.0
+    total = law.total_mass() + law.unhit_mass
     assert total == pytest.approx(1.0, abs=tol)
 
 
@@ -198,7 +206,7 @@ class TestGridLaw:
         ic = idata.from_positions([2.0, 2.0, 0.5, 0.5, -1.0],
                                   extend_last=True)
         eta = 1.7
-        exact = ht.law_from_blocks(ic, eta, 6)
+        exact = ht.hitting_law_exact(idata.blocks(ic), eta, 6)
         grid = ht.default_grid(ic, eta, 6, spacing=1e-3)
         approx = ht.hitting_law_grid(ic, eta, grid, 6)
         assert exact.components
@@ -219,7 +227,7 @@ class TestGridLaw:
     @pytest.mark.parametrize("spacing", [2e-3, 1.1e-3, 9.5e-4, 5e-4])
     def test_agrees_with_exact_at_spacings(self, spacing):
         ic = idata.from_positions(GRID_LEVELS, extend_last=True)
-        exact = ht.law_from_blocks(ic, GRID_ETA, 6)
+        exact = ht.hitting_law_exact(idata.blocks(ic), GRID_ETA, 6)
         grid = ht.default_grid(ic, GRID_ETA, 6, spacing=spacing)
         approx = ht.hitting_law_grid(ic, GRID_ETA, grid, 6)
         assert exact.components
@@ -235,7 +243,7 @@ class TestGridLaw:
         ic = idata.from_positions(GRID_LEVELS, extend_last=True)
         grid = ht.default_grid(ic, GRID_ETA, 6, spacing=1e-3)
         law = ht.hitting_law_grid(ic, GRID_ETA, grid, 6)
-        total = law.total_mass() + law.survivor_mass + law.dead_mass
+        total = law.total_mass() + law.unhit_mass
         assert total == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("spacing", [2e-3, 1e-3, 9.5e-4])
@@ -292,7 +300,7 @@ class TestMonteCarloLaw:
         ic = idata.from_positions([2.0, 2.0, 0.5, 0.5, -1.0],
                                   extend_last=True)
         eta = 1.7
-        exact = ht.law_from_blocks(ic, eta, 6)
+        exact = ht.hitting_law_exact(idata.blocks(ic), eta, 6)
         mc = ht.hitting_law_mc(ic, eta, 6, paths=400000, seed=7)
         assert exact.components
         for ell, comp in exact.components.items():

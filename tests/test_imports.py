@@ -1,9 +1,10 @@
-"""Every name a program module imports is used in that module.
+"""Every name a program module imports is used in that module, and every
+parameter of a program function is read by it.
 
 No linter ships with the project, so this parses each module of
 ``src/rbmdet`` with ``ast``.  An import line marked ``# noqa`` is kept on
 purpose (a name that is looked up on the module from outside), and
-``__init__.py`` re-exports, so it is exempt.
+``__init__.py`` re-exports, so it is exempt from the import check.
 """
 
 import ast
@@ -45,3 +46,34 @@ def test_check_sees_an_unused_import():
               "from .kernel import (s_ops,\n    kernel_eval)\n"
               "x = np.ones(3)\nkernel_eval(x)\n")
     assert unused_imports(source) == ["math", "s_ops"]
+
+
+def unused_parameters(source: str) -> list[str]:
+    """``function.parameter`` for every parameter (``self`` and ``cls``
+    aside) that its function's body never loads."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        used = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        out += [f"{node.name}.{p}" for p in params
+                if p not in used and p not in ("self", "cls")]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_parameter(path):
+    assert unused_parameters(path.read_text()) == []
+
+
+def test_check_sees_an_unused_parameter():
+    source = ("class K:\n    def f(self, a, b=1, *rest, c, **kw):\n"
+              "        def g(d):\n            return a + c\n"
+              "        return g, kw\n"
+              "def h(cls, x):\n    return [x for _ in ()]\n")
+    assert unused_parameters(source) == ["f.b", "f.rest", "g.d"]

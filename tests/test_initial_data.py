@@ -97,47 +97,10 @@ class TestBlocksRoundTrip:
             n = int(rng.integers(1, 9))
             raw = np.sort(rng.integers(-3, 4, n))[::-1].astype(float)
             ic = idata.from_positions(raw)
-            back = idata.blocks(ic).to_initial_condition()
-            assert back.levels == ic.levels
-            assert back.n_inf == ic.n_inf
-
-
-class TestRescaleProfile:
-    def test_packed_is_linear(self):
-        ic = idata.packed(0.0)
-        eps = 0.25
-        f = idata.rescale_profile(ic, eps)
-        for x in (-0.3, -1.0, -2.4):
-            assert f(x) == pytest.approx(2 * x / math.sqrt(eps), rel=1e-12)
-
-    def test_shift_property(self):
-        ic = idata.from_positions([1.0, 0.5, 0.0], extend_last=True)
-        eps, c = 0.5, 0.7
-        f = idata.rescale_profile(ic, eps)
-        g = idata.rescale_profile(ic.shift(c), eps)
-        for x in (-0.3, -0.6):
-            assert g(x) == pytest.approx(f(x) - math.sqrt(eps) * c, rel=1e-12)
-
-    def test_wedge_profile_vanishes_at_wedges(self):
-        a = [-0.8, -1.6]
-        for eps in (0.1, 0.02, 0.004):
-            ic = idata.narrow_wedge_approx(a, eps)
-            f = idata.rescale_profile(ic, eps)
             prof = idata.blocks(ic)
-            for ak, blk in zip(a, prof.blocks):
-                # evaluate at the first particle of the block
-                x = -(blk.start + 1) * eps / 2.0
-                assert abs(f(x)) <= 2.5 * math.sqrt(eps)
-            # off the wedges the profile is far from zero
-            assert f(-1.2) < -0.5 / math.sqrt(eps) * 0.1
-
-    def test_left_of_first_particle_is_minus_inf(self):
-        ic = idata.packed(0.0)
-        f = idata.rescale_profile(ic, 0.5)
-        assert f(-0.1) == -math.inf  # index below 1
-        ic2 = idata.narrow_wedge_approx([-1.0], eps=0.5)
-        f2 = idata.rescale_profile(ic2, 0.5)
-        assert f2(-0.5) == -math.inf  # inside the +inf block
+            back = [b.level for b in prof.blocks for _ in range(b.length)]
+            assert tuple(back) == ic.levels
+            assert prof.n_inf == ic.n_inf
 
 
 class TestCsv:

@@ -114,6 +114,15 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match="whole numbers"):
             KernelSpec(t=1.0, indices=(1, index), ic=idata.packed(0.0))
 
+    @pytest.mark.parametrize("rep", ["hitting", "biorth", "operator_step"])
+    def test_index_past_finite_data_rejected(self, rep):
+        # three particles, not extended: index 5 used to be answered from
+        # the extended data by hitting and operator_step
+        ic = idata.from_positions([0.0, -1.0, -2.0])
+        assert KernelSpec(t=1.0, indices=(3,), ic=ic, representation=rep)
+        with pytest.raises(ValueError, match="3 particles, index 5"):
+            KernelSpec(t=1.0, indices=(2, 5), ic=ic, representation=rep)
+
     def test_whole_float_index_accepted(self):
         spec = KernelSpec(t=1.0, indices=(2.0, 5), ic=idata.packed(0.0))
         assert spec.indices == (2, 5)

@@ -29,9 +29,12 @@ class TestScaleVars:
         rng = np.random.default_rng(3)
         for _ in range(20):
             eps = float(rng.uniform(0.02, 0.4))
-            sv = sc.scale_vars(eps, 1.0, float(rng.uniform(-0.5, 0.2)), 0.0)
+            x = float(rng.uniform(-0.5, 0.2))
+            sv = sc.scale_vars(eps, 1.0, x, 0.0)
+            n_exact = eps ** -1.5 - 2.0 * x / eps
             assert abs(sv.rounding) <= 0.5
-            assert sv.n == round(sv.n_exact)
+            assert sv.n == round(n_exact)
+            assert sv.rounding == pytest.approx(sv.n - n_exact, abs=1e-12)
 
     def test_too_large_eps_rejected(self):
         with pytest.raises(ValueError):

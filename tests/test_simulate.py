@@ -80,14 +80,13 @@ class TestNoise:
 class TestReflect:
     def test_one_particle_is_driving_path(self):
         noise = sim.sample_noise(1, 1.0, 0.01, seed=2)
-        ens = sim.rbm_reflect(idata.from_positions([0.8]), noise)
-        assert np.allclose(ens.paths[0], noise.paths(np.array([0.8]))[0])
+        x = sim.rbm_reflect(idata.from_positions([0.8]), noise)
+        assert np.allclose(x[0], noise.paths(np.array([0.8]))[0])
 
     def test_two_particle_hand_example(self):
-        noise = sim.NoiseField(dt=1.0, increments=np.array([[0.3], [0.5]]),
-                               seed=None)
-        ens = sim.rbm_reflect(idata.from_positions([0.0, 0.0]), noise)
-        assert ens.paths[1, 1] == pytest.approx(0.3, abs=1e-15)
+        noise = sim.NoiseField(dt=1.0, increments=np.array([[0.3], [0.5]]))
+        x = sim.rbm_reflect(idata.from_positions([0.0, 0.0]), noise)
+        assert x[1, 1] == pytest.approx(0.3, abs=1e-15)
 
     @pytest.mark.parametrize("positions", [
         [0.9, 0.4, 0.1, -0.3, -1.2],
@@ -96,9 +95,9 @@ class TestReflect:
     ])
     def test_paths_equal_reference_recursion(self, positions):
         noise = sim.sample_noise(len(positions), 1.0, 1e-3, seed=31)
-        ens = sim.rbm_reflect(idata.from_positions(positions), noise)
+        x = sim.rbm_reflect(idata.from_positions(positions), noise)
         ref = _reference_reflect(np.array(positions), noise.increments)
-        assert np.array_equal(ens.paths, ref)
+        assert np.array_equal(x, ref)
 
     def test_increasing_levels_rejected(self):
         noise = sim.sample_noise(2, 1.0, 0.01, seed=2)
@@ -111,8 +110,8 @@ class TestReflect:
             n = int(rng.integers(2, 12))
             lv = np.sort(rng.uniform(-1, 1, n))[::-1]
             noise = sim.sample_noise(n, 0.5, 1e-3, seed=50 + s)
-            ens = sim.rbm_reflect(idata.from_positions(lv), noise)
-            assert ens.is_ordered(1e-12)
+            x = sim.rbm_reflect(idata.from_positions(lv), noise)
+            assert np.all(np.diff(x, axis=0) <= 1e-12)
 
 
 class TestLpp:
@@ -128,7 +127,7 @@ class TestLpp:
 
     def test_two_by_two_exhaustive(self):
         inc = np.array([[0.5, -0.2], [0.1, 0.4]])
-        noise = sim.NoiseField(dt=1.0, increments=inc, seed=None)
+        noise = sim.NoiseField(dt=1.0, increments=inc)
         w = noise.paths()
         ref = max(w[0, s] + w[1, 2] - w[1, s] for s in range(3))
         assert sim.lpp_value(noise, 1, 2, 2.0) == pytest.approx(ref,
@@ -157,7 +156,7 @@ class TestDuality:
         lv = np.sort(np.random.default_rng(n).uniform(-2, 2, n))[::-1]
         noise = sim.sample_noise(n, 1.0, 1e-3, seed=n)
         got = sim.rbm_variational(idata.from_positions(lv), noise)
-        assert np.array_equal(got.paths, _reference_variational(lv, noise))
+        assert np.array_equal(got, _reference_variational(lv, noise))
 
     def test_exact_pathwise_identity(self):
         rng = np.random.default_rng(0)
@@ -169,7 +168,7 @@ class TestDuality:
             noise = sim.sample_noise(n, 1.0, 1e-3, seed=1000 + s)
             a = sim.rbm_reflect(ic, noise)
             b = sim.rbm_variational(ic, noise)
-            worst = max(worst, float(np.max(np.abs(a.paths - b.paths))))
+            worst = max(worst, float(np.max(np.abs(a - b))))
         assert worst < 1e-12
 
     def test_coincident_levels(self):
@@ -177,7 +176,7 @@ class TestDuality:
         ic = idata.from_positions([1.0, 1.0, 0.0, 0.0, 0.0, -1.0])
         a = sim.rbm_reflect(ic, noise)
         b = sim.rbm_variational(ic, noise)
-        assert np.max(np.abs(a.paths - b.paths)) < 1e-12
+        assert np.max(np.abs(a - b)) < 1e-12
 
     def test_growth_order(self):
         # mean of -X_1(n) tracks the corrected edge 2 sqrt(n) + n^{-1/6} E[TW]
@@ -186,8 +185,8 @@ class TestDuality:
         vals = []
         for f in range(30):
             noise = sim.sample_noise(n, 1.0, 1e-4, seed=900 + f)
-            ens = sim.rbm_reflect(idata.packed(0.0), noise)
-            vals.append(-ens.paths[n - 1, -1])
+            x = sim.rbm_reflect(idata.packed(0.0), noise)
+            vals.append(-x[n - 1, -1])
         mean = float(np.mean(vals))
         assert abs(mean / (2 * math.sqrt(n)) - 1.0) < 0.15
 
