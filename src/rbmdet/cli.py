@@ -10,11 +10,12 @@ validate  run the cross-check suites (duality, gram, representations,
 scaling   narrow-wedge convergence study, CSV output
 gue       packed one-point determinant vs GUE edge sampling
 
-Each subcommand accepts only the flags it reads; ``rbmdet CMD --help``
-lists them.  Configuration may come from a plain ``key=value`` file
-(--config) whose keys are flags of the subcommand; explicit flags override
-file values.  All randomness derives from --seed, and reports embed the
-resolved configuration, so identical configs give byte-identical JSON.
+Each subcommand accepts only the flags it reads (``rbmdet CMD --help``);
+``_FLAGS`` and ``_COMMANDS`` declare each flag's type, default and
+requiredness once.  Each ``key=value`` line of a --config file is read as
+the flag ``--key=value`` right after the subcommand, so explicit flags win.
+All randomness derives from --seed, and reports embed every flag with its
+resolved value, so equivalent runs give byte-identical JSON.
 
 Exit codes: 0 success, 2 argument error, 3 numerical non-convergence or
 failed validation, 4 I/O error.
@@ -43,23 +44,23 @@ from .scaling import convergence_study
 
 
 def _parse_floats(text: str):
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+    return [float(v) for v in _items(text)]
 
 
 def _parse_ints(text: str):
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+    return [int(v) for v in _items(text)]
 
 
-def _parse_levels(text: str):
-    out = []
-    for v in text.split(","):
-        v = v.strip()
-        out.append(math.inf if v.lower() in ("inf", "+inf") else float(v))
-    return out
+def _items(text: str):
+    items = [v for v in text.split(",") if v.strip() != ""]
+    if not items:
+        raise ValueError(f"no values in {text!r}")
+    return items
 
 
 def _load_config(path):
-    out = {}
+    """The ``key=value`` lines of a config file as ``--key=value`` flags."""
+    out = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -68,25 +69,20 @@ def _load_config(path):
             if "=" not in line:
                 raise ValueError(f"config line without '=': {line!r}")
             key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+            out.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
     return out
 
 
-def _resolve(args, config):
-    """Apply config-file values wherever the command line kept a default,
-    then the defaults of the flags that are still unset."""
-    for key, raw in config.items():
-        if not hasattr(args, key):
-            raise ValueError(f"unknown config key {key!r}")
-        choices = _FLAGS.get(key, {}).get("choices")
-        if choices and raw not in choices:
-            raise ValueError(f"config key {key!r} must be one of {choices}")
-        if getattr(args, key) is None:
-            setattr(args, key, raw)
-    for key, value in _DEFAULTS.items():
-        if getattr(args, key, value) is None:
-            setattr(args, key, value)
-    return args
+def _with_config(argv):
+    """``argv`` with the --config file's flags right after the subcommand."""
+    pre = argparse.ArgumentParser(prog="rbmdet", add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    known, _ = pre.parse_known_args(argv)
+    if known.config is None or not known.rest:
+        return argv
+    cut = len(argv) - len(known.rest) + 1
+    return [*argv[:cut], *_load_config(known.config), *argv[cut:]]
 
 
 def _initial_condition(args) -> InitialCondition:
@@ -95,14 +91,12 @@ def _initial_condition(args) -> InitialCondition:
         raise ValueError(
             "exactly one of --levels, --init-csv, --wedges is required")
     if args.levels is not None:
-        return from_positions(_parse_levels(str(args.levels)),
-                              extend_last=True)
+        return from_positions(_parse_floats(args.levels), extend_last=True)
     if args.init_csv is not None:
         return read_csv(args.init_csv)
-    spec = str(args.wedges)
-    if "@" not in spec:
+    if "@" not in args.wedges:
         raise ValueError("--wedges needs the form a1,a2,...@eps")
-    pos, eps = spec.rsplit("@", 1)
+    pos, eps = args.wedges.rsplit("@", 1)
     return narrow_wedge_approx(_parse_floats(pos), float(eps))
 
 
@@ -110,19 +104,16 @@ def _report(args, payload: dict) -> str:
     body = {
         "version": __version__,
         "command": args.cmd,
-        "config": {k: v for k, v in sorted(vars(args).items())
-                   if k not in ("cmd", "func") and v is not None},
+        "config": {k: v for k, v in vars(args).items()
+                   if k not in ("cmd", "func", "config")},
         **payload,
     }
     if args.output == "csv":
-        rows = payload.get("rows")
-        if rows is None:
-            rows = [{k: v for k, v in payload.items()}]
+        rows = payload.get("rows", [payload])
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         return buf.getvalue().rstrip("\n")
     return json.dumps(body, sort_keys=True, default=_json_default)
 
@@ -138,16 +129,12 @@ def _json_default(obj):
 
 def _cmd_prob(args):
     ic = _initial_condition(args)
-    indices = _parse_ints(str(args.indices))
-    thresholds = _parse_floats(str(args.a))
-    if len(indices) != len(thresholds):
+    if len(args.indices) != len(args.a):
         raise ValueError("--indices and --a must have the same length")
-    spec = KernelSpec(t=float(args.t), indices=tuple(indices), ic=ic,
-                      representation=args.representation or "hitting")
-    res = rbm_probability(spec, thresholds,
-                          target=float(args.target or 1e-6),
-                          order=int(args.quad_order or 40),
-                          pad=float(args.pad) if args.pad else None)
+    spec = KernelSpec(t=args.t, indices=tuple(args.indices), ic=ic,
+                      representation=args.representation)
+    res = rbm_probability(spec, args.a, target=args.target,
+                          order=args.quad_order, pad=args.pad)
     return {
         "probability": res.value,
         "error_estimate": res.error_estimate,
@@ -157,19 +144,15 @@ def _cmd_prob(args):
 
 
 def _cmd_mc(args):
-    ic = _initial_condition(args)
-    indices = _parse_ints(str(args.indices))
-    thresholds = _parse_floats(str(args.a))
     est, stderr = simulate.mc_distribution(
-        ic, float(args.t), indices, thresholds,
-        paths=int(args.paths or 10000), dt=float(args.dt or 1e-3),
-        seed=int(args.seed or 0), threads=int(args.threads or 1))
+        _initial_condition(args), args.t, args.indices, args.a,
+        paths=args.paths, dt=args.dt, seed=args.seed, threads=args.threads)
     return {
         "estimate": est,
         "stderr": stderr,
-        "paths": int(args.paths or 10000),
-        "dt": float(args.dt or 1e-3),
-        "seed": int(args.seed or 0),
+        "paths": args.paths,
+        "dt": args.dt,
+        "seed": args.seed,
         "bias_note": "grid reflection bias is O(sqrt(dt)) toward larger "
                      "values for extreme-value events",
     }
@@ -177,22 +160,17 @@ def _cmd_mc(args):
 
 def _cmd_hitting(args):
     ic = _initial_condition(args)
-    eta = float(args.eta if args.eta is not None else 0.0)
-    n_max = int(args.horizon or (max(_parse_ints(str(args.indices)))
-                                 if args.indices else 8))
-    method = args.method or "exact"
-    if method == "exact":
-        law = hitting_law_exact(blocks(ic), eta, n_max)
-    elif method == "grid":
-        grid = default_grid(ic, eta, n_max,
-                            spacing=float(args.spacing or 1e-3))
-        law = hitting_law_grid(ic, eta, grid, n_max)
-    elif method == "mc":
-        law = hitting_law_mc(ic, eta, n_max,
-                             paths=int(args.paths or 100000),
-                             seed=int(args.seed or 0))
+    n_max = args.horizon
+    if n_max is None:  # the largest of --indices, else 8
+        n_max = max(args.indices) if args.indices is not None else 8
+    if args.method == "exact":
+        law = hitting_law_exact(blocks(ic), args.eta, n_max)
+    elif args.method == "grid":
+        grid = default_grid(ic, args.eta, n_max, spacing=args.spacing)
+        law = hitting_law_grid(ic, args.eta, grid, n_max)
     else:
-        raise ValueError(f"unknown hitting method {method!r}")
+        law = hitting_law_mc(ic, args.eta, n_max, paths=args.paths,
+                             seed=args.seed)
     rows = []
     if law.atom_mass:
         rows.append({"ell": "atom", "b": law.start, "density": law.atom_mass})
@@ -204,34 +182,26 @@ def _cmd_hitting(args):
 
 
 def _cmd_gue(args):
-    n = int(args.n or 2)
-    thresholds = _parse_floats(str(args.a)) if args.a else \
-        [-3.0, -1.5, 0.0, 1.0, 2.0]
-    samples = int(args.paths or 100000)
-    seed = int(args.seed or 0)
-    lam = simulate.gue_edge_sample(n, samples, seed)
-    spec = KernelSpec(t=1.0, indices=(n,), ic=packed(0.0))
+    samples = args.paths
+    lam = simulate.gue_edge_sample(args.n, samples, args.seed)
+    spec = KernelSpec(t=1.0, indices=(args.n,), ic=packed(0.0))
     rows = []
-    for a in thresholds:
+    for a in args.a:
         det = rbm_probability(spec, [a]).value
         emp = float(np.mean(lam <= -a))
         se = math.sqrt(max(emp * (1 - emp), 1.0 / samples) / samples)
         rows.append({"a": a, "determinant": det, "gue_empirical": emp,
                      "stderr": se, "z": abs(det - emp) / se})
-    return {"rows": rows, "n": n, "samples": samples, "seed": seed}
+    return {"rows": rows, "n": args.n, "samples": samples, "seed": args.seed}
 
 
 def _cmd_scaling(args):
-    if args.wedges is None or "@" in str(args.wedges):
+    if "@" in args.wedges:
         raise ValueError("scaling takes --wedges as positions only "
                          "(eps values come from --eps)")
-    wedges = _parse_floats(str(args.wedges))
-    xs = _parse_floats(str(args.x or "0"))
-    thresholds = _parse_floats(str(args.a or "0"))
-    eps_list = _parse_floats(str(args.eps or "0.2,0.1,0.05"))
     rows_out = []
-    rows = convergence_study(wedges, float(args.t or 1.0), xs, thresholds,
-                             eps_list, target=float(args.target or 1e-6))
+    rows = convergence_study(_parse_floats(args.wedges), args.t, args.x,
+                             args.a, args.eps, target=args.target)
     for r in rows:
         rows_out.append({
             "eps": r.eps,
@@ -245,132 +215,130 @@ def _cmd_scaling(args):
 
 
 def _cmd_validate(args):
-    seed = int(args.seed or 0)
-    suites = [args.suite] if args.suite != "all" else \
-        ["duality", "gram", "representations", "contour", "g0n"]
+    seed = args.seed
     results = {}
-    rng = np.random.default_rng(seed)
-    if "duality" in suites:
+    for i, suite in enumerate(_SUITES):
+        if args.suite not in (suite, "all"):
+            continue
+        # its own stream, so that alone it draws what it draws within "all"
+        rng = np.random.default_rng([seed, i])
         worst = 0.0
-        for k in range(10):
-            n = int(rng.integers(2, 13))
-            lv = np.sort(rng.uniform(-2, 2, n))[::-1]
-            ic = from_positions(lv)
-            noise = simulate.sample_noise(n, 1.0, 1e-3, seed + 100 + k)
-            a = simulate.rbm_reflect(ic, noise)
-            b = simulate.rbm_variational(ic, noise)
-            worst = max(worst, float(np.max(np.abs(a - b))))
-        results["duality"] = {"max_pathwise_gap": worst,
-                              "threshold": 1e-12, "pass": worst < 1e-12}
-    if "gram" in suites:
-        worst = 0.0
-        for k in range(6):
-            n = int(rng.integers(2, 11))
-            lv = np.sort(rng.uniform(-2, 2, n))[::-1]
-            g = biorth.gram(from_positions(lv), n, float(rng.uniform(0.5, 2)))
-            worst = max(worst, float(np.max(np.abs(g - np.eye(n)))))
-        results["gram"] = {"max_identity_gap": worst,
-                           "threshold": 1e-8, "pass": worst < 1e-8}
-    if "representations" in suites:
-        lv = [1.0, 1.0, 0.0, -1.0, -1.0]
-        ic = from_positions(lv, extend_last=True)
-        idx = (2, 5)
-        kerns = {rep: kernel_eval(KernelSpec(t=1.0, indices=idx, ic=ic,
-                                             representation=rep))
-                 for rep in ("hitting", "biorth", "operator_step")}
-        worst = 0.0
-        for _ in range(30):
-            ni = int(rng.choice(idx)); nj = int(rng.choice(idx))
-            zi = float(rng.uniform(-5, 2)); zj = float(rng.uniform(-5, 2))
-            vals = [k((ni, zi), (nj, zj)) for k in kerns.values()]
-            scale = max(1.0, *(abs(v) for v in vals))
-            worst = max(worst, (max(vals) - min(vals)) / scale)
-        results["representations"] = {"max_rel_gap": worst,
-                                      "threshold": 1e-7,
-                                      "pass": worst < 1e-7}
-    if "contour" in suites:
-        worst = 0.0
-        for _ in range(10):
-            t = float(rng.uniform(0.4, 2.5))
-            n = int(rng.integers(0, 15))
-            z1, z2 = rng.uniform(-2, 2, 2)
-            a = special.contour_eval("S", t, n, z1, z2)
-            b = s_ops("S", t, n, z1, z2)
-            worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-            if n >= 1:
-                a = special.contour_eval("Sbar", t, n, z1, z2)
-                b = s_ops("Sbar", t, n, z1, z2)
-                worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-        results["contour"] = {"max_rel_gap": worst, "threshold": 1e-8,
-                              "pass": worst < 1e-8}
-    if "g0n" in suites:
-        worst = 0.0
-        for _ in range(8):
-            n = int(rng.integers(2, 7))
-            lv = np.sort(rng.uniform(-2, 2, n))[::-1]
-            ic = from_positions(lv, extend_last=True)
-            x1 = float(rng.uniform(-3, 3))
-            if min(abs(x1 - v) for v in lv) < 1e-6:
-                continue
-            x2 = float(rng.uniform(-3, 3))
-            a = biorth.g0n_eval(ic, n, x1, x2, method="biorth")
-            b = biorth.g0n_eval(ic, n, x1, x2, method="hitting")
-            worst = max(worst, abs(a - b))
-        results["g0n"] = {"max_gap": worst, "threshold": 1e-8,
-                          "pass": worst < 1e-8}
+        if suite == "duality":
+            metric, threshold = "max_pathwise_gap", 1e-12
+            for k in range(10):
+                n = int(rng.integers(2, 13))
+                lv = np.sort(rng.uniform(-2, 2, n))[::-1]
+                ic = from_positions(lv)
+                noise = simulate.sample_noise(n, 1.0, 1e-3, seed + 100 + k)
+                a = simulate.rbm_reflect(ic, noise)
+                b = simulate.rbm_variational(ic, noise)
+                worst = max(worst, float(np.max(np.abs(a - b))))
+        elif suite == "gram":
+            metric, threshold = "max_identity_gap", 1e-8
+            for k in range(6):
+                n = int(rng.integers(2, 11))
+                lv = np.sort(rng.uniform(-2, 2, n))[::-1]
+                g = biorth.gram(from_positions(lv), n,
+                                float(rng.uniform(0.5, 2)))
+                worst = max(worst, float(np.max(np.abs(g - np.eye(n)))))
+        elif suite == "representations":
+            metric, threshold = "max_rel_gap", 1e-7
+            ic = from_positions([1.0, 1.0, 0.0, -1.0, -1.0], extend_last=True)
+            idx = (2, 5)
+            kerns = [kernel_eval(KernelSpec(t=1.0, indices=idx, ic=ic,
+                                            representation=rep))
+                     for rep in ("hitting", "biorth", "operator_step")]
+            for _ in range(30):
+                ni = int(rng.choice(idx)); nj = int(rng.choice(idx))
+                zi = float(rng.uniform(-5, 2)); zj = float(rng.uniform(-5, 2))
+                vals = [k((ni, zi), (nj, zj)) for k in kerns]
+                scale = max(1.0, *(abs(v) for v in vals))
+                worst = max(worst, (max(vals) - min(vals)) / scale)
+        elif suite == "contour":
+            metric, threshold = "max_rel_gap", 1e-8
+            for _ in range(10):
+                t = float(rng.uniform(0.4, 2.5))
+                n = int(rng.integers(0, 15))
+                z1, z2 = rng.uniform(-2, 2, 2)
+                for op in ("S", "Sbar") if n >= 1 else ("S",):
+                    a = special.contour_eval(op, t, n, z1, z2)
+                    b = s_ops(op, t, n, z1, z2)
+                    worst = max(worst, abs(a - b) / max(1.0, abs(b)))
+        else:
+            metric, threshold = "max_gap", 1e-8
+            for _ in range(8):
+                n = int(rng.integers(2, 7))
+                lv = np.sort(rng.uniform(-2, 2, n))[::-1]
+                ic = from_positions(lv, extend_last=True)
+                x1 = float(rng.uniform(-3, 3))
+                if min(abs(x1 - v) for v in lv) < 1e-6:
+                    continue
+                x2 = float(rng.uniform(-3, 3))
+                a = biorth.g0n_eval(ic, n, x1, x2, method="biorth")
+                b = biorth.g0n_eval(ic, n, x1, x2, method="hitting")
+                worst = max(worst, abs(a - b))
+        results[suite] = {metric: worst, "threshold": threshold,
+                          "pass": worst < threshold}
     ok = all(v["pass"] for v in results.values())
     if not ok:
         raise ConvergenceError("validation failed: " + json.dumps(results))
     return {"suites": results, "all_pass": ok, "seed": seed}
 
 
-# every flag a subcommand may take; each subcommand takes only those it reads
+# the cross-check suites; a suite's place here keys its random stream
+_SUITES = ("duality", "gram", "representations", "contour", "g0n")
+
+# every flag a subcommand may take, with its type; --levels, --init-csv and
+# --wedges stay strings
 _FLAGS = {
-    "t": dict(help="time (or fixed-point time for scaling)"),
-    "indices": dict(help="comma list n1,n2,..."),
-    "a": dict(help="comma list of thresholds"),
+    "t": dict(type=float, help="time (or fixed-point time for scaling)"),
+    "indices": dict(type=_parse_ints, help="comma list n1,n2,..."),
+    "a": dict(type=_parse_floats, help="comma list of thresholds"),
     "levels": dict(help="comma list X0(1),X0(2),... "
                         "(leading 'inf' entries allowed)"),
     "init_csv": dict(help="CSV file with index,position rows"),
     "wedges": dict(help="a1,a2,...@eps narrow-wedge data "
                         "(positions only for 'scaling')"),
-    "quad_order": dict(help="quadrature nodes per panel"),
-    "pad": dict(help="truncation pad for half-lines"),
-    "target": dict(help="determinant error target"),
+    "quad_order": dict(type=int, help="quadrature nodes per panel"),
+    "pad": dict(type=float, help="truncation pad for half-lines"),
+    "target": dict(type=float, help="determinant error target"),
     "representation": dict(choices=("hitting", "biorth", "operator_step")),
-    "paths": dict(help="Monte Carlo sample count"),
-    "dt": dict(help="simulation step"),
-    "seed": dict(help="master seed"),
-    "threads": dict(help="worker cap (results unchanged)"),
-    "eta": dict(help="walk start"),
-    "horizon": dict(help="epoch horizon"),
+    "paths": dict(type=int, help="Monte Carlo sample count"),
+    "dt": dict(type=float, help="simulation step"),
+    "seed": dict(type=int, help="master seed"),
+    "threads": dict(type=int, help="worker cap (results unchanged)"),
+    "eta": dict(type=float, help="walk start"),
+    "horizon": dict(type=int, help="epoch horizon"),
     "method": dict(choices=("exact", "grid", "mc")),
-    "spacing": dict(help="grid spacing for --method grid"),
-    "suite": dict(choices=("duality", "gram", "representations", "contour",
-                           "g0n", "all"), help="default all"),
-    "x": dict(help="comma list of fixed-point locations"),
-    "eps": dict(help="comma list of eps values"),
-    "n": dict(help="matrix size / particle index"),
+    "spacing": dict(type=float, help="grid spacing for --method grid"),
+    "suite": dict(choices=(*_SUITES, "all"), help="default all"),
+    "x": dict(type=_parse_floats, help="comma list of fixed-point locations"),
+    "eps": dict(type=_parse_floats, help="comma list of eps values"),
+    "n": dict(type=int, help="matrix size / particle index"),
     "output": dict(choices=("json", "csv"), help="default json"),
 }
-_SOURCE = ("levels", "init_csv", "wedges")
-# applied after the config merge, so that a config file can set them
-_DEFAULTS = {"output": "json", "suite": "all"}
+_SOURCE = dict(levels=None, init_csv=None, wedges=None)
+_REQUIRED = ...  # in place of a default: the flag must be given
 
+# each subcommand's flags with their defaults; every subcommand also takes
+# --output (default json)
 _COMMANDS = (
     ("prob", _cmd_prob, "determinant probability",
-     ("t", "indices", "a", *_SOURCE, "quad_order", "pad", "target",
-      "representation")),
+     dict(t=_REQUIRED, indices=_REQUIRED, a=_REQUIRED, **_SOURCE,
+          quad_order=40, pad=None, target=1e-6, representation="hitting")),
     ("mc", _cmd_mc, "Monte Carlo probability",
-     ("t", "indices", "a", *_SOURCE, "paths", "dt", "seed", "threads")),
+     dict(t=_REQUIRED, indices=_REQUIRED, a=_REQUIRED, **_SOURCE,
+          paths=10000, dt=1e-3, seed=0, threads=1)),
     ("hitting", _cmd_hitting, "dump a hitting law",
-     (*_SOURCE, "eta", "horizon", "indices", "method", "spacing", "paths",
-      "seed")),
-    ("validate", _cmd_validate, "cross-check suites", ("seed", "suite")),
+     dict(**_SOURCE, eta=0.0, horizon=None, indices=None, method="exact",
+          spacing=1e-3, paths=100000, seed=0)),
+    ("validate", _cmd_validate, "cross-check suites",
+     dict(seed=0, suite="all")),
     ("scaling", _cmd_scaling, "narrow-wedge convergence study",
-     ("wedges", "t", "x", "a", "eps", "target")),
+     dict(wedges=_REQUIRED, t=1.0, x=[0.0], a=[0.0], eps=[0.2, 0.1, 0.05],
+          target=1e-6)),
     ("gue", _cmd_gue, "packed one-point law vs GUE edge",
-     ("n", "a", "paths", "seed")),
+     dict(n=2, a=[-3.0, -1.5, 0.0, 1.0, 2.0], paths=100000, seed=0)),
 )
 
 
@@ -382,20 +350,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "KPZ-fixed-point cross-checks")
     p.add_argument("--config", help="key=value file; flags override it")
     sub = p.add_subparsers(dest="cmd", required=True)
-    for name, func, help_, flags in _COMMANDS:
+    for name, func, help_, defaults in _COMMANDS:
         sp = sub.add_parser(name, help=help_)
-        for flag in (*flags, "output"):
+        for flag, default in {**defaults, "output": "json"}.items():
             sp.add_argument("--" + flag.replace("_", "-"), dest=flag,
+                            default=default, required=default is _REQUIRED,
                             **_FLAGS[flag])
         sp.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        _resolve(args, _load_config(args.config) if args.config else {})
+        args = build_parser().parse_args(_with_config(argv))
         payload = args.func(args)
         print(_report(args, payload))
         return 0

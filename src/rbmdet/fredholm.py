@@ -114,7 +114,7 @@ class NystromSystem:
         return np.concatenate(keep), tuple(intervals)
 
     def _half_order(self) -> "NystromSystem":
-        return replace(self, order=max(4, self.order // 2), schemes=None)
+        return replace(self, order=self.order // 2, schemes=None)
 
 
 class _Dense:
@@ -233,7 +233,10 @@ def fredholm_det(system: NystromSystem, shrink: float = 2.0) -> DetResult:
     inside the truncated end, with ``shrink`` capped at half of each
     interval (``shrunk_cut``).  A factored system takes it from the kept
     columns of the same factors; the half-order rerun assembles its own.
+    Raises ValueError for an order below 2, which has no half order.
     """
+    if system.order < 2:
+        raise ValueError(f"need quadrature order >= 2, got {system.order}")
     assembled = system.assemble()
     value = system.det(assembled.matrix())
     if not math.isfinite(value):

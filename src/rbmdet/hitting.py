@@ -30,6 +30,7 @@ from scipy.special import gammaincc, gammaln
 from .errors import ConvergenceError
 from .initial_data import InitialCondition, StepProfile
 from .quad import build_scheme
+from .simulate import _philox
 
 
 def q_exp_pow(m: int, x, y):
@@ -218,8 +219,7 @@ class HittingLaw:
             total += self.atom_mass * float(
                 np.asarray(f(0, np.asarray([self.start]))).ravel()[0])
         for ell, comp in self.components.items():
-            total += float(np.dot(comp.weights * comp.values,
-                                  f(ell, comp.nodes)))
+            total += comp.integrate(lambda b: f(ell, b))
         return total
 
 
@@ -518,8 +518,7 @@ def hitting_law_mc(ic: InitialCondition, eta: float, n_max: int,
     chunk_idx = 0
     while done < paths:
         size = min(_MC_CHUNK, paths - done)
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=(chunk_idx,))))
+        rng = _philox(seed, chunk_idx)
         steps = rng.exponential(scale=1.0, size=(size, n_max - 1))
         b = eta - np.cumsum(steps, axis=1)  # b[:, k-1] = B_k
         hit = b >= curve[None, 1:]

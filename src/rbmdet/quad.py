@@ -38,9 +38,6 @@ class Scheme:
     def size(self) -> int:
         return self.nodes.size
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
-
 
 def build_scheme(lo, hi, order=24, splits=(), max_panel=None) -> Scheme:
     """Composite Gauss-Legendre scheme on [lo, hi]: ``order`` nodes per

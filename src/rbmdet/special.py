@@ -37,7 +37,6 @@ the same order as a whole-array loop, so every value is bitwise the same:
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -216,14 +215,12 @@ def oscillator_psi(n: int, x):
 
 
 # ---------------------------------------------------------------------------
-# Airy function: Taylor ODE march on a cached anchor grid, asymptotic
+# Airy function: Taylor ODE march on an anchor grid built at import, asymptotic
 # expansions outside it.  Double precision, absolute error < 1e-12 on
 # [-15, 10] (validated in the test suite against series and scipy).
 # ---------------------------------------------------------------------------
 
 _AIRY_LO, _AIRY_HI, _AIRY_STEP = -20.0, 12.0, 0.25
-_airy_lock = threading.Lock()
-_airy_anchors = None  # (grid, Ai values, Ai' values)
 
 _AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 _AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
@@ -266,15 +263,6 @@ def _build_airy_anchors():
     # re-pin the exact origin values
     ai[i0], aip[i0] = _AI0, _AIP0
     return grid, ai, aip
-
-
-def _airy_anchor_table():
-    global _airy_anchors
-    if _airy_anchors is None:
-        with _airy_lock:
-            if _airy_anchors is None:
-                _airy_anchors = _build_airy_anchors()
-    return _airy_anchors
 
 
 def _airy_taylor_batch(c, a, b, h, nterms=26):
@@ -363,6 +351,9 @@ def _airy_asy_neg_vec(x):
     return ai, aip
 
 
+_AIRY_ANCHORS = _build_airy_anchors()  # (grid, Ai values, Ai' values)
+
+
 def airy_pair(x):
     """(Ai(x), Ai'(x)), vectorized over x."""
     x = np.asarray(x, dtype=float)
@@ -370,7 +361,7 @@ def airy_pair(x):
     xv = np.atleast_1d(x).astype(float).ravel()
     ai = np.empty_like(xv)
     aip = np.empty_like(xv)
-    grid, tai, taip = _airy_anchor_table()
+    grid, tai, taip = _AIRY_ANCHORS
     hi = xv > _AIRY_HI
     lo = xv < _AIRY_LO
     mid = ~(hi | lo)

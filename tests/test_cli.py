@@ -1,9 +1,14 @@
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from rbmdet.cli import main
+from rbmdet.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -20,7 +25,7 @@ class TestProb:
         body = json.loads(out)
         assert body["probability"] == pytest.approx(0.5, abs=1e-6)
         assert body["version"]
-        assert body["config"]["t"] == "1"
+        assert body["config"]["t"] == 1.0
         assert body["error_estimate"] < 1e-6
 
     def test_arity_mismatch_exits_2(self, capsys):
@@ -73,16 +78,20 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense=1\n")
-        code, _, err = run(capsys, "--config", str(cfg), "prob")
-        assert code == 2
-
+        with pytest.raises(SystemExit) as info:
+            main(["--config", str(cfg), "prob", "--t", "1", "--indices",
+                  "1", "--levels", "0", "--a", "0"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --nonsense=1" in \
+            capsys.readouterr().err
 
     def test_unread_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "seeded.cfg"
         cfg.write_text("t=1\nindices=1\nlevels=0\na=0\nseed=3\n")
-        code, _, err = run(capsys, "--config", str(cfg), "prob")
-        assert code == 2
-        assert "unknown config key 'seed'" in err
+        with pytest.raises(SystemExit) as info:
+            main(["--config", str(cfg), "prob"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed=3" in capsys.readouterr().err
 
     def test_file_sets_output(self, capsys, tmp_path):
         argv = ("hitting", "--levels", "0", "--eta", "0.7", "--horizon", "4")
@@ -114,9 +123,54 @@ class TestConfigFile:
                                                  line, argv):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
-        code, _, err = run(capsys, "--config", str(cfg), *argv)
-        assert code == 2
-        assert "must be one of" in err
+        with pytest.raises(SystemExit) as info:
+            main(["--config", str(cfg), *argv])
+        assert info.value.code == 2
+        value = line.split("=")[1]
+        assert f"invalid choice: '{value}'" in capsys.readouterr().err
+
+    def test_equivalent_runs_print_the_same_bytes(self, capsys, tmp_path):
+        # the file path, and defaults typed or left out, do not show
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t=1\nindices=1\nlevels=0\na=0\n")
+        argv = ("prob", "--t", "1", "--indices", "1", "--levels", "0",
+                "--a", "0")
+        outs = {run(capsys, *argv)[1],
+                run(capsys, "--config", str(cfg), "prob")[1],
+                run(capsys, *argv, "--target", "1e-6", "--quad-order",
+                    "40")[1]}
+        assert len(outs) == 1
+        config = json.loads(outs.pop())["config"]
+        assert config["quad_order"] == 40 and config["indices"] == [1]
+
+    @pytest.mark.parametrize("cmd, flags, missing", [
+        ("prob", {"t": "1", "indices": "1", "a": "0"}, "t"),
+        ("prob", {"t": "1", "indices": "1", "a": "0"}, "indices"),
+        ("prob", {"t": "1", "indices": "1", "a": "0"}, "a"),
+        ("mc", {"t": "1", "indices": "1", "a": "0", "paths": "200"}, "t"),
+        ("mc", {"t": "1", "indices": "1", "a": "0", "paths": "200"},
+         "indices"),
+        ("mc", {"t": "1", "indices": "1", "a": "0", "paths": "200"}, "a"),
+        ("scaling", {"wedges": "0", "eps": "0.2"}, "wedges"),
+    ])
+    def test_missing_required_flag(self, capsys, tmp_path, cmd, flags,
+                                   missing):
+        # without --t these ended in a TypeError traceback (exit 1)
+        given = [f"--{k}={v}" for k, v in flags.items() if k != missing]
+        source = ["--levels", "0"] if cmd != "scaling" else []
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text("output=json\n")
+        for head in ([], ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as info:
+                main([*head, cmd, *source, *given])
+            assert info.value.code == 2
+            assert "the following arguments are required: --" + missing \
+                in capsys.readouterr().err
+        cfg.write_text(f"{missing}={flags[missing]}\n")
+        code, out, _ = run(capsys, "--config", str(cfg), cmd, *source,
+                           *given)
+        assert code == 0
+        assert json.loads(out)["config"][missing] is not None
 
 
 @pytest.mark.parametrize("argv", [
@@ -196,6 +250,18 @@ class TestValidate:
         assert code == 0
         assert json.loads(out)["all_pass"] is True
 
+    def test_each_suite_alone_reproduces_its_part_of_all(self, capsys):
+        # the suites once shared one stream, so --suite contour drew other
+        # cases than the contour part of --suite all
+        code, out, _ = run(capsys, "validate", "--seed", "3")
+        assert code == 0
+        suites = json.loads(out)["suites"]
+        assert len(suites) == 5
+        for name, entry in suites.items():
+            alone = json.loads(run(capsys, "validate", "--suite", name,
+                                   "--seed", "3")[1])["suites"]
+            assert alone == {name: entry}
+
 
 class TestGueAndScaling:
     def test_gue_rows(self, capsys):
@@ -212,6 +278,18 @@ class TestGueAndScaling:
                            "--seed", "4", "--a", "0")
         assert code == 2
         assert "samples must be >= 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("gue", "--a=", "--output", "csv"),
+        ("scaling", "--wedges", "0", "--eps=", "--output", "csv"),
+    ])
+    def test_empty_list_exits_2(self, capsys, argv):
+        # an empty list is an argument error, not a report without rows
+        # (a CSV report without rows has no header to write)
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        assert "value: ''" in capsys.readouterr().err
 
     def test_scaling_csv(self, capsys):
         code, out, _ = run(capsys, "scaling", "--wedges", "0", "--t", "1",
@@ -231,3 +309,17 @@ class TestIoErrors:
                            "--a", "0")
         assert code == 4
         assert "io" in err
+
+
+def test_readme_table_lists_every_flag():
+    table = {}
+    for line in README.read_text().splitlines():
+        m = re.match(r"\| `(\w+)` +\|(.*)\|$", line)
+        if m:
+            table[m.group(1)] = set(re.findall(r"--[a-z-]+", m.group(2)))
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {opt for act in sp._actions for opt in act.option_strings
+                    if opt.startswith("--") and opt != "--help"}
+             for name, sp in sub.choices.items()}
+    assert table == flags

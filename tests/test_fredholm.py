@@ -25,10 +25,10 @@ class TestBuildQuadrature:
 
     def test_polynomial_exactness(self):
         sch = build_scheme(0.0, 1.0, order=2)
-        assert sch.integrate(sch.nodes ** 2) == pytest.approx(1 / 3,
-                                                              abs=1e-15)
-        assert sch.integrate(sch.nodes ** 3) == pytest.approx(1 / 4,
-                                                              abs=1e-15)
+        assert sch.weights @ sch.nodes ** 2 == pytest.approx(1 / 3,
+                                                             abs=1e-15)
+        assert sch.weights @ sch.nodes ** 3 == pytest.approx(1 / 4,
+                                                             abs=1e-15)
 
     def test_split_point_honored(self):
         sch = build_scheme(0.0, 2.0, order=8, splits=(0.7,))
@@ -233,6 +233,33 @@ class TestRbmProbability:
         res = rbm_probability(spec, [-6.0])
         assert 0.0 <= res.value <= 1.0
         assert res.error_estimate < 1e-6
+
+
+class TestLowOrder:
+    # the half-order rerun of an order-4 system was floored at order 4, the
+    # same system, so orders 2 and 4 returned 0.5006 and 0.5012 for 1/2
+    # with an estimate of about 0
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_packed_half_within_estimate(self, order):
+        spec = KernelSpec(t=1.0, indices=(1,), ic=idata.packed(0.0))
+        res = rbm_probability(spec, [0.0], order=order)
+        assert abs(res.value - 0.5) <= max(res.error_estimate, 1e-15)
+        assert res.error_estimate < 1e-6
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_fixed_point_within_estimate(self, order):
+        spec = sc.FixedPointSpec(wedges=(0.0,), T=1.0, x=(0.0,),
+                                 a_out=(0.0,))
+        res = sc.fixedpoint_probability(spec, order=order)
+        assert abs(res.value - tracy_widom_gue_cdf(0.0)) <= \
+            max(res.error_estimate, 1e-15)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_order_without_half_rejected(self, order):
+        system = NystromSystem(intervals=((0.0, 1.0),), order=2,
+                               kernel=lambda xs: np.zeros((xs[0].size,) * 2))
+        with pytest.raises(ValueError, match="order >= 2"):
+            fredholm_det(replace(system, order=order))
 
 
 class TestDivergenceStop:
