@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.special import ndtr
+from scipy.special import log_ndtr
 
 from . import special
 from .hitting import hitting_law_exact
@@ -89,16 +89,51 @@ def gauss_repeated_integral(m: int, w):
     if m < 0:
         raise ValueError("m must be >= 0")
     w = np.asarray(w, dtype=float)
-    phi = np.exp(-0.5 * w * w) / math.sqrt(2 * math.pi)
     if m == 0:
-        return phi
-    cur = ndtr(w)
-    if m == 1:
-        return cur
-    prev = phi
-    for j in range(2, m + 1):
-        prev, cur = cur, (w * cur + prev) / (j - 1)
-    return cur
+        return np.exp(-0.5 * w * w) / math.sqrt(2 * math.pi)
+    return np.exp(log_gauss_repeated_integrals(m, w)[-1])
+
+
+def log_gauss_repeated_integrals(m: int, w):
+    """log J_k(w), k = 1..m, as rows of shape (m,) + w.shape (w finite):
+    the ratios r_k = J_k / J_{k-1} from log J_1 = log Phi(w), upward where
+    J grows against the recurrence's other solution (w >= 0) or loses at
+    most e^3 to it by step m, and downward (Miller, r = 0 at a depth where
+    the other solution has lost e^38 by step m) where it is the minimal
+    solution, which the upward run loses (J_30(-5) by a factor 1.7e3).
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    w = np.asarray(w, dtype=float)
+    wf = w.ravel()
+    out = np.zeros((m, wf.size))
+    out[0] = log_ndtr(wf)
+    # the other solution gains 2 artanh(c/a_k) at step k, c = |w|, a_k =
+    # sqrt(c^2 + 4(k-1)): F(a_m) - F(c) by step m, F' = a artanh(c/a) >= c
+    c = np.abs(wf)
+    a_m = np.sqrt(c * c + 4.0 * (m - 1))
+    lose = np.zeros(wf.size, dtype=bool)
+    if m > 1:
+        lose = (wf < 0) & (0.5 * c * (a_m - c) + 2.0 * (m - 1) * np.log(
+            (a_m + c) / (2.0 * math.sqrt(m - 1))) > 3.0)
+    down, up = np.flatnonzero(lose), np.flatnonzero(~lose)
+    q = np.exp(-0.5 * wf[up] ** 2 - 0.5 * math.log(2 * math.pi) - out[0, up])
+    for k in range(2, m + 1):
+        r = (wf[up] + q) / (k - 1)
+        out[k - 1, up] = np.log(r)
+        q = 1.0 / r
+    # each point starts at its own depth, the deepest first
+    top = np.ceil(((a_m[down] + 38.0 / c[down]) ** 2 - c[down] ** 2) / 4.0)
+    order = np.argsort(-top, kind="stable")
+    top, cs, r = top[order], c[down][order], np.zeros(down.size)
+    for k in range(int(top[0]) if top.size else 0, 1, -1):
+        ra = r[:np.searchsorted(-top, -k, side="right")]   # top >= k
+        ra *= k
+        ra += cs[:ra.size]
+        np.reciprocal(ra, out=ra)
+        if k <= m:      # every point is running by now
+            out[k - 1, down[order]] = np.log(r)
+    return np.cumsum(out, axis=0).reshape((m,) + w.shape)
 
 
 def psi_n_k(ic: InitialCondition, n: int, k: int, t: float, x):
@@ -112,8 +147,8 @@ def psi_n_k(ic: InitialCondition, n: int, k: int, t: float, x):
         la, sg = special.psi_log(k, t, y - x)
         return sg * np.exp(la)
     m = -k
-    return t ** ((m - 1) / 2.0) * gauss_repeated_integral(m, (x - y)
-                                                          / math.sqrt(t))
+    return np.exp(0.5 * (m - 1) * math.log(t) + log_gauss_repeated_integrals(
+        m, (x - y) / math.sqrt(t))[-1])
 
 
 def phi_n_k(fam: dict, k: int, t: float) -> Polynomial:

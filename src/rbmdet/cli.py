@@ -44,18 +44,23 @@ from .scaling import convergence_study
 
 
 def _parse_floats(text: str):
-    return [float(v) for v in _items(text)]
+    return _parse_list(text, float, "numbers")
 
 
 def _parse_ints(text: str):
-    return [int(v) for v in _items(text)]
+    return _parse_list(text, int, "integers")
 
 
-def _items(text: str):
+def _parse_list(text: str, kind, what: str):
+    """``text`` as a list of ``kind``; argparse prints this error as is."""
     items = [v for v in text.split(",") if v.strip() != ""]
-    if not items:
-        raise ValueError(f"no values in {text!r}")
-    return items
+    try:
+        if items:
+            return [kind(v) for v in items]
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a comma list of {what}, got {text!r}")
 
 
 def _load_config(path):
@@ -79,7 +84,8 @@ def _with_config(argv):
     pre.add_argument("--config")
     pre.add_argument("rest", nargs=argparse.REMAINDER)
     known, _ = pre.parse_known_args(argv)
-    if known.config is None or not known.rest:
+    if known.config is None or not known.rest or \
+            {"-h", "--help"} & set(known.rest):    # help reads no file
         return argv
     cut = len(argv) - len(known.rest) + 1
     return [*argv[:cut], *_load_config(known.config), *argv[cut:]]
@@ -375,7 +381,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "io", "detail": str(exc)}),
               file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         print(json.dumps({"error": "argument", "detail": str(exc)}),
               file=sys.stderr)
         return 2

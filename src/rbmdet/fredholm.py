@@ -42,7 +42,7 @@ class NystromSystem:
     ``ExtendedKernelEval.factors``); the determinant then comes from those
     factors and ``kernel`` is not called.  The lower end of each interval
     is the truncation of an infinite tail (used by the shrunk-domain error
-    rerun).
+    rerun).  An order below 1 is a ValueError before any scheme is built.
     """
 
     intervals: tuple
@@ -54,6 +54,10 @@ class NystromSystem:
     factors: object = None
 
     def __post_init__(self):
+        if self.order < 1:
+            raise ValueError(f"need quadrature order >= 1 (a determinant "
+                             f"with its error estimate needs order >= 2), "
+                             f"got {self.order}")
         if self.schemes is None:
             schemes = tuple(
                 build_scheme(lo, hi, order=self.order, splits=self.splits,
@@ -142,13 +146,13 @@ class _Factored:
     as it is and make partial pivoting work.  Each layer row of A is scaled
     by 2^-k and of B by 2^k, one k per row for all lines, to bring the
     row's largest entries of A and B together; this keeps G in floating
-    range however a row's scale is split between A and B (on the narrow
-    wedge at 4t, rows of A reach 2^548 and rows of B 2^-647).  Then G
-    itself is balanced (``_balanced``).  Unbalanced, packed data at the spectral edge at t = 1
-    are off by 3.8e-8 at n = 60 (balanced: 2.2e-16).  With the factor
-    balance only, the m x m matrix of two narrow wedges at eps = 0.1 has
-    condition number 2e9, where I - D K D has 3, and its determinant is off
-    by 1.3e-13 (balanced: condition number 1.1).
+    range however a row's scale is split between A and B (the hitting
+    kernel balances its atom rows so already; its law rows it does not).
+    Then G itself is balanced (``_balanced``).  Unbalanced, packed data at
+    the spectral edge at t = 1 were off by 3.8e-8 at n = 60 (balanced:
+    2.2e-16).  With the factor balance only, the m x m matrix of two narrow
+    wedges at eps = 0.1 has condition number 2e9, where I - D K D has 3,
+    and its determinant is off by 1.3e-13 (balanced: condition number 1.1).
     """
 
     def __init__(self, facs, walk, roots):
@@ -233,7 +237,8 @@ def fredholm_det(system: NystromSystem, shrink: float = 2.0) -> DetResult:
     inside the truncated end, with ``shrink`` capped at half of each
     interval (``shrunk_cut``).  A factored system takes it from the kept
     columns of the same factors; the half-order rerun assembles its own.
-    Raises ValueError for an order below 2, which has no half order.
+    The estimate is at least 4 ulps of |value|.  Raises ValueError for an
+    order below 2, which has no half order.
     """
     if system.order < 2:
         raise ValueError(f"need quadrature order >= 2, got {system.order}")
@@ -246,7 +251,9 @@ def fredholm_det(system: NystromSystem, shrink: float = 2.0) -> DetResult:
     v_pad = system.det(assembled.matrix(keep))
     del assembled
     v_half = system._half_order().det()
-    err = abs(value - v_half) + abs(value - v_pad)
+    # three runs that agree to the last bit still carry rounding
+    err = max(abs(value - v_half) + abs(value - v_pad),
+              4.0 * math.ulp(abs(value)))
     pad = min(hi - lo for lo, hi in system.intervals)
     return DetResult(value=value, error_estimate=float(err),
                      order_used=system.order, pad_used=float(pad))

@@ -15,12 +15,12 @@ Full kernel between index lines (n_i, n_j), in the conjugated gauge
 Every representation writes the second term as a product A_i^T B_j through
 a layer on which each factor depends on one index line only:
 
-* ``hitting``      - the defining double integral; the layer is the eta
-  nodes.  The epoch-0 atom of the hitting law is exact, so it contributes
-  a single 1-D integral, and the density components contribute tensorized
-  panel quadratures.  Interpolation from the eta nodes onto the law nodes
-  is folded into the law weights, so Sbar_epi needs Sbar on the eta nodes
-  only, once per epoch.
+* ``hitting``      - the defining double integral; the layer is n_max atom
+  rows and the law's eta nodes.  The epoch-0 atom is summed exactly by
+  parts at the one point c0, and the density components contribute
+  tensorized panel quadratures.  Interpolation from the eta nodes onto the
+  law nodes is folded into the law weights, so Sbar_epi needs Sbar on the
+  eta nodes only, once per epoch.
 * ``biorth``       - sum_{k=1}^{n_j} Psi^{n_i}_{n_i-k}(z_i) Phi^{n_j}_{n_j-k}(z_j)
   e^{z_j-z_i} with exact polynomial Phi's (finite levels, moderate n only);
   the layer is the index k = 1..n_max.
@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import biorth as _bo
 from . import special
@@ -134,8 +135,8 @@ def _s(t, n, x):
         la, sg = special.psi_log(n, t, x)
         return sg * np.exp(la + x)
     m = -n
-    j = _bo.gauss_repeated_integral(m, -x / math.sqrt(t))
-    return np.exp(x) * t ** ((m - 1) / 2.0) * j
+    return np.exp(x + 0.5 * (m - 1) * math.log(t)
+                  + _bo.log_gauss_repeated_integrals(m, -x / math.sqrt(t))[-1])
 
 
 def _sbar(t, n, x):
@@ -144,11 +145,23 @@ def _sbar(t, n, x):
     return sg * np.exp(la - x)
 
 
-def _s_sbar(t, n, x):
-    """S(t, n) and Sbar(t, n) at x = z1 - z2, n >= 1, from one recurrence;
-    bitwise equal to ``_s`` and ``_sbar``."""
-    (la, sg), (lb, sb) = special.psi_psibar_log(n, t, x)
-    return sg * np.exp(la + x), sb * np.exp(lb - x)
+# ln 2 = _LN2_HI + _LN2_LO, _LN2_HI with 32 bits, so e * _LN2_HI is exact:
+# a rounded e ln 2 would scale all entries of one size by the same error
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
+def _pow2_rows(logs, signs, shift):
+    """signs * e^logs * 2^-shift[k] in row k, the powers of 2 applied
+    exactly; entries that would be subnormal (slow in products) are 0."""
+    frac = np.where(signs != 0, logs, 0.0)
+    e = np.floor(frac / math.log(2.0))
+    frac -= e * _LN2_HI
+    frac -= e * _LN2_LO
+    p = e - shift[:, None]
+    out = np.ldexp(np.exp(frac, out=frac), np.maximum(p, -1100.0)
+                   .astype(np.int32)) * signs
+    out[p < -1021] = 0.0
+    return out
 
 
 def s_ops(kind: str, t: float, n: int, z1, z2):
@@ -235,10 +248,9 @@ class ExtendedKernelEval:
     line, under one discretization for the whole assembly, and keeps no
     factor after the call; ``block`` takes A from line i's pair and B from
     line j's.  A determinant needs no N x N matrix from the factors (see
-    ``fredholm``); ``matrix`` multiplies them out.  S and Sbar come from
-    the module's ``_s``, ``_sbar`` and ``_s_sbar``; S_n and Sbar_n on a
-    line's atom nodes share an argument and come from one Hermite
-    recurrence to degree n.
+    ``fredholm``); ``matrix`` multiplies them out.  A line's atom rows
+    come from one Hermite recurrence (``_atom_factors``), its law rows
+    from the module's ``_s`` and ``_sbar``.
     """
 
     def __init__(self, spec: KernelSpec):
@@ -281,8 +293,7 @@ class ExtendedKernelEval:
         zj = np.atleast_1d(np.asarray(zj, dtype=float))
         self._count(zi.size * zj.size)
         state = self._discretization((zi, zj))
-        a, _ = self._line_factors(ni, zi, state)
-        _, b = self._line_factors(nj, zj, state)
+        (a, _), (_, b) = self._line_factors([(ni, zi), (nj, zj)], state)
         out = a[:len(b)].T @ b
         if ni < nj:
             out = out - q_exp_pow(nj - ni, zi[:, None], zj[None, :])
@@ -310,7 +321,7 @@ class ExtendedKernelEval:
         # one assembly counts as N^2 kernel evaluations
         self._count(sum(z.size for z in zs) ** 2)
         state = self._discretization(zs)
-        facs = [self._line_factors(n, z, state) for n, z in zip(idx, zs)]
+        facs = self._line_factors(list(zip(idx, zs)), state)
         walk = {(i, j): q_exp_pow(idx[j] - idx[i], zs[i][:, None],
                                   zs[j][None, :])
                 for j in range(len(idx)) for i in range(j)}
@@ -339,12 +350,10 @@ class ExtendedKernelEval:
     def _build(self, z_hi: float):
         spec = self.spec
         blks = self._profile.blocks_within(spec.n_max)
-        c0 = spec.ic.curve(0)
         upper = z_hi + self._reach
         panel = max(1.5 * self._bulk_wave, 1e-3)
         levels = [b.level for b in blks]
-        splits = levels + ([c0] if math.isfinite(c0) else [])
-        state = {"atom": None, "law": None}
+        state = {"law": None}
         if spec.representation == "operator_step":
             # one eta scheme per block (None above upper) and one Volterra
             # leg per block pair; a rebuild replaces them all
@@ -358,16 +367,12 @@ class ExtendedKernelEval:
                     if schemes[j] is not None and schemes[k] is not None}
             state["chains"] = (schemes, legs)
             return state
-        if math.isfinite(c0) and upper > c0:
-            sch = build_scheme(c0, upper, order=_ETA_ORDER,
-                               splits=splits, max_panel=panel)
-            state["atom"] = (sch.nodes, sch.weights)
-        law_hi = min(c0, upper)
+        law_hi = min(spec.ic.curve(0), upper)
         if blks and law_hi > blks[-1].level:
             # runs under the lock; a layer is never changed once built
             if self._law is None or self._law[0] != law_hi:
                 self._law = (law_hi, self._law_layer(blks[-1].level, law_hi,
-                                                     splits, panel))
+                                                     levels, panel))
             state["law"] = self._law[1]
         return state
 
@@ -425,41 +430,93 @@ class ExtendedKernelEval:
             epochs[ell] = (rows, cols, w.reshape(shape))
         return sch.nodes, sch.weights, epochs
 
-    def _line_factors(self, n, z, state):
-        """(A, B) of line n on nodes z.
+    def _line_factors(self, lines, state):
+        """[(A, B), ...], one pair per (n, z) in ``lines``: the factors of
+        line n on nodes z.
 
-        The rows are the representation's layer: the eta nodes
-        (hitting), every block's eta nodes (operator_step,
+        The rows are the representation's layer: the atom rows and law eta
+        nodes (hitting), every block's eta nodes (operator_step,
         ``_chain_factors``) or k = 1..n_max (biorth, ``_biorth_factors``).
 
-        In the hitting representation A is the weighted S(t, n; eta, z) on
-        the atom and law eta nodes.  B is Sbar(t, n; eta, z) on the atom
-        nodes, then the hitting-law expectation of Sbar(t, n - ell; b, z)
-        on the law eta nodes: per epoch ell < n, Sbar on the eta nodes the
-        epoch's law nodes fall among, times its folded weights
-        (``_law_layer``).
+        In the hitting representation the atom rows (``_atom_factors``)
+        come first.  On the law eta nodes A is the weighted S(t, n; eta, z)
+        and B the hitting-law expectation of Sbar(t, n - ell; b, z): per
+        epoch ell < n, Sbar on the eta nodes the epoch's law nodes fall
+        among, times its folded weights (``_law_layer``).
         """
         rep, t = self.spec.representation, self.spec.t
         if rep == "operator_step":
-            return self._chain_factors(n, z, state)
+            return [self._chain_factors(n, z, state) for n, z in lines]
         if rep == "biorth":
-            return self._biorth_factors(n, z)
-        rows = [np.empty((0, z.size))]
-        cols = [np.empty((0, z.size))]
-        if state["atom"] is not None:
-            nodes, w = state["atom"]
-            s, sbar = _s_sbar(t, n, nodes[:, None] - z[None, :])
-            rows.append(s * w[:, None])
-            cols.append(sbar)
-        if state["law"] is not None:
-            eta, w_eta, epochs = state["law"]
-            rows.append(_s(t, n, eta[:, None] - z[None, :]) * w_eta[:, None])
-            g = np.zeros((eta.size, z.size))
-            for ell, (r, c, w) in epochs.items():
-                if ell < n:
-                    g[r] += w @ _sbar(t, n - ell, eta[c, None] - z[None, :])
-            cols.append(g)
-        return np.concatenate(rows), np.concatenate(cols)
+            return [self._biorth_factors(n, z) for n, z in lines]
+        atoms = self._atom_factors(lines) or \
+            [(np.empty((0, z.size)),) * 2 for _, z in lines]
+        out = []
+        for (n, z), (a, b) in zip(lines, atoms):
+            rows, cols = [a], [b]
+            if state["law"] is not None:
+                eta, w_eta, epochs = state["law"]
+                rows.append(_s(t, n, eta[:, None] - z[None, :])
+                            * w_eta[:, None])
+                g = np.zeros((eta.size, z.size))
+                for ell, (r, c, w) in epochs.items():
+                    if ell < n:
+                        g[r] += w @ _sbar(t, n - ell,
+                                          eta[c, None] - z[None, :])
+                cols.append(g)
+            out.append((np.concatenate(rows), np.concatenate(cols)))
+        return out
+
+    def _atom_factors(self, lines):
+        """The exact epoch-0 atom rows (A, B) of every (n, z) in
+        ``lines``, or None if c0 = +inf.
+
+        The atom adds int_{c0}^inf S(t, n_i; eta, z_i) Sbar(t, n_j; eta,
+        z_j) deta to block (i, j).  The exponentials multiply to
+        e^{z_j - z_i}, psi_n = (-d)^n p_t and d psibar_m = psibar_{m-1}, so
+        n_j integrations by parts give sum_{k < n_j} S(t, n_i - 1 - k; c0,
+        z_i) Sbar(t, n_j - k; c0, z_j).  Rows k < n are the degrees of one
+        recurrence at c0 - z; rows k >= n are J_m in A (as in ``_s``), 0 in
+        B.  Row k of A gives B e^r and its degree's constant on line n_max,
+        which cancel in A^T B, and one power of 2 per row for all the lines
+        balances A and B (``_pow2_rows``).
+        """
+        c0 = self.spec.ic.curve(0)
+        if not math.isfinite(c0):
+            return None
+        t, n_max = self.spec.t, self.spec.n_max
+        log_t, rt = math.log(t), math.sqrt(t)
+        r = 2.0 * math.sqrt(n_max * t)
+        c = 0.5 * (math.log(2.0 * math.pi) + log_t)
+        logs = []
+        for n, z in lines:
+            x = c0 - z
+            y = x - r
+            la, sg = special.hermite_normed_log_all(n - 1, x / rt)
+            la, sg = la[::-1], sg[::-1]      # row k is degree n - 1 - k
+            d = np.arange(n - 1.0, -1.0, -1.0)[:, None]
+            # (lgamma(d + 1) - d log t)/2 of line n less that of line n_max
+            dc = 0.5 * (gammaln(d + 1.0) - gammaln(d + 1.0 + n_max - n)
+                        + (n_max - n) * log_t)
+            lg = (la - x * x / (2.0 * t)) + y + (dc - c)
+            lb = (la - y) - dc
+            if n < n_max:
+                # row n - 1 + m: S(t, -m) = e^x t^{(m-1)/2} J_m(-x/sqrt(t)),
+                # less the constant of degree dm = n_max - n - m
+                dm = np.arange(n_max - n - 1.0, -1.0, -1.0)[:, None]
+                lg = np.concatenate([lg, _bo.log_gauss_repeated_integrals(
+                    n_max - n, -x / rt) + y + 0.5 * (
+                        (n_max - n - 1) * log_t - gammaln(dm + 1.0))])
+            pad = ((0, n_max - n), (0, 0))
+            logs.append((lg, np.pad(sg, pad, constant_values=1.0),
+                         np.pad(lb, pad), np.pad(sg, pad)))
+        amax, bmax = (np.max([np.where(f[k + 1] != 0, f[k], -np.inf).max(1)
+                              for f in logs], axis=0) for k in (0, 2))
+        # B is 0 past every line's n there: bring A's largest entry to 1
+        shift = np.round(np.where(np.isfinite(bmax), 0.5 * (amax - bmax),
+                                  amax) / math.log(2.0))
+        return [(_pow2_rows(la, sa, shift), _pow2_rows(lb, sb, -shift))
+                for la, sa, lb, sb in logs]
 
     def _chain_factors(self, n, z, state):
         """Operator-step factors of line n, one row group per block k with

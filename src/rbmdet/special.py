@@ -18,9 +18,10 @@ and integral of psi_n * psibar_m over x is delta_{nm}.
 
 For large degree everything is computed in log scale: the recurrence carries
 H_k(x)/sqrt(k!) with a running exponent, which stays representable for
-k <= 2000 and |x| <= 3 sqrt(k).  One run to degree n also yields degree
-n - 1 (:func:`hermite_normed_log_pair`), which the kernel's S_n and
-Sbar_n = psibar_{n-1} factors on one argument share.
+k <= 2000 and |x| <= 3 sqrt(k).  One run to degree n records any of the
+degrees it passes: degree n - 1 too (:func:`hermite_normed_log_pair`),
+which S_n and Sbar_n = psibar_{n-1} on one argument share, or every degree
+0..n (:func:`hermite_normed_log_all`), the kernel's exact atom rows.
 
 Both hot loops walk their input in blocks of ``_CHUNK`` elements and update
 preallocated buffers in place, with the same floating-point operations in
@@ -68,7 +69,7 @@ def hermite_normed_log(n: int, x):
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return _hermite_logs(n, x, with_prev=False)[0]
+    return _row(*_hermite_logs(n, x, n), 0)
 
 
 def hermite_normed_log_pair(n: int, x):
@@ -76,67 +77,71 @@ def hermite_normed_log_pair(n: int, x):
     run of the recurrence to degree n >= 1.
 
     Each half is bitwise equal to :func:`hermite_normed_log` at its degree:
-    h_{n-1} and its running exponent are copied out before the last step,
-    so a rescale on that step cannot touch them.
+    the run records h_{n-1} and its running exponent when it reaches them,
+    so a rescale on the last step cannot touch them.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    return _hermite_logs(n, x, with_prev=True)
+    rows = _hermite_logs(n, x, n - 1)
+    return _row(*rows, 1), _row(*rows, 0)
 
 
-def _hermite_logs(n, x, with_prev):
-    """((log|h_n|, sign),), followed by (log|h_{n-1}|, sign) if
-    ``with_prev``."""
+def hermite_normed_log_all(n: int, x):
+    """(log|h_k|, sign) for every degree k = 0..n from one run of the
+    recurrence, as arrays of shape (n + 1,) + x.shape; row k is bitwise
+    equal to :func:`hermite_normed_log` at degree k."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    return _hermite_logs(n, x, 0)
+
+
+def _row(la, sg, k):
+    """Row k of ``_hermite_logs``, as floats for a scalar x."""
+    return (float(la[k]), float(sg[k])) if la.ndim == 1 else (la[k], sg[k])
+
+
+def _hermite_logs(n, x, lowest):
+    """(log|h_k|, sign) of the degrees k = lowest..n, one row each, from
+    one run of the recurrence to degree n."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    shape = np.atleast_1d(x).shape
-    xf = x.ravel()
-    h = np.ones_like(xf) if n == 0 else xf.copy()
-    logscale = np.zeros_like(xf)
-    runs = [(h, logscale)]
-    if with_prev:
-        # degree n-1 is 0 for n = 1; for n >= 2 the chunks fill it in
-        runs.append((np.ones_like(xf), np.zeros_like(xf)))
-    if n >= 2:
-        roots = [math.sqrt(k) for k in range(n + 1)]
-        size = min(xf.size, _CHUNK)
-        bufs = [np.empty(size) for _ in range(3)]
-        for lo in range(0, xf.size, _CHUNK):
-            hi = min(lo + _CHUNK, xf.size)
-            snap = [a[lo:hi] for a in runs[1]] if with_prev else None
-            _hermite_chunk(n, xf[lo:hi], roots, bufs, h[lo:hi],
-                           logscale[lo:hi], snap)
-    out = []
-    for hk, lk in runs:
-        with np.errstate(divide="ignore"):
-            logabs = np.log(np.abs(hk)) + lk
-        sign = np.sign(hk)
-        if scalar:
-            out.append((float(logabs[0]), float(sign[0])))
-        else:
-            out.append((logabs.reshape(shape), sign.reshape(shape)))
-    return tuple(out)
+    xf = np.atleast_1d(x).ravel()
+    count = n - lowest + 1
+    hs = np.empty((count, xf.size))
+    ls = np.zeros((count, xf.size))
+    roots = [math.sqrt(k) for k in range(n + 1)]
+    size = min(xf.size, _CHUNK)
+    bufs = [np.empty(size) for _ in range(4)]
+    for lo in range(0, xf.size, _CHUNK):
+        hi = min(lo + _CHUNK, xf.size)
+        _hermite_chunk(n, xf[lo:hi], roots, bufs, hs[:, lo:hi],
+                       ls[:, lo:hi], lowest)
+    logabs = np.abs(hs)
+    with np.errstate(divide="ignore"):
+        np.log(logabs, out=logabs)
+    logabs += ls
+    np.sign(hs, out=hs)
+    shape = (count,) + x.shape
+    return logabs.reshape(shape), hs.reshape(shape)
 
 
-def _hermite_chunk(n, x, roots, bufs, out, logscale, snap=None):
-    """Run the normalized recurrence to degree n >= 2 on one chunk, writing
-    h_n into ``out`` and the running exponent into ``logscale``.  With
-    ``snap`` = (h, exponent) views, h_{n-1} and its exponent are copied
-    there before the last step."""
+def _hermite_chunk(n, x, roots, bufs, hs, ls, lowest):
+    """Run the normalized recurrence to degree n on one chunk, writing h_k
+    and its running exponent into row k - lowest of ``hs`` and ``ls``, for
+    every k >= lowest, as soon as the run reaches degree k."""
     m = x.size
-    h, h_prev, tmp = (b[:m] for b in bufs)
+    h, h_prev, tmp, logscale = (b[:m] for b in bufs)
     h[:] = x
     h_prev.fill(1.0)
+    logscale.fill(0.0)
+    for k, v in ((0, h_prev), (1, h)):
+        if lowest <= k <= n:
+            hs[k - lowest] = v
     bound_limit = 0.5 * _BIG
     big_x = float(np.max(np.abs(x)))
     b_prev, b = 1.0, big_x
     # "not <=" so that a NaN or infinite bound turns the scan on
     scan = not b <= bound_limit
-    last = n - 1 if snap is not None else 0
     for k in range(1, n):
-        if k == last:
-            snap[0][:] = h
-            snap[1][:] = logscale
         # h_prev <- (x h - sqrt(k) h_prev)/sqrt(k+1), then swap
         np.multiply(h_prev, roots[k], out=h_prev)
         np.multiply(x, h, out=tmp)
@@ -157,7 +162,9 @@ def _hermite_chunk(n, x, roots, bufs, out, logscale, snap=None):
                 h /= f
                 h_prev /= f
                 logscale += np.log(f)
-    out[:] = h
+        if k + 1 >= lowest:
+            hs[k + 1 - lowest] = h
+            ls[k + 1 - lowest] = logscale
 
 
 def _psi_logabs(la, n, t, x):

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from rbmdet import biorth as bo
 from rbmdet import initial_data as idata
+from rbmdet.kernel import _s as kernel_s
 
 
 class TestHeatOnPoly:
@@ -169,3 +170,56 @@ class TestRepeatedGaussianIntegral:
                         * math.exp(-s * s / 2) / math.sqrt(2 * math.pi),
                         -40, w)[0]
                 assert got == pytest.approx(ref, rel=1e-11, abs=1e-13)
+
+    # log J_m(w) = log(e^{-w^2/4} D_{-m}(-w) / sqrt(2 pi)), computed with
+    # mpmath's pcfd at 60 digits and rounded to double
+    PCFD_LOG_J = [
+        (1, -10.0, '-0x1.a9d9ac076c031p+5'),
+        (2, -5.0, '-0x1.0be8a856000f4p+4'),
+        (3, -1.0, '-0x1.a3b2cd8e21849p+1'),
+        (8, -1.2, '-0x1.2854d73183594p+3'),
+        (8, -3.0, '-0x1.081206ca445cap+4'),
+        (10, -10.0, '-0x1.29c431b8fdf7cp+6'),
+        (20, -2.0, '-0x1.f23a1dd837ad6p+4'),
+        (30, -5.0, '-0x1.1eabc132dcde4p+6'),
+        (66, -10.0, '-0x1.b2d92acd90573p+7'),
+        (200, -1.0, '-0x1.bd797d00c7f22p+8'),
+        (200, -0.5, '-0x1.b638d5e37ccbdp+8'),
+        (12, -40.0, '-0x1.a69dee5ac8190p+9'),
+        (2, -1000.0, '-0x1.e84baf0143580p+18'),
+        (50, 0.0, '-0x1.2841f7833759cp+6'),
+        (5, 2.0, '0x1.2a7e9598112e4p-1'),
+        (100, 30.0, '-0x1.18604c5a101e9p+4'),
+    ]
+
+    @pytest.mark.parametrize("m, w, ref", PCFD_LOG_J)
+    def test_log_against_pcfd(self, m, w, ref):
+        # the forward recurrence was off by 4.7e-2 relative at J_10(-10),
+        # 1.7e3 at J_30(-5) and 2e37 at J_66(-10)
+        ref = float.fromhex(ref)
+        tol = 1e-14 * max(1.0, abs(ref))
+        rows = bo.log_gauss_repeated_integrals(m, np.array([w, w]))
+        assert rows.shape == (m, 2)
+        assert np.all(np.abs(rows[-1] - ref) <= tol)
+        assert bo.log_gauss_repeated_integrals(m, w).shape == (m,)
+        if abs(ref) < 700:
+            assert float(bo.gauss_repeated_integral(m, w)) == pytest.approx(
+                math.exp(ref), rel=1e-13)
+
+    def test_every_row_is_its_own_degree(self):
+        # row m - 1 of a run to 12 is the last row of a run to m, whichever
+        # way each run goes at each point
+        w = np.array([-30.0, -4.0, -1.0, -0.2, 0.0, 0.7, 5.0])
+        rows = bo.log_gauss_repeated_integrals(12, w)
+        for m in range(1, 13):
+            last = bo.log_gauss_repeated_integrals(m, w)[-1]
+            assert np.all(np.abs(rows[m - 1] - last)
+                          <= 1e-14 * np.maximum(1.0, np.abs(last)))
+
+    def test_tail_underflows_to_zero_without_overflow(self):
+        # S(t, -m) at x = z1 - z2 is e^x t^{(m-1)/2} J_m(-x/sqrt(t)); at
+        # x = 800, e^x alone overflows, and the product was inf * 0
+        got = kernel_s(1.0, -3, np.array([800.0, 1.0]))
+        assert got[0] == 0.0
+        ref = math.exp(1.0 + float.fromhex(self.PCFD_LOG_J[2][2]))
+        assert got[1] == pytest.approx(ref, rel=1e-14)

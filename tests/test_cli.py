@@ -289,7 +289,39 @@ class TestGueAndScaling:
         with pytest.raises(SystemExit) as info:
             main(list(argv))
         assert info.value.code == 2
-        assert "value: ''" in capsys.readouterr().err
+        assert "comma list of numbers, got ''" in capsys.readouterr().err
+
+    def test_bad_list_value_named_plainly(self, capsys):
+        # argparse names a type callable by its __name__ unless it raises
+        # ArgumentTypeError
+        with pytest.raises(SystemExit) as info:
+            main(["prob", "--t", "1", "--indices", "1,x", "--levels", "0",
+                  "--a", "0"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --indices: expected a comma list of integers, " \
+               "got '1,x'" in err
+        assert "_parse" not in err
+
+    def test_bad_level_list_exits_2(self, capsys):
+        code, _, err = run(capsys, "prob", "--t", "1", "--indices", "1",
+                           "--levels", "0,x", "--a", "0")
+        assert code == 2
+        assert "comma list of numbers, got '0,x'" in err
+
+    def test_help_reads_no_config(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["--config", str(tmp_path / "missing.cfg"), "prob",
+                  "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rbmdet prob")
+
+    def test_quad_order_zero_exits_2(self, capsys):
+        # checked before a quadrature rule is asked of numpy
+        code, _, err = run(capsys, "prob", "--t", "1", "--indices", "1",
+                           "--levels", "0", "--a", "0", "--quad-order", "0")
+        assert code == 2
+        assert "need quadrature order >= 1" in err and "got 0" in err
 
     def test_scaling_csv(self, capsys):
         code, out, _ = run(capsys, "scaling", "--wedges", "0", "--t", "1",

@@ -262,6 +262,24 @@ class TestLowOrder:
             fredholm_det(replace(system, order=order))
 
 
+class TestEstimateFloor:
+    def test_estimate_never_reads_zero(self):
+        # packed n = 30 at the edge: the three runs agree to the last bit
+        spec = KernelSpec(t=1.0, indices=(30,), ic=idata.packed(0.0))
+        res = rbm_probability(spec, [-2.0 * math.sqrt(30)])
+        assert 4.0 * math.ulp(res.value) <= res.error_estimate <= 1e-15
+
+    def test_target_below_the_floor_ends_cleanly(self):
+        # no estimate can reach 1e-17, so refinement stops at the second
+        # round, whose estimate is not below the first
+        spec = KernelSpec(t=1.0, indices=(30,), ic=idata.packed(0.0))
+        ref = rbm_probability(spec, [-2.0 * math.sqrt(30)])
+        with pytest.raises(ConvergenceError, match="diverges") as info:
+            rbm_probability(spec, [-2.0 * math.sqrt(30)], target=1e-17)
+        assert abs(info.value.value - ref.value) <= 1e-15
+        assert info.value.error_estimate >= 4.0 * math.ulp(ref.value)
+
+
 class TestDivergenceStop:
     @pytest.mark.parametrize("n", [100, 200])
     def test_edge_refinement_stops_when_estimate_grows(self, n, monkeypatch):
@@ -397,11 +415,12 @@ class TestFactoredDeterminant:
         assert abs(system.det(assembled.matrix(keep))
                    - system.det(full[np.ix_(keep, keep)])) <= 1e-13
 
-    @pytest.mark.parametrize("n", [60, 100, 200])
+    @pytest.mark.parametrize("n", [60, 100, 200, 500])
     def test_packed_edge_at_unit_time_matches_canonical_time(self, n):
         # the same law at t = 1 and, by Brownian scaling, at t = n; at t = 1
-        # the eta-layer factors differ by many orders of magnitude from row
-        # to row, which unbalanced pivoting does not survive
+        # the layer factors differ by many orders of magnitude from row to
+        # row, which unbalanced pivoting does not survive, and at n = 500
+        # S and Sbar on one node overflow double range apart
         unit = rbm_probability(
             KernelSpec(t=1.0, indices=(n,), ic=idata.packed(0.0)),
             [-2.0 * math.sqrt(n)])
@@ -420,6 +439,41 @@ class TestFactoredDeterminant:
         step = rbm_probability(replace(spec, representation="operator_step"),
                                a).value
         assert abs(hit - step) <= 1e-13
+
+    def test_two_point_narrow_wedge_under_brownian_scaling(self):
+        # lines 125 and 193 of one wedge at eps = 0.03; the repeated
+        # Gaussian integrals of line 125's atom rows reach e^{+-600} at 4t
+        vals = [rbm_probability(*_nw_spec((0.0,), 0.03, (0.0, 1.0),
+                                          scale=c)).value
+                for c in (0.25, 1.0, 4.0)]
+        assert 0.5 < vals[1] < 1.0
+        assert max(vals) - min(vals) <= 1e-14
+
+    def test_hermite_steps_per_packed_determinant(self, monkeypatch):
+        # the atom needs one recurrence per line to degree n - 1: at most
+        # n steps per z node of every assembly, where an eta quadrature of
+        # the atom ran n steps per (eta, z) pair
+        from rbmdet import kernel, special
+        steps, nodes = [], []
+        real_chunk, real_factors = special._hermite_chunk, \
+            kernel.ExtendedKernelEval.factors
+
+        def chunk(n, x, *args):
+            steps.append(n * x.size)
+            return real_chunk(n, x, *args)
+
+        def factors(self, zs):
+            nodes.append(sum(np.size(z) for z in zs))
+            return real_factors(self, zs)
+
+        monkeypatch.setattr(special, "_hermite_chunk", chunk)
+        monkeypatch.setattr(kernel.ExtendedKernelEval, "factors", factors)
+        n = 192
+        res = rbm_probability(KernelSpec(t=1.0, indices=(n,),
+                                         ic=idata.packed(0.0)),
+                              [-2.0 * math.sqrt(n)])
+        assert 0.9 < res.value < 1.0 and len(nodes) >= 2
+        assert sum(steps) <= n * sum(nodes)
 
     def test_narrow_wedge_at_four_times_the_time(self):
         # the 0.03 narrow wedge at 4t: rows of A reach 2^548 and rows of B

@@ -240,10 +240,10 @@ class TestKernelEval:
         assert not any(th.is_alive() for th in threads)
         assert mismatches == []
 
-    def test_one_recurrence_per_line_and_atom_nodes(self, monkeypatch):
-        # S_n and Sbar_n on a line's atom nodes share their argument, and
-        # one recurrence to degree n yields both: per assembly, one pair
-        # call per line and no recurrence argument run twice
+    def test_one_recurrence_per_line_for_the_atom(self, monkeypatch):
+        # a line's atom rows are the degrees 0..n-1 of one recurrence at
+        # c0 - z: per assembly, one all-degree call per line and no
+        # recurrence argument run twice
         spec = KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC)
         calls = []
 
@@ -255,15 +255,17 @@ class TestKernelEval:
                 return real(n, x)
             return run
 
-        for name in ("hermite_normed_log", "hermite_normed_log_pair"):
+        for name in ("hermite_normed_log", "hermite_normed_log_pair",
+                     "hermite_normed_log_all"):
             monkeypatch.setattr(special, name, counting(name))
         kern = kernel_eval(spec)
         for order in (16, 32):
             del calls[:]
             NystromSystem(intervals=((-7.0, 1.0), (-6.0, -2.5)), order=order,
                           kernel=kern.matrix, max_panel=1.0).matrix()
-            pairs = [(n, x) for name, n, x in calls if name.endswith("pair")]
-            assert sorted(n for n, _ in pairs) == list(spec.indices)
+            alls = [n for name, n, _ in calls if name.endswith("all")]
+            assert sorted(alls) == [n - 1 for n in spec.indices]
+            assert not any(name.endswith("pair") for name, _, _ in calls)
             args = [x for _, _, x in calls]
             assert len(set(args)) == len(args)
 
@@ -423,11 +425,72 @@ class TestKernelEval:
             KernelSpec(t=1.0, indices=(6,), ic=ic, representation="biorth")
 
 
+def _atom_by_eta_quadrature(kern, lines, z_hi):
+    """Block (i, j) of the epoch-0 atom as the eta integral int_{c0}^inf
+    S(t, n_i; eta, z_i) Sbar(t, n_j; eta, z_j) deta on Gauss-Legendre
+    panels of [c0, z_hi + reach]: the quadrature the exact sum replaces."""
+    t = kern.spec.t
+    c0 = kern.spec.ic.curve(0)
+    levels = [b.level for b in kern._profile.blocks_within(kern.spec.n_max)]
+    sch = build_scheme(c0, z_hi + kern._reach, order=16, splits=levels,
+                       max_panel=max(1.5 * kern._bulk_wave, 1e-3))
+    eta = sch.nodes[:, None]
+    return {(i, j): (s_ops("S", t, ni, eta, zi) * sch.weights[:, None]).T
+            @ s_ops("Sbar", t, nj, eta, zj)
+            for i, (ni, zi) in enumerate(lines)
+            for j, (nj, zj) in enumerate(lines)}
+
+
+class TestExactAtom:
+    @pytest.mark.parametrize("ic, t, lines", [
+        (idata.packed(0.0), 1.0,
+         [(30, np.linspace(-2.0 * math.sqrt(30) - 10.0, -9.0, 41))]),
+        (idata.packed(0.0), 1.0, [(2, np.linspace(-9.0, 1.0, 23)),
+                                  (7, np.linspace(-10.0, 0.0, 19))]),
+        (EIGHT_BLOCK_IC, 1.0, [(3, np.linspace(-6.0, 1.0, 29)),
+                               (9, np.linspace(-7.0, -0.5, 31))]),
+        (EIGHT_BLOCK_IC, 2.5, [(1, np.linspace(-8.0, 2.0, 17)),
+                               (4, np.linspace(-6.0, 1.0, 13)),
+                               (9, np.linspace(-9.0, -1.0, 15))])])
+    def test_matches_the_eta_quadrature(self, ic, t, lines):
+        # one line, lines n_i < n_j with negative-degree rows, and step
+        # data whose law layer shares the assembly
+        kern = kernel_eval(KernelSpec(t=t, indices=tuple(n for n, _ in lines),
+                                      ic=ic))
+        facs = kern._atom_factors(lines)
+        assert all(a.shape == b.shape == (kern.spec.n_max, z.size)
+                   for (a, b), (_, z) in zip(facs, lines))
+        scale = np.abs(kern.matrix([z for _, z in lines])).max()
+        z_hi = max(float(z.max()) for _, z in lines)
+        for (i, j), ref in _atom_by_eta_quadrature(kern, lines,
+                                                   z_hi).items():
+            got = facs[i][0].T @ facs[j][1]
+            assert np.abs(got - ref).max() <= 1e-13 * scale
+
+    def test_no_atom_rows_without_c0(self):
+        kern = kernel_eval(KernelSpec(t=0.9, indices=(3, 6), ic=WEDGE_IC))
+        assert kern._atom_factors([(3, np.zeros(2))]) is None
+        facs, _ = kern.factors([np.linspace(-8.0, 0.5, 4)] * 2)
+        assert facs[0][0].shape[0] == kern._ensure(0.5)["law"][0].size
+
+    def test_far_rows_flushed_not_subnormal(self):
+        # at t = 1, n = 60, nodes far below the edge leave most of a row's
+        # entries below 2^-1021 of its shared scale: they are exactly 0
+        kern = kernel_eval(KernelSpec(t=1.0, indices=(60,),
+                                      ic=idata.packed(0.0)))
+        [(a, b)] = kern._atom_factors([(60, np.linspace(-60.0, -10.0, 200))])
+        for f in (a, b):
+            tiny = (f != 0) & (np.abs(f) < np.finfo(float).tiny)
+            assert not tiny.any()
+        assert (a == 0).any()
+
+
 def _column_factor_per_node(kern, ns, z, state):
-    """B of each line n in ns with Sbar evaluated on every law node of every
-    eta and scattered row by row with np.add.at: the reduction the law
-    layer's folded weights replace.  Returns {n: (B, M)}, M the same
-    scatter of |W||Sbar|, the scale of the rounding that B's sums carry."""
+    """The law rows of B (its last rows) of each line n in ns with Sbar
+    evaluated on every law node of every eta and scattered row by row with
+    np.add.at: the reduction the law layer's folded weights replace.
+    Returns {n: (B, M)}, M the same scatter of |W||Sbar|, the scale of the
+    rounding that B's sums carry."""
     t = kern.spec.t
     per_block = {}
     if state["law"] is not None:
@@ -443,9 +506,6 @@ def _column_factor_per_node(kern, ns, z, state):
     out = {}
     for n in ns:
         cols, mags = [], []
-        if state["atom"] is not None:
-            cols.append(kernel_mod._sbar(t, n, state["atom"][0][:, None] - z))
-            mags.append(np.abs(cols[-1]))
         if state["law"] is not None:
             g = np.zeros((eta.size, z.size))
             g_abs = np.zeros((eta.size, z.size))
@@ -553,12 +613,13 @@ class TestLawLayer:
         state = kern._ensure(float(z.max()))
         assert state["law"] is not None
         refs = _column_factor_per_node(kern, indices, z, state)
+        # line 10 of the wedges has no epoch below it (its law rows are 0)
+        assert np.abs(refs[indices[-1]][0]).max() > 0
         for n in indices:
-            _, got = kern._line_factors(n, z, state)
+            [(_, got)] = kern._line_factors([(n, z)], state)
             ref, _ = refs[n]
-            scale = np.abs(ref).max()
-            assert scale > 0
-            assert np.abs(got - ref).max() <= 1e-14 * scale
+            got = got[-len(ref):]
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_folded_weights_under_cancelling_terms(self):
         # unit blocks X0(k) = -k: Sbar of degree up to 29 changes sign in
@@ -572,7 +633,8 @@ class TestLawLayer:
         state = kern._ensure(float(z.max()))
         for n, (ref, mag) in _column_factor_per_node(
                 kern, (12, 30), z, state).items():
-            _, got = kern._line_factors(n, z, state)
+            [(_, got)] = kern._line_factors([(n, z)], state)
+            got = got[-len(ref):]
             assert np.abs(got - ref).max() <= 1e-14 * mag.max()
 
     def test_sbar_once_per_eta_node(self, monkeypatch):
@@ -593,7 +655,7 @@ class TestLawLayer:
         monkeypatch.setattr(special, "psibar_log", counting)
         for n, z in zip(spec.indices, zs):
             del rows[:]
-            kern._line_factors(n, z, state)
+            kern._line_factors([(n, z)], state)
             assert 0 < sum(rows) <= state["law"][0].size == 112
 
     def test_law_node_outside_the_eta_scheme_raises(self, monkeypatch):

@@ -250,6 +250,58 @@ class TestHermitePair:
             sp.psi_psibar_log(n, 0.0, x)
 
 
+def assert_rows_bitwise(n, x, degrees=None):
+    """Row k of the all-degree run is hermite_normed_log(k, x), bitwise,
+    for every k in ``degrees`` (default all)."""
+    la, sg = sp.hermite_normed_log_all(n, x)
+    assert la.shape == sg.shape == (n + 1,) + np.shape(x)
+    for k in range(n + 1) if degrees is None else degrees:
+        assert_bitwise((la[k], sg[k]), sp.hermite_normed_log(k, x))
+
+
+class TestHermiteAllDegrees:
+    @pytest.mark.parametrize("size", [1, C - 1, C, C + 1, 3 * C + 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 193])
+    def test_sizes_and_degrees(self, size, n):
+        rng = np.random.default_rng([size, n, 2])
+        x = rng.normal(scale=2.0 * math.sqrt(n + 1), size=size)
+        assert_rows_bitwise(n, x)
+
+    def test_rescaled_chunks(self):
+        # the rows a rescale runs through carry its running exponent
+        rng = np.random.default_rng(4)
+        x = np.concatenate([rng.uniform(-1.0, 1.0, C),
+                            rng.uniform(-60.0, 60.0, 11)])
+        assert_rows_bitwise(900, x, [*range(0, 900, 47), 898, 899, 900])
+        la, _ = sp.hermite_normed_log_all(900, x)
+        assert np.max(la) > math.log(sp._BIG)
+
+    def test_non_finite_points(self):
+        x = np.array([np.nan, 60.0, -60.0, np.inf, 0.3, -np.inf])
+        with np.errstate(invalid="ignore"):
+            for n in (0, 1, 2, 400):
+                assert_rows_bitwise(n, x)
+
+    def test_exact_zeros(self):
+        # H_2(+-1) = 0 and H_odd(0) = 0 on their rows
+        x = np.array([-1.0, 0.0, 1.0, 0.5])
+        assert_rows_bitwise(194, x)
+        la, sg = sp.hermite_normed_log_all(3, x)
+        assert list(sg[2, [0, 2]]) == [0.0, 0.0] and sg[3, 1] == 0.0
+        assert la[2, 0] == -math.inf
+
+    def test_shapes(self):
+        x2 = np.linspace(-30.0, 30.0, 3 * 7).reshape(3, 7)
+        assert_rows_bitwise(12, x2)
+        la, sg = sp.hermite_normed_log_all(12, 2.5)
+        assert la.shape == sg.shape == (13,)
+        assert (float(la[12]), float(sg[12])) == sp.hermite_normed_log(12, 2.5)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError):
+            sp.hermite_normed_log_all(-1, 1.0)
+
+
 class TestAiryTail:
     def test_term_bounds_fall_past_the_switch(self):
         # the truncation rule needs bound_k zeta^-k to fall over k < 26 for
