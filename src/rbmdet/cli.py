@@ -249,8 +249,10 @@ def _cmd_validate(args):
                 worst = max(worst, float(np.max(np.abs(g - np.eye(n)))))
         elif suite == "representations":
             metric, threshold = "max_rel_gap", 1e-7
-            ic = from_positions([1.0, 1.0, 0.0, -1.0, -1.0], extend_last=True)
-            idx = (2, 5)
+            # the kernels drop the particle at +inf: lines 2 and 5 from X0(2)
+            ic = from_positions([math.inf, 1.0, 1.0, 0.0, -1.0, -1.0],
+                                extend_last=True)
+            idx = (3, 6)
             kerns = [kernel_eval(KernelSpec(t=1.0, indices=idx, ic=ic,
                                             representation=rep))
                      for rep in ("hitting", "biorth", "operator_step")]

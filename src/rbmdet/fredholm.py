@@ -259,6 +259,9 @@ def fredholm_det(system: NystromSystem, shrink: float = 2.0) -> DetResult:
                      order_used=system.order, pad_used=float(pad))
 
 
+_MAX_BLOCK_BYTES = 1 << 30   # the benchmark's largest matrix takes 7 MB
+
+
 def refine(system_at, order: int, pad: float, grow_pad, target: float,
            max_rounds: int, floor: float) -> DetResult:
     """The refinement loop of every determinant query.
@@ -267,33 +270,48 @@ def refine(system_at, order: int, pad: float, grow_pad, target: float,
     domain shrunk by max(2, pad/10).  An error estimate below ``target`` is
     accepted if the value lies in [0, 1] within 10 max(estimate, floor);
     otherwise the order doubles and the pad becomes ``grow_pad(pad)``.
-    Raises ConvergenceError with the last value and estimate as soon as a
-    round's estimate is not below the previous round's (more rounds would
-    only grow the matrix), or when ``max_rounds`` rounds do not reach
-    ``target``.
+    Raises ConvergenceError with the last value and estimate (None before
+    the first round) as soon as a round's largest float64 block (N x N, or
+    the largest walk block N_i N_j on the m x m route) would take more than
+    ``_MAX_BLOCK_BYTES``, a round's estimate sits at its 4-ulp floor or is
+    not below the previous round's (more rounds would only grow the
+    matrix), or when ``max_rounds`` rounds do not reach ``target``.
     """
     if max_rounds < 1:
         raise ValueError(f"need max_rounds >= 1, got {max_rounds}")
     last = None
     for _ in range(max_rounds):
-        res = fredholm_det(system_at(order, pad), shrink=max(2.0, 0.1 * pad))
-        if res.error_estimate < target:
-            tol = 10.0 * max(res.error_estimate, floor)
-            if not (-tol <= res.value <= 1.0 + tol):
-                raise ConvergenceError(
-                    f"determinant {res.value} outside [0, 1] beyond "
-                    f"tolerance {tol}", value=res.value,
-                    error_estimate=res.error_estimate)
-            return DetResult(res.value, res.error_estimate, order, pad)
-        if last is not None and res.error_estimate >= last.error_estimate:
+        system = system_at(order, pad)
+        n = [s.size for s in system.schemes]
+        size = 8 * (sum(n) ** 2 if system.factors is None else max(
+            (a * b for k, a in enumerate(n) for b in n[k + 1:]), default=0))
+        if size > _MAX_BLOCK_BYTES:
             raise ConvergenceError(
-                f"determinant refinement diverges: error estimate "
-                f"{res.error_estimate:.3e} at order {order} is not below "
-                f"{last.error_estimate:.3e}; last value {res.value!r}",
-                value=res.value, error_estimate=res.error_estimate)
-        order *= 2
-        pad = grow_pad(pad)
-        last = res
+                f"determinant refinement stopped: order {order} needs a "
+                f"{size / 2 ** 30:.2f} GiB block, over the "
+                f"{_MAX_BLOCK_BYTES} byte bound", value=last and last.value,
+                error_estimate=last and last.error_estimate)
+        res = fredholm_det(system, shrink=max(2.0, 0.1 * pad))
+        value, err = res.value, res.error_estimate
+        if err < target:
+            tol = 10.0 * max(err, floor)
+            if -tol <= value <= 1.0 + tol:
+                return DetResult(value, err, order, pad)
+            stop = f"determinant {value} outside [0, 1] beyond tolerance {tol}"
+        elif err <= 4.0 * math.ulp(abs(value)):
+            stop = (f"target {target:.1e} is below the floor of the estimate, "
+                    f"4 ulps of the value: {err:.3e} at order {order}; value "
+                    f"{value!r}")
+        elif last is not None and err >= last.error_estimate:
+            stop = (f"determinant refinement diverges: error estimate "
+                    f"{err:.3e} at order {order} is not below "
+                    f"{last.error_estimate:.3e}; last value {value!r}")
+        else:
+            order *= 2
+            pad = grow_pad(pad)
+            last = res
+            continue
+        raise ConvergenceError(stop, value=value, error_estimate=err)
     raise ConvergenceError(
         f"determinant refinement stalled at error "
         f"{last.error_estimate:.3e} (target {target:.1e}); last value "
@@ -307,11 +325,15 @@ def rbm_probability(spec: KernelSpec, a, target: float = 1e-6,
                     kern: ExtendedKernelEval | None = None) -> DetResult:
     """P(X_t(n_j) >= a_j for all j) as a Fredholm determinant.
 
-    Each half-line (-inf, a_j] is truncated to [a_j - pad, a_j]; the
-    conjugated kernel decays exponentially below the levels, so moderate
-    pads converge.  ``refine`` starts at ``order`` (40 by default) and, for
-    at most ``max_rounds`` rounds (4), doubles the order and grows the pad
-    by 3 sqrt(t) + 2 until the error estimate is below ``target``, with a
+    The determinant is that of ``spec.finite``: a line at or below the
+    particles at +inf is a sure event, dropped with its threshold (its B
+    factors vanish, so K is block upper triangular there), and the result
+    is exactly 1 with estimate 0 if every line is.  Each half-line
+    (-inf, a_j] is truncated to [a_j - pad, a_j]; the conjugated kernel
+    decays exponentially below the levels, so moderate pads converge.
+    ``refine`` starts at ``order`` (40 by default) and, for at most
+    ``max_rounds`` rounds (4), doubles the order and grows the pad by
+    3 sqrt(t) + 2 until the error estimate is below ``target``, with a
     floor of 1e-14 in the [0, 1] check.  A shared ``kern`` must have been
     built for ``spec``.
     """
@@ -323,16 +345,20 @@ def rbm_probability(spec: KernelSpec, a, target: float = 1e-6,
     t = spec.t
     if pad is None:
         pad = 10.0 * math.sqrt(t) + (spec.ic.max_level - spec.ic.min_level)
+    if kern is not None and kern.spec != spec:
+        raise ValueError("kern was built for another spec")
+    if spec.n_max <= spec.ic.n_inf:
+        return DetResult(1.0, 0.0, order, pad)
+    fin = spec.finite
+    a = [aj for n, aj in zip(spec.indices, a) if n > spec.ic.n_inf]
     if kern is None:
         kern = kernel_eval(spec)
-    elif kern.spec != spec:
-        raise ValueError("kern was built for another spec")
     # panels resolve the bulk oscillation of psi_n in the z variables
-    max_panel = 1.5 * math.pi * math.sqrt(t / spec.n_max)
+    max_panel = 1.5 * math.pi * math.sqrt(t / fin.n_max)
     splits = tuple(spec.ic.levels)
     # the kernel's mass lives between the lowest particle's reach and the
     # levels; a threshold far above it must not drag the window away
-    reach = spec.ic.min_level - 2.0 * math.sqrt(spec.n_max * t)
+    reach = spec.ic.min_level - 2.0 * math.sqrt(fin.n_max * t)
 
     # the operator-step layer has one eta scheme per block and outgrows N:
     # on 8-block step data m = 1,856 against N = 1,120, and m x m takes

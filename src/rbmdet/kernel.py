@@ -12,18 +12,19 @@ Full kernel between index lines (n_i, n_j), in the conjugated gauge
     Kt(n_i, z_i; n_j, z_j) = -Q_exp^{n_j-n_i}(z_i, z_j) 1{n_i < n_j}
                              + int deta S(t, n_i; eta, z_i) Sbar_epi(eta, z_j)
 
-Every representation writes the second term as a product A_i^T B_j through
+Every representation works on the finite particles (``KernelSpec.finite``),
+so c0 is finite, and writes the second term as a product A_i^T B_j through
 a layer on which each factor depends on one index line only:
 
 * ``hitting``      - the defining double integral; the layer is n_max atom
-  rows and the law's eta nodes.  The epoch-0 atom is summed exactly by
-  parts at the one point c0, and the density components contribute
-  tensorized panel quadratures.  Interpolation from the eta nodes onto the
-  law nodes is folded into the law weights, so Sbar_epi needs Sbar on the
-  eta nodes only, once per epoch.
+  rows and the law's eta nodes on [last level, c0].  The epoch-0 atom is
+  summed exactly by parts at the one point c0, and the density components
+  contribute tensorized panel quadratures.  Interpolation from the eta
+  nodes onto the law nodes is folded into the law weights, so Sbar_epi
+  needs Sbar on the eta nodes only, once per epoch.
 * ``biorth``       - sum_{k=1}^{n_j} Psi^{n_i}_{n_i-k}(z_i) Phi^{n_j}_{n_j-k}(z_j)
-  e^{z_j-z_i} with exact polynomial Phi's (finite levels, moderate n only);
-  the layer is the index k = 1..n_max.
+  e^{z_j-z_i} with exact polynomial Phi's (moderate n only); the layer is
+  the index k = 1..n_max.
 * ``operator_step``- inclusion-exclusion over block subsets,
   (S)* chi Q^... chi ... Sbar, quadrature-discretized; the layer is every
   block's eta nodes.  The signed chains ending at block k sum to
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -212,14 +213,24 @@ class KernelSpec:
         object.__setattr__(self, "indices", idx)
         if self.representation not in REPRESENTATIONS:
             raise ValueError(f"unknown representation {self.representation!r}")
-        if self.representation == "biorth" and self.ic.n_inf > 0:
-            raise ValueError("biorth representation requires finite "
-                             "levels; use hitting or operator_step")
         self.ic.level(max(idx))  # raises past the end of finite data
 
     @property
     def n_max(self) -> int:
         return max(self.indices)
+
+    @property
+    def finite(self) -> KernelSpec:
+        """The spec without its n_inf particles at +inf, which never touch
+        the rest: indices <= n_inf (sure events, no kernel line) dropped,
+        the others lowered by n_inf, leaving the kernel unchanged by
+        (S_n)* Q^l = (S_{n-l})* (the walk term keeps Q^{n_j-n_i})."""
+        n_inf = self.ic.n_inf
+        if self.n_max <= n_inf:
+            raise ValueError(f"indices {self.indices} are all at or below "
+                             f"the {n_inf} particles at +inf: no kernel line")
+        return replace(self, ic=replace(self.ic, n_inf=0), indices=tuple(
+            n - n_inf for n in self.indices if n > n_inf))
 
 
 # quadrature of the eta layer (order) and of the hitting laws on it
@@ -233,14 +244,15 @@ class ExtendedKernelEval:
     entry points: ``block`` for one pair of index lines and ``matrix`` for a
     whole Nystrom assembly.
 
-    Pure and safe for concurrent evaluation; the discretization backing the
-    hitting/operator_step representations is (re)built under a lock
-    whenever the requested nodes reach above its upper end (nothing in it
-    depends on the lower end).  Its hitting-law layer (the eta nodes, their
-    laws, and per epoch the law weights folded onto the eta nodes) depends
-    only on min(c0, upper end); it is built under the same lock, never
-    changed afterwards, and kept for every rebuild that leaves that top
-    where it was.
+    ``spec`` stays as given; the kernel lines are those of ``spec.finite``,
+    and an index at or below the particles at +inf has none (ValueError).
+
+    Pure and safe for concurrent evaluation.  The hitting representation's
+    layer (the eta nodes on [last level, c0], their exact hitting laws, and
+    per epoch the law weights folded onto the eta nodes) depends on the
+    spec only and is built once, here.  The operator-step discretization is
+    (re)built under a lock whenever the requested nodes reach above its
+    upper end (nothing in it depends on the lower end).
 
     In every representation a block is A(n_i, z_i)^T B(n_j, z_j) minus
     the walk term, with A and B from ``_line_factors``.  Both depend on
@@ -255,23 +267,29 @@ class ExtendedKernelEval:
 
     def __init__(self, spec: KernelSpec):
         self.spec = spec
+        self._fin = fin = spec.finite
         self._lock = threading.Lock()
         self._state = None
         self._z_hi = None
-        self._law = None
         self._evals = 0
-        self._profile = blocks(spec.ic)
-        t, n_max = spec.t, spec.n_max
-        # oscillation scales of psi_n: bulk wavelength and edge (Airy) width
-        self._bulk_wave = math.pi * math.sqrt(t / n_max)
+        self._profile = blocks(fin.ic)
+        t, n_max = fin.t, fin.n_max
+        # oscillation scales of psi_n: edge (Airy) width, and the eta panels
+        # at 1.5 bulk wavelengths
         self._airy_w = math.sqrt(t) * max(n_max, 1) ** (-1.0 / 6.0)
         self._reach = 2.0 * math.sqrt(n_max * t) + 12.0 * self._airy_w + 5.0
-        if spec.representation == "biorth":
+        self._panel = max(1.5 * (math.pi * math.sqrt(t / n_max)), 1e-3)
+        self._layer = None
+        if fin.representation == "biorth":
             self._phi_tables = {
-                nj: [_bo.phi_n_k(_bo.h_family(spec.ic, nj), k, t)
+                nj: [_bo.phi_n_k(_bo.h_family(fin.ic, nj), k, t)
                      for k in range(nj)]
-                for nj in spec.indices
+                for nj in fin.indices
             }
+        elif fin.representation == "hitting":
+            levels = [b.level for b in self._profile.blocks_within(n_max)]
+            if levels[0] > levels[-1]:
+                self._layer = self._law_layer(levels[-1], levels[0], levels)
 
     @property
     def evaluations(self) -> int:
@@ -287,41 +305,45 @@ class ExtendedKernelEval:
 
     def block(self, ni: int, nj: int, zi, zj) -> np.ndarray:
         """Kernel matrix on zi x zj for the index pair (ni, nj)."""
-        if ni not in self.spec.indices or nj not in self.spec.indices:
-            raise ValueError(f"index pair ({ni}, {nj}) not in spec")
+        n_inf = self.spec.ic.n_inf
+        for n in (ni, nj):
+            if n not in self.spec.indices or n <= n_inf:
+                raise ValueError(f"index {n} has no kernel line: not in the "
+                                 f"spec, or at or below its {n_inf} "
+                                 f"particles at +inf")
         zi = np.atleast_1d(np.asarray(zi, dtype=float))
         zj = np.atleast_1d(np.asarray(zj, dtype=float))
         self._count(zi.size * zj.size)
-        state = self._discretization((zi, zj))
-        (a, _), (_, b) = self._line_factors([(ni, zi), (nj, zj)], state)
+        (a, _), (_, b) = self._line_factors([(ni - n_inf, zi),
+                                             (nj - n_inf, zj)])
         out = a[:len(b)].T @ b
         if ni < nj:
             out = out - q_exp_pow(nj - ni, zi[:, None], zj[None, :])
         return out
 
     def matrix(self, zs) -> np.ndarray:
-        """Kernel on the concatenation of ``zs``, one node array per index
-        line of the spec in order; each block is what ``block`` gives."""
+        """Kernel on the concatenation of ``zs``, one node array per kernel
+        line in order; each block is what ``block`` gives."""
         return factored_matrix(*self.factors(zs))
 
     def factors(self, zs):
         """The kernel on the concatenation of ``zs`` in factored form.
 
-        Returns ([(A_1, B_1), ...], walk) with one factor pair per index
-        line and walk[i, j] = Q_exp^{n_j-n_i}(z_i, z_j) for i < j.  Every
-        A_i is m x N_i on the representation's layer (``_line_factors``)
-        and B_j holds its first m_j <= m rows, so that block (i, j) of
-        ``matrix(zs)`` is A_i[:m_j]^T B_j - walk[i, j] (no walk term for
-        i >= j).  m_j < m only for operator_step.
+        ``zs`` holds one node array per kernel line: per index of the spec
+        past its particles at +inf.  Returns ([(A_1, B_1), ...], walk) with
+        one factor pair per line and walk[i, j] = Q_exp^{n_j-n_i}(z_i, z_j)
+        for i < j.  Every A_i is m x N_i on the representation's layer
+        (``_line_factors``) and B_j holds its first m_j <= m rows, so that
+        block (i, j) of ``matrix(zs)`` is A_i[:m_j]^T B_j - walk[i, j] (no
+        walk term for i >= j).  m_j < m only for operator_step.
         """
-        idx = self.spec.indices
+        idx = self._fin.indices
         zs = [np.atleast_1d(np.asarray(z, dtype=float)) for z in zs]
         if len(zs) != len(idx):
             raise ValueError(f"need {len(idx)} node arrays, got {len(zs)}")
         # one assembly counts as N^2 kernel evaluations
         self._count(sum(z.size for z in zs) ** 2)
-        state = self._discretization(zs)
-        facs = self._line_factors(list(zip(idx, zs)), state)
+        facs = self._line_factors(list(zip(idx, zs)))
         walk = {(i, j): q_exp_pow(idx[j] - idx[i], zs[i][:, None],
                                   zs[j][None, :])
                 for j in range(len(idx)) for i in range(j)}
@@ -331,52 +353,26 @@ class ExtendedKernelEval:
         with self._lock:
             self._evals += entries
 
-    # -- discretization backing the hitting representation ----------------
-
-    def _discretization(self, zs):
-        """The discretization serving every node array in ``zs`` (None for
-        the biorthogonal representation, which needs none)."""
-        if self.spec.representation == "biorth":
-            return None
-        return self._ensure(max(float(z.max()) for z in zs))
-
-    def _ensure(self, z_hi: float):
-        with self._lock:
-            if self._z_hi is None or z_hi > self._z_hi:
-                self._state = self._build(z_hi)
-                self._z_hi = z_hi
-            return self._state
+    # -- the operator-step discretization ---------------------------------
 
     def _build(self, z_hi: float):
-        spec = self.spec
-        blks = self._profile.blocks_within(spec.n_max)
+        """(schemes, legs): one eta scheme per block on [level, z_hi +
+        reach] (None above that upper end) and one Volterra leg per block
+        pair; a rebuild replaces them all."""
+        blks = self._profile.blocks_within(self._fin.n_max)
         upper = z_hi + self._reach
-        panel = max(1.5 * self._bulk_wave, 1e-3)
         levels = [b.level for b in blks]
-        state = {"law": None}
-        if spec.representation == "operator_step":
-            # one eta scheme per block (None above upper) and one Volterra
-            # leg per block pair; a rebuild replaces them all
-            schemes = [build_scheme(b.level, upper, order=_ETA_ORDER,
-                                    splits=levels, max_panel=panel)
-                       if upper > b.level else None for b in blks]
-            legs = {(j, k): _volterra_leg_matrix(
-                        blks[k].start - blks[j].start, schemes[j],
-                        schemes[k].nodes)
-                    for k in range(len(blks)) for j in range(k)
-                    if schemes[j] is not None and schemes[k] is not None}
-            state["chains"] = (schemes, legs)
-            return state
-        law_hi = min(spec.ic.curve(0), upper)
-        if blks and law_hi > blks[-1].level:
-            # runs under the lock; a layer is never changed once built
-            if self._law is None or self._law[0] != law_hi:
-                self._law = (law_hi, self._law_layer(blks[-1].level, law_hi,
-                                                     levels, panel))
-            state["law"] = self._law[1]
-        return state
+        schemes = [build_scheme(b.level, upper, order=_ETA_ORDER,
+                                splits=levels, max_panel=self._panel)
+                   if upper > b.level else None for b in blks]
+        legs = {(j, k): _volterra_leg_matrix(
+                    blks[k].start - blks[j].start, schemes[j],
+                    schemes[k].nodes)
+                for k in range(len(blks)) for j in range(k)
+                if schemes[j] is not None and schemes[k] is not None}
+        return schemes, legs
 
-    def _law_layer(self, law_lo, law_hi, splits, panel):
+    def _law_layer(self, law_lo, law_hi, splits):
         """The eta nodes and weights on [law_lo, law_hi] and, per epoch ell,
         the folded law weights (rows, cols, W): the law expectation of
         Sbar(t, n - ell; b, z) at the eta nodes eta[rows] is W @ Sbar(t,
@@ -391,17 +387,14 @@ class ExtendedKernelEval:
         since the panels are sized by the bulk wavelength.  rows and cols
         span the eta nodes the epoch's laws start from and the panels its
         law nodes fall in.
-
-        Nothing here depends on the upper end beyond law_hi, so a rebuild
-        that leaves law_hi unchanged reuses the layer.
         """
         sch = build_scheme(law_lo, law_hi, order=_ETA_ORDER, splits=splits,
-                           max_panel=panel)
+                           max_panel=self._panel)
         refx, lam = _bary_ref(_ETA_ORDER)
         edges = sch.edges
         per_block = {}
         for a, e in enumerate(sch.nodes):
-            law = hitting_law_exact(self._profile, float(e), self.spec.n_max,
+            law = hitting_law_exact(self._profile, float(e), self._fin.n_max,
                                     panel_max=min(_B_PANEL, 4 * self._airy_w))
             for ell, comp in law.components.items():
                 per_block.setdefault(ell, []).append(
@@ -430,13 +423,14 @@ class ExtendedKernelEval:
             epochs[ell] = (rows, cols, w.reshape(shape))
         return sch.nodes, sch.weights, epochs
 
-    def _line_factors(self, lines, state):
+    def _line_factors(self, lines):
         """[(A, B), ...], one pair per (n, z) in ``lines``: the factors of
-        line n on nodes z.
+        line n of the finite particles on nodes z.
 
         The rows are the representation's layer: the atom rows and law eta
-        nodes (hitting), every block's eta nodes (operator_step,
-        ``_chain_factors``) or k = 1..n_max (biorth, ``_biorth_factors``).
+        nodes (hitting), every block's eta nodes under the highest of the
+        lines' nodes (operator_step, ``_chain_factors``) or k = 1..n_max
+        (biorth, ``_biorth_factors``).
 
         In the hitting representation the atom rows (``_atom_factors``)
         come first.  On the law eta nodes A is the weighted S(t, n; eta, z)
@@ -444,32 +438,35 @@ class ExtendedKernelEval:
         epoch ell < n, Sbar on the eta nodes the epoch's law nodes fall
         among, times its folded weights (``_law_layer``).
         """
-        rep, t = self.spec.representation, self.spec.t
+        rep, t = self._fin.representation, self._fin.t
         if rep == "operator_step":
-            return [self._chain_factors(n, z, state) for n, z in lines]
+            z_hi = max(float(z.max()) for _, z in lines)
+            with self._lock:
+                if self._z_hi is None or z_hi > self._z_hi:
+                    self._state, self._z_hi = self._build(z_hi), z_hi
+                chains = self._state
+            return [self._chain_factors(n, z, chains) for n, z in lines]
         if rep == "biorth":
             return [self._biorth_factors(n, z) for n, z in lines]
-        atoms = self._atom_factors(lines) or \
-            [(np.empty((0, z.size)),) * 2 for _, z in lines]
-        out = []
-        for (n, z), (a, b) in zip(lines, atoms):
-            rows, cols = [a], [b]
-            if state["law"] is not None:
-                eta, w_eta, epochs = state["law"]
-                rows.append(_s(t, n, eta[:, None] - z[None, :])
-                            * w_eta[:, None])
-                g = np.zeros((eta.size, z.size))
-                for ell, (r, c, w) in epochs.items():
-                    if ell < n:
-                        g[r] += w @ _sbar(t, n - ell,
-                                          eta[c, None] - z[None, :])
-                cols.append(g)
-            out.append((np.concatenate(rows), np.concatenate(cols)))
+        out = self._atom_factors(lines)
+        if self._layer is None:
+            return out
+        eta, w_eta, epochs = self._layer
+        for k, (n, z) in enumerate(lines):
+            g = np.zeros((eta.size, z.size))
+            for ell, (r, c, w) in epochs.items():
+                if ell < n:
+                    g[r] += w @ _sbar(t, n - ell, eta[c, None] - z[None, :])
+            a, b = out[k]
+            out[k] = (np.concatenate(
+                          [a, _s(t, n, eta[:, None] - z[None, :])
+                           * w_eta[:, None]]),
+                      np.concatenate([b, g]))
         return out
 
     def _atom_factors(self, lines):
         """The exact epoch-0 atom rows (A, B) of every (n, z) in
-        ``lines``, or None if c0 = +inf.
+        ``lines``.
 
         The atom adds int_{c0}^inf S(t, n_i; eta, z_i) Sbar(t, n_j; eta,
         z_j) deta to block (i, j).  The exponentials multiply to
@@ -481,10 +478,8 @@ class ExtendedKernelEval:
         which cancel in A^T B, and one power of 2 per row for all the lines
         balances A and B (``_pow2_rows``).
         """
-        c0 = self.spec.ic.curve(0)
-        if not math.isfinite(c0):
-            return None
-        t, n_max = self.spec.t, self.spec.n_max
+        c0 = self._fin.ic.curve(0)
+        t, n_max = self._fin.t, self._fin.n_max
         log_t, rt = math.log(t), math.sqrt(t)
         r = 2.0 * math.sqrt(n_max * t)
         c = 0.5 * (math.log(2.0 * math.pi) + log_t)
@@ -518,7 +513,7 @@ class ExtendedKernelEval:
         return [(_pow2_rows(la, sa, shift), _pow2_rows(lb, sb, -shift))
                 for la, sa, lb, sb in logs]
 
-    def _chain_factors(self, n, z, state):
+    def _chain_factors(self, n, z, chains):
         """Operator-step factors of line n, one row group per block k with
         an eta scheme, in start order.
 
@@ -527,9 +522,9 @@ class ExtendedKernelEval:
         k.  B holds Sbar(n - s_k) for the leading blocks with s_k < n only:
         the later blocks' rows would be zero.
         """
-        t = self.spec.t
-        schemes, legs = state["chains"]
-        blks = self._profile.blocks_within(self.spec.n_max)
+        t = self._fin.t
+        schemes, legs = chains
+        blks = self._profile.blocks_within(self._fin.n_max)
         carries = {}
         rows, cols = [np.empty((0, z.size))], [np.empty((0, z.size))]
         for k, (blk, sch) in enumerate(zip(blks, schemes)):
@@ -550,7 +545,7 @@ class ExtendedKernelEval:
         """Biorthogonal factors of line n on the rows k = 1..n_max: A_k =
         Psi^n_{n-k}(z) e^{-z}, and B_k = Phi^n_{n-k}(z) e^{z} for k <= n,
         zero above (every line's B has the full height)."""
-        spec = self.spec
+        spec = self._fin
         a = np.array([_bo.psi_n_k(spec.ic, n, n - k, spec.t, z)
                       for k in range(1, spec.n_max + 1)]) * np.exp(-z)
         b = np.zeros((spec.n_max, z.size))

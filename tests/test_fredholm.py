@@ -227,12 +227,32 @@ class TestRbmProbability:
             rbm_probability(spec, [0.0, a])
 
     def test_wedge_data_probability(self):
-        # leading-infinity data exercise the no-atom branch end to end
+        # four particles at +inf: index 6 is index 2 of the finite
+        # particles, index 2 and 4 are sure events
         ic = idata.narrow_wedge_approx([-1.0], eps=0.5)
         spec = KernelSpec(t=1.0, indices=(6,), ic=ic)
         res = rbm_probability(spec, [-6.0])
-        assert 0.0 <= res.value <= 1.0
-        assert res.error_estimate < 1e-6
+        assert 0.8 < res.value < 0.9 and res.error_estimate < 1e-13
+        assert res == rbm_probability(
+            KernelSpec(t=1.0, indices=(2,), ic=replace(ic, n_inf=0)), [-6.0])
+        assert res == rbm_probability(replace(spec, indices=(2, 6)),
+                                      [0.0, -6.0])
+        assert abs(rbm_probability(replace(spec, representation="biorth"),
+                                   [-6.0]).value - res.value) <= 1e-15
+        sure = rbm_probability(replace(spec, indices=(2, 4)), [0.0, 5.0])
+        assert (sure.value, sure.error_estimate) == (1.0, 0.0)
+
+    def test_two_wedges_behind_particles_at_infinity(self):
+        # ten particles at +inf, then wedges at levels -10 and -20; the law
+        # layer once climbed to the nodes' reach and was 2.1e-11 off with
+        # an estimate of 4.4e-16
+        spec = KernelSpec(t=1.0, indices=(12, 24),
+                          ic=idata.narrow_wedge_approx([-0.5, -1.0], 0.1))
+        vals = [rbm_probability(replace(spec, representation=rep),
+                                [-12.0, -25.0], target=1e-10)
+                for rep in ("hitting", "operator_step", "biorth")]
+        assert 0.8 < vals[0].value < 0.9
+        assert max(v.value for v in vals) - min(v.value for v in vals) <= 1e-13
 
 
 class TestLowOrder:
@@ -269,13 +289,24 @@ class TestEstimateFloor:
         res = rbm_probability(spec, [-2.0 * math.sqrt(30)])
         assert 4.0 * math.ulp(res.value) <= res.error_estimate <= 1e-15
 
-    def test_target_below_the_floor_ends_cleanly(self):
-        # no estimate can reach 1e-17, so refinement stops at the second
-        # round, whose estimate is not below the first
+    def test_target_below_the_floor_ends_cleanly(self, monkeypatch):
+        # no estimate can reach 1e-17: the first round's sits at its 4-ulp
+        # floor, so refinement stops there (it went on to a second round
+        # and called the floor a divergence)
         spec = KernelSpec(t=1.0, indices=(30,), ic=idata.packed(0.0))
         ref = rbm_probability(spec, [-2.0 * math.sqrt(30)])
-        with pytest.raises(ConvergenceError, match="diverges") as info:
+        rounds = []
+        real = fr.fredholm_det
+
+        def counting(system, shrink=2.0):
+            rounds.append(system.order)
+            return real(system, shrink)
+
+        monkeypatch.setattr(fr, "fredholm_det", counting)
+        with pytest.raises(ConvergenceError,
+                           match="target 1.0e-17 is below the floor") as info:
             rbm_probability(spec, [-2.0 * math.sqrt(30)], target=1e-17)
+        assert rounds == [40]
         assert abs(info.value.value - ref.value) <= 1e-15
         assert info.value.error_estimate >= 4.0 * math.ulp(ref.value)
 
@@ -623,6 +654,39 @@ class TestRefine:
             with pytest.raises(ValueError, match="max_rounds"):
                 query(max_rounds=max_rounds)
         assert rounds == []
+
+
+class TestMemoryBound:
+    @pytest.mark.parametrize("rep, dense", [("hitting", False),
+                                            ("operator_step", True)])
+    def test_round_past_the_bound_ends_the_loop(self, rep, dense,
+                                                 scripted_det, monkeypatch):
+        # the bound is set to the first round's largest block: N x N on the
+        # operator-step route, the walk block N_1 N_2 on the m x m route;
+        # the second round doubles the order and is never assembled
+        spec = KernelSpec(t=1.0, indices=(1, 3), ic=idata.packed(0.0),
+                          representation=rep)
+        first, _ = _first_round(monkeypatch, spec, [-1.0, -2.5])
+        n1, n2 = (s.size for s in first.schemes)
+        size = 8 * ((n1 + n2) ** 2 if dense else n1 * n2)
+        monkeypatch.setattr(fr, "_MAX_BLOCK_BYTES", size)
+        rounds = scripted_det((0.3, 1e-3), (0.4, 1e-4))
+        with pytest.raises(ConvergenceError, match="byte bound") as info:
+            rbm_probability(spec, [-1.0, -2.5])
+        assert [order for order, _, _ in rounds] == [40]
+        assert (info.value.value, info.value.error_estimate) == (0.3, 1e-3)
+        # a first round past the bound has no value to carry
+        monkeypatch.setattr(fr, "_MAX_BLOCK_BYTES", size - 1)
+        with pytest.raises(ConvergenceError, match="byte bound") as info:
+            rbm_probability(spec, [-1.0, -2.5])
+        assert (info.value.value, info.value.error_estimate) == (None, None)
+        assert len(rounds) == 1
+
+    def test_one_line_has_no_walk_block(self, scripted_det, monkeypatch):
+        # the m x m route of one line allocates no N x N block at all
+        monkeypatch.setattr(fr, "_MAX_BLOCK_BYTES", 0)
+        scripted_det((0.5, 0.0))
+        assert _rbm_query().value == 0.5
 
 
 def test_fixed_point_floor_is_its_own(scripted_det):

@@ -28,9 +28,10 @@ EIGHT_BLOCK_IC = idata.from_positions(
     [2.0, 1.5, 1.0, 0.5, 0.0, -0.5, -1.0, -1.5], extend_last=True)
 STEP_BASES = ((-1.25, -5.0), (-0.75, -4.5), (-0.25, -3.5), (0.25, -3.0),
               (0.75, -2.5))
-# two leading +inf particles: c0 = +inf, so the law layer ends at the
-# discretization's upper end
+# two leading +inf particles, which the kernel drops
 WEDGE_IC = idata.narrow_wedge_approx([-0.5, -1.0], eps=0.7)
+# two wedges at eps = 0.1: ten particles at +inf, then levels -10 and -20
+TWO_WEDGE_IC = idata.narrow_wedge_approx([-0.5, -1.0], eps=0.1)
 
 
 class TestSOps:
@@ -271,10 +272,11 @@ class TestKernelEval:
 
     def test_one_build_when_a_later_line_reaches_higher(self, monkeypatch):
         # line 9's window ends at -0.5, above line 3's at -3: the assembly
-        # takes its discretization from all lines, so no factor is left on
-        # one built for line 3 alone
+        # takes its operator-step discretization from all lines, so no
+        # factor is left on one built for line 3 alone
         spec = KernelSpec(t=1.0, indices=(3, 9), ic=idata.from_positions(
-            [2.0, 1.5, 1.0, 0.5, 0.0, -0.5, -1.0, -1.5], extend_last=True))
+            [2.0, 1.5, 1.0, 0.5, 0.0, -0.5, -1.0, -1.5], extend_last=True),
+            representation="operator_step")
         kern = kernel_eval(spec)
         builds, assemblies = [], []
         real_build = ExtendedKernelEval._build
@@ -326,7 +328,8 @@ class TestKernelEval:
             assert np.array_equal(got, kern.matrix(zs))
 
     def test_falling_lower_end_does_not_rebuild(self, monkeypatch):
-        spec = KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC)
+        spec = KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC,
+                          representation="operator_step")
         kern = kernel_eval(spec)
         builds = []
         real_build = ExtendedKernelEval._build
@@ -351,7 +354,7 @@ class TestKernelEval:
         seen = []
         for k in range(3):   # each evaluation raises the upper end
             kern((2, -3.0), (8, -2.0 + 0.5 * k))
-            schemes, legs = kern._state["chains"]
+            schemes, legs = kern._state
             # one scheme per block, at most one leg per block pair
             assert len(schemes) == 4
             assert 0 < len(legs) <= 6
@@ -419,10 +422,45 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             kern((3, 0.0), (1, 0.0))
 
-    def test_biorth_requires_finite_levels(self):
+    @pytest.mark.parametrize("rep", kernel_mod.REPRESENTATIONS)
+    def test_particles_at_infinity_dropped(self, rep):
+        # four particles at +inf: line 6 is line 2 of the data without
+        # them, bitwise, in every representation (biorth included)
         ic = idata.narrow_wedge_approx([-1.0], eps=0.5)
-        with pytest.raises(ValueError):
-            KernelSpec(t=1.0, indices=(6,), ic=ic, representation="biorth")
+        kern = kernel_eval(KernelSpec(t=1.0, indices=(2, 6), ic=ic,
+                                      representation=rep))
+        fin = kernel_eval(KernelSpec(t=1.0, indices=(2,), ic=dataclasses
+                                     .replace(ic, n_inf=0),
+                                     representation=rep))
+        z = np.linspace(-7.0, -1.0, 5)
+        assert np.array_equal(kern.block(6, 6, z, z), fin.block(2, 2, z, z))
+        assert np.array_equal(kern.matrix([z]), fin.matrix([z]))
+        # index 2 is at +inf for sure and has no kernel line
+        with pytest.raises(ValueError, match="index 2 has no kernel line"):
+            kern.block(2, 6, z, z)
+        with pytest.raises(ValueError, match="no kernel line"):
+            kernel_eval(KernelSpec(t=1.0, indices=(1, 4), ic=ic,
+                                   representation=rep))
+
+    def test_two_wedge_entries_match_a_reference(self):
+        # the two-wedge data at eps = 0.1 behind ten particles at +inf; at
+        # (24, -1.916; 24, -20.544) a law layer that climbed to the nodes'
+        # reach gave -4.1e-2 for -6.9e-10.  Each reference has a point of
+        # its own where it is off (operator_step 1.2e-8 at (24, -3.44; 24,
+        # -13.37), biorth 3.4e-9 at (24, -9.92; 24, -19.22), both
+        # relative), so hitting must match one of them at every point
+        spec = KernelSpec(t=1.0, indices=(12, 24), ic=TWO_WEDGE_IC)
+        kerns = [kernel_eval(dataclasses.replace(spec, representation=rep))
+                 for rep in ("hitting", "operator_step", "biorth")]
+        rng = np.random.default_rng(17)
+        points = [(24, -1.916, 24, -20.544)] + [
+            (int(rng.choice(spec.indices)), float(rng.uniform(-23.0, 1.0)),
+             int(rng.choice(spec.indices)), float(rng.uniform(-23.0, 1.0)))
+            for _ in range(39)]
+        for k, (ni, zi, nj, zj) in enumerate(points):
+            hit, *refs = (kern((ni, zi), (nj, zj)) for kern in kerns)
+            gaps = [abs(hit - r) / max(1.0, abs(r)) for r in refs]
+            assert (max if k == 0 else min)(gaps) <= 1e-10
 
 
 def _atom_by_eta_quadrature(kern, lines, z_hi):
@@ -433,7 +471,7 @@ def _atom_by_eta_quadrature(kern, lines, z_hi):
     c0 = kern.spec.ic.curve(0)
     levels = [b.level for b in kern._profile.blocks_within(kern.spec.n_max)]
     sch = build_scheme(c0, z_hi + kern._reach, order=16, splits=levels,
-                       max_panel=max(1.5 * kern._bulk_wave, 1e-3))
+                       max_panel=kern._panel)
     eta = sch.nodes[:, None]
     return {(i, j): (s_ops("S", t, ni, eta, zi) * sch.weights[:, None]).T
             @ s_ops("Sbar", t, nj, eta, zj)
@@ -467,11 +505,18 @@ class TestExactAtom:
             got = facs[i][0].T @ facs[j][1]
             assert np.abs(got - ref).max() <= 1e-13 * scale
 
-    def test_no_atom_rows_without_c0(self):
+    def test_atom_rows_behind_particles_at_infinity(self):
+        # the two particles at +inf are dropped, so c0 is the first finite
+        # level and lines 3 and 6 are lines 1 and 4: 4 atom rows, then the
+        # law layer on [last level, c0]
         kern = kernel_eval(KernelSpec(t=0.9, indices=(3, 6), ic=WEDGE_IC))
-        assert kern._atom_factors([(3, np.zeros(2))]) is None
+        [(a, b)] = kern._atom_factors([(1, np.zeros(2))])
+        assert a.shape == b.shape == (4, 2)
+        eta = kern._layer[0]
+        levels = sorted(set(WEDGE_IC.levels))
+        assert levels[0] < eta.min() < eta.max() < levels[-1]
         facs, _ = kern.factors([np.linspace(-8.0, 0.5, 4)] * 2)
-        assert facs[0][0].shape[0] == kern._ensure(0.5)["law"][0].size
+        assert facs[0][0].shape[0] == 4 + eta.size
 
     def test_far_rows_flushed_not_subnormal(self):
         # at t = 1, n = 60, nodes far below the edge leave most of a row's
@@ -485,7 +530,7 @@ class TestExactAtom:
         assert (a == 0).any()
 
 
-def _column_factor_per_node(kern, ns, z, state):
+def _column_factor_per_node(kern, ns, z):
     """The law rows of B (its last rows) of each line n in ns with Sbar
     evaluated on every law node of every eta and scattered row by row with
     np.add.at: the reduction the law layer's folded weights replace.
@@ -493,87 +538,79 @@ def _column_factor_per_node(kern, ns, z, state):
     rounding that B's sums carry."""
     t = kern.spec.t
     per_block = {}
-    if state["law"] is not None:
-        eta = state["law"][0]
-        for a, e in enumerate(eta):
-            law = hitting_law_exact(
-                blocks(kern.spec.ic), float(e), kern.spec.n_max,
-                panel_max=min(kernel_mod._B_PANEL, 4 * kern._airy_w))
-            for ell, comp in law.components.items():
-                per_block.setdefault(ell, []).append(
-                    (np.full(comp.nodes.size, a), comp.nodes,
-                     comp.weights * comp.values))
+    eta = kern._layer[0]
+    for a, e in enumerate(eta):
+        law = hitting_law_exact(
+            blocks(kern.spec.ic), float(e), kern.spec.n_max,
+            panel_max=min(kernel_mod._B_PANEL, 4 * kern._airy_w))
+        for ell, comp in law.components.items():
+            per_block.setdefault(ell, []).append(
+                (np.full(comp.nodes.size, a), comp.nodes,
+                 comp.weights * comp.values))
     out = {}
     for n in ns:
-        cols, mags = [], []
-        if state["law"] is not None:
-            g = np.zeros((eta.size, z.size))
-            g_abs = np.zeros((eta.size, z.size))
-            for ell, items in per_block.items():
-                if ell < n:
-                    src, nodes, wv = (np.concatenate(v) for v in zip(*items))
-                    terms = kernel_mod._sbar(t, n - ell, nodes[:, None] - z) \
-                        * wv[:, None]
-                    np.add.at(g, src, terms)
-                    np.add.at(g_abs, src, np.abs(terms))
-            cols.append(g)
-            mags.append(g_abs)
-        out[n] = np.concatenate(cols), np.concatenate(mags)
+        g = np.zeros((eta.size, z.size))
+        g_abs = np.zeros((eta.size, z.size))
+        for ell, items in per_block.items():
+            if ell < n:
+                src, nodes, wv = (np.concatenate(v) for v in zip(*items))
+                terms = kernel_mod._sbar(t, n - ell, nodes[:, None] - z) \
+                    * wv[:, None]
+                np.add.at(g, src, terms)
+                np.add.at(g_abs, src, np.abs(terms))
+        out[n] = g, g_abs
     return out
+
+
+def _counting_laws(monkeypatch):
+    """The eta of every hitting law the kernel module computes from now on."""
+    calls = []
+
+    def counting(profile, eta, *args, **kw):
+        calls.append(eta)
+        return hitting_law_exact(profile, eta, *args, **kw)
+
+    monkeypatch.setattr(kernel_mod, "hitting_law_exact", counting)
+    return calls
 
 
 class TestLawLayer:
     def test_one_law_per_eta_node_over_five_thresholds(self, monkeypatch):
-        # c0 is finite, so the law layer ends at c0 whatever the upper end:
-        # the rebuilds of five queries on one evaluator share one layer
+        # the layer is built with the evaluator, one law per eta node, and
+        # five queries on it compute no other
         spec = KernelSpec(t=1.0, indices=(3, 9), ic=EIGHT_BLOCK_IC)
-        kern = kernel_eval(spec)
         fresh = [rbm_probability(spec, list(a)).value for a in STEP_BASES]
-        calls = []
-
-        def counting(profile, eta, *args, **kw):
-            calls.append(eta)
-            return hitting_law_exact(profile, eta, *args, **kw)
-
-        monkeypatch.setattr(kernel_mod, "hitting_law_exact", counting)
+        calls = _counting_laws(monkeypatch)
+        kern = kernel_eval(spec)
+        assert len(calls) == len(set(calls)) == kern._layer[0].size == 112
         shared = [rbm_probability(spec, list(a), kern=kern).value
                   for a in STEP_BASES]
-        assert len(calls) == len(set(calls)) == 112
-        assert kern._state["law"][0].size == 112
+        assert len(calls) == 112
         assert max(abs(a - b) for a, b in zip(shared, fresh)) <= 1e-15
 
-    def test_layer_follows_a_rising_upper_end_when_c0_is_infinite(
-            self, monkeypatch):
-        assert WEDGE_IC.n_inf > 0 and WEDGE_IC.curve(0) == math.inf
-        spec = KernelSpec(t=0.9, indices=(3, 6), ic=WEDGE_IC)
+    @pytest.mark.parametrize("ic, indices", [(WEDGE_IC, (3, 6)),
+                                             (TWO_WEDGE_IC, (12, 24))])
+    def test_layer_spans_the_levels_whatever_the_nodes(self, ic, indices,
+                                                       monkeypatch):
+        # the layer spans [last level, c0] of the data without their
+        # particles at +inf, and nodes however high compute no law
+        spec = KernelSpec(t=0.9, indices=indices, ic=ic)
         kern = kernel_eval(spec)
-        calls = []
-
-        def counting(profile, eta, *args, **kw):
-            calls.append(eta)
-            return hitting_law_exact(profile, eta, *args, **kw)
-
-        monkeypatch.setattr(kernel_mod, "hitting_law_exact", counting)
+        eta = kern._layer[0]
+        assert ic.levels[-1] < eta.min() < eta.max() < ic.levels[0]
+        calls = _counting_laws(monkeypatch)
         z = np.linspace(-8.0, -0.5, 5)
-        layers = []
-        for top in (-0.5, 0.5, 1.5):
+        for top in (-0.5, 1.5, 20.0, 60.0):
             zt = np.append(z, top)
-            ref = kernel_eval(spec).block(3, 6, zt, zt)
-            del calls[:]
-            assert np.array_equal(kern.block(3, 6, zt, zt), ref)
-            law_hi, layer = kern._law
-            assert law_hi == top + kern._reach
-            assert len(calls) == layer[0].size
-            layers.append(layer)
-        assert all(a is not b for a, b in zip(layers, layers[1:]))
-        # nodes below the top neither rebuild nor touch the layer
-        kern.block(3, 6, z, z)
-        assert kern._law[1] is layers[-1]
+            kern.block(*spec.indices, zt, zt)
+        assert calls == [] and kern._layer[0] is eta
 
     def test_rebuilt_layer_under_threads(self):
         # every round raises the upper end, so the four threads race to
-        # rebuild the law layer; each gets what a fresh evaluator gives
-        spec = KernelSpec(t=0.9, indices=(3, 6), ic=WEDGE_IC)
+        # rebuild the operator-step chains; each gets what a fresh
+        # evaluator gives
+        spec = KernelSpec(t=0.9, indices=(3, 6), ic=WEDGE_IC,
+                          representation="operator_step")
         rounds = [(np.linspace(-8.0, top, 9), np.linspace(-6.0, -1.0, 5))
                   for top in (-0.5, 0.5, 1.5)]
         expected = [kernel_eval(spec).matrix(zs) for zs in rounds]
@@ -610,13 +647,11 @@ class TestLawLayer:
          np.linspace(-30.0, 1.0, 9))])
     def test_folded_weights_match_per_node_scatter(self, ic, indices, z):
         kern = kernel_eval(KernelSpec(t=1.0, indices=indices, ic=ic))
-        state = kern._ensure(float(z.max()))
-        assert state["law"] is not None
-        refs = _column_factor_per_node(kern, indices, z, state)
+        refs = _column_factor_per_node(kern, indices, z)
         # line 10 of the wedges has no epoch below it (its law rows are 0)
         assert np.abs(refs[indices[-1]][0]).max() > 0
         for n in indices:
-            [(_, got)] = kern._line_factors([(n, z)], state)
+            [(_, got)] = kern._line_factors([(n, z)])
             ref, _ = refs[n]
             got = got[-len(ref):]
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -630,10 +665,9 @@ class TestLawLayer:
                                   extend_last=True)
         kern = kernel_eval(KernelSpec(t=1.0, indices=(12, 30), ic=ic))
         z = np.linspace(-30.0, 1.0, 9)
-        state = kern._ensure(float(z.max()))
         for n, (ref, mag) in _column_factor_per_node(
-                kern, (12, 30), z, state).items():
-            [(_, got)] = kern._line_factors([(n, z)], state)
+                kern, (12, 30), z).items():
+            [(_, got)] = kern._line_factors([(n, z)])
             got = got[-len(ref):]
             assert np.abs(got - ref).max() <= 1e-14 * mag.max()
 
@@ -644,7 +678,6 @@ class TestLawLayer:
         spec = KernelSpec(t=1.0, indices=(3, 9), ic=EIGHT_BLOCK_IC)
         kern = kernel_eval(spec)
         zs = [np.linspace(-6.0, 1.0, 40), np.linspace(-7.0, -0.5, 40)]
-        state = kern._discretization(zs)
         rows = []
         real = special.psibar_log
 
@@ -655,8 +688,8 @@ class TestLawLayer:
         monkeypatch.setattr(special, "psibar_log", counting)
         for n, z in zip(spec.indices, zs):
             del rows[:]
-            kern._line_factors([(n, z)], state)
-            assert 0 < sum(rows) <= state["law"][0].size == 112
+            kern._line_factors([(n, z)])
+            assert 0 < sum(rows) <= kern._layer[0].size == 112
 
     def test_law_node_outside_the_eta_scheme_raises(self, monkeypatch):
         def lifted(*args, **kw):
@@ -666,10 +699,8 @@ class TestLawLayer:
                 for ell, c in law.components.items()})
 
         monkeypatch.setattr(kernel_mod, "hitting_law_exact", lifted)
-        kern = kernel_eval(KernelSpec(t=1.0, indices=(3, 9),
-                                      ic=EIGHT_BLOCK_IC))
         with pytest.raises(RuntimeError, match="leave the eta scheme"):
-            kern.block(3, 9, np.zeros(1), np.zeros(1))
+            kernel_eval(KernelSpec(t=1.0, indices=(3, 9), ic=EIGHT_BLOCK_IC))
 
 
 def _volterra_leg_per_target(m, src, tgt):
