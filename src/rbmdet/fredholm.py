@@ -147,8 +147,8 @@ class _Factored:
     by 2^-k and of B by 2^k, one k per row for all lines, to bring the
     row's largest entries of A and B together; this keeps G in floating
     range however a row's scale is split between A and B (the hitting
-    kernel balances its atom rows so already; its law rows it does not).
-    Then G itself is balanced (``_balanced``).  Unbalanced, packed data at
+    kernel balances its rows so already; biorth does not).  Then G itself
+    is balanced (``_balanced``).  Unbalanced, packed data at
     the spectral edge at t = 1 were off by 3.8e-8 at n = 60 (balanced:
     2.2e-16).  With the factor balance only, the m x m matrix of two narrow
     wedges at eps = 0.1 has condition number 2e9, where I - D K D has 3,
@@ -263,7 +263,7 @@ _MAX_BLOCK_BYTES = 1 << 30   # the benchmark's largest matrix takes 7 MB
 
 
 def refine(system_at, order: int, pad: float, grow_pad, target: float,
-           max_rounds: int, floor: float) -> DetResult:
+           max_rounds: int, floor: float, rows: int = 0) -> DetResult:
     """The refinement loop of every determinant query.
 
     Each round runs ``fredholm_det`` on ``system_at(order, pad)`` with the
@@ -272,10 +272,11 @@ def refine(system_at, order: int, pad: float, grow_pad, target: float,
     otherwise the order doubles and the pad becomes ``grow_pad(pad)``.
     Raises ConvergenceError with the last value and estimate (None before
     the first round) as soon as a round's largest float64 block (N x N, or
-    the largest walk block N_i N_j on the m x m route) would take more than
-    ``_MAX_BLOCK_BYTES``, a round's estimate sits at its 4-ulp floor or is
-    not below the previous round's (more rounds would only grow the
-    matrix), or when ``max_rounds`` rounds do not reach ``target``.
+    on the m x m route, with m = ``rows``, m x m, a line's m x N_i factor
+    or a walk block N_i x N_j) would take more than ``_MAX_BLOCK_BYTES``,
+    a round's estimate sits at its 4-ulp floor or is not below the
+    previous round's (more rounds would only grow the matrix), or when
+    ``max_rounds`` rounds do not reach ``target``.
     """
     if max_rounds < 1:
         raise ValueError(f"need max_rounds >= 1, got {max_rounds}")
@@ -284,7 +285,8 @@ def refine(system_at, order: int, pad: float, grow_pad, target: float,
         system = system_at(order, pad)
         n = [s.size for s in system.schemes]
         size = 8 * (sum(n) ** 2 if system.factors is None else max(
-            (a * b for k, a in enumerate(n) for b in n[k + 1:]), default=0))
+            [rows * rows] + [rows * a for a in n]
+            + [a * b for k, a in enumerate(n) for b in n[k + 1:]]))
         if size > _MAX_BLOCK_BYTES:
             raise ConvergenceError(
                 f"determinant refinement stopped: order {order} needs a "
@@ -373,4 +375,5 @@ def rbm_probability(spec: KernelSpec, a, target: float = 1e-6,
 
     return refine(system_at, order, pad,
                   lambda pad: pad + 3.0 * math.sqrt(t) + 2.0,
-                  target, max_rounds, floor=1e-14)
+                  target, max_rounds, floor=1e-14,
+                  rows=0 if factors is None else fin.n_max)

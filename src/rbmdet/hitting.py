@@ -150,18 +150,15 @@ def _split_pieces(pieces, level):
 
 
 def _point_mass_spread(eta, m, cut):
-    """Density of the walk after m free steps from eta: a single piece on
-    [cut, eta] plus the mass already below cut."""
+    """Density of the walk after m free steps from eta: one piece on [cut,
+    eta], centred at eta, where (eta - b)^{m-1}/(m-1)! is one monomial (it
+    cancels about any other centre), and the mass already below cut."""
     if eta <= cut:
         return [], 1.0
-    c = 0.5 * (cut + eta)
-    if m > 1:
-        base = npoly.polypow(np.array([eta - c, -1.0]), m - 1) \
-            / math.gamma(m)
-    else:
-        base = np.array([1.0])
+    base = np.zeros(m)
+    base[-1] = (-1.0) ** (m - 1) / math.gamma(m)
     dead = float(gammaincc(m, eta - cut))
-    return [_Piece(cut, eta, c, np.asarray(base, dtype=float))], dead
+    return [_Piece(cut, eta, eta, base)], dead
 
 
 @dataclass(frozen=True)
@@ -228,6 +225,8 @@ _LAW_ORDER = 20
 
 
 def _pieces_to_component(pieces, x0, panel_max):
+    """The hit pieces as a LawComponent, None at mass <= 0; a mass below
+    -1e-12 has lost the law and raises ConvergenceError."""
     nodes, weights, values = [], [], []
     mass = 0.0
     for p in pieces:
@@ -238,6 +237,10 @@ def _pieces_to_component(pieces, x0, panel_max):
         nodes.append(sch.nodes)
         weights.append(sch.weights)
         values.append(np.exp(sch.nodes - x0) * p.eval_poly(sch.nodes))
+    if mass < -1e-12:
+        raise ConvergenceError(
+            f"exact hitting law from eta={x0!r} has a component of negative "
+            f"mass {mass:.3e}", value=mass, error_estimate=abs(mass))
     if not nodes or mass <= 0:
         return None
     return LawComponent(
@@ -259,8 +262,9 @@ def hitting_law_exact(profile: StepProfile, eta: float, n_max: int,
     sampled on Gauss-Legendre panels of 20 nodes, at most ``panel_max`` wide.
 
     The sweep raises ConvergenceError when its masses are off balance,
-    |total_mass() + unhit_mass - 1| > 1e-6; the expansion balances by
-    construction.  A horizon past the end of finite data is a ValueError.
+    |total_mass() + unhit_mass - 1| > 1e-6, or a component's mass is below
+    -1e-12; the expansion balances by construction.  A horizon past the end
+    of finite data is a ValueError.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -308,8 +312,9 @@ def hitting_law_exact(profile: StepProfile, eta: float, n_max: int,
     survivor = 1.0 if pieces is None else sum(p.exp_mass(eta) for p in pieces)
     law = HittingLaw(start=eta, atom_mass=0.0, components=components,
                      unhit_mass=dead + survivor)
-    # the sweep's polynomial algebra cancels factors up to e^{d} on a
-    # profile spanning d walk units, and past d of about 40 loses the law
+    # pieces are centred at eta, so one d walk units below carries e^{d},
+    # which the tail sums and exp_mass cancel: unit blocks balance to 1e-14
+    # down to d = 80 and lose the law by d = 120
     balance = law.total_mass() + law.unhit_mass - 1.0
     if not abs(balance) <= 1e-6:
         raise ConvergenceError(

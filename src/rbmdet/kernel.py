@@ -16,12 +16,12 @@ Every representation works on the finite particles (``KernelSpec.finite``),
 so c0 is finite, and writes the second term as a product A_i^T B_j through
 a layer on which each factor depends on one index line only:
 
-* ``hitting``      - the defining double integral; the layer is n_max atom
-  rows and the law's eta nodes on [last level, c0].  The epoch-0 atom is
-  summed exactly by parts at the one point c0, and the density components
-  contribute tensorized panel quadratures.  Interpolation from the eta
-  nodes onto the law nodes is folded into the law weights, so Sbar_epi
-  needs Sbar on the eta nodes only, once per epoch.
+* ``hitting``      - the defining double integral, summed by parts at the
+  levels; the layer is one row per curve epoch p = 0..n_max-1, at its
+  level c_p.  Row p pairs S(t, n_i-1-p; c_p, z_i) with Sbar(t, n_j-p; c_p,
+  z_j) less the expectation of Sbar(t, n_j-tau; B_tau, z_j) over the exact
+  hitting law of the walk started at c_p at epoch p.  On one block these
+  are the rows of the epoch-0 atom, and no law enters.
 * ``biorth``       - sum_{k=1}^{n_j} Psi^{n_i}_{n_i-k}(z_i) Phi^{n_j}_{n_j-k}(z_j)
   e^{z_j-z_i} with exact polynomial Phi's (moderate n only); the layer is
   the index k = 1..n_max.
@@ -46,7 +46,7 @@ from scipy.special import gammaln
 from . import biorth as _bo
 from . import special
 from .hitting import hitting_law_exact, q_exp_pow
-from .initial_data import InitialCondition, blocks
+from .initial_data import InitialCondition, StepProfile, blocks
 from .quad import Scheme, _gl_rule, build_scheme
 
 REPRESENTATIONS = ("hitting", "biorth", "operator_step")
@@ -233,10 +233,8 @@ class KernelSpec:
             n - n_inf for n in self.indices if n > n_inf))
 
 
-# quadrature of the eta layer (order) and of the hitting laws on it
-# (largest panel)
+# quadrature order of the operator-step eta schemes
 _ETA_ORDER = 16
-_B_PANEL = 2.0
 
 
 class ExtendedKernelEval:
@@ -248,11 +246,10 @@ class ExtendedKernelEval:
     and an index at or below the particles at +inf has none (ValueError).
 
     Pure and safe for concurrent evaluation.  The hitting representation's
-    layer (the eta nodes on [last level, c0], their exact hitting laws, and
-    per epoch the law weights folded onto the eta nodes) depends on the
-    spec only and is built once, here.  The operator-step discretization is
-    (re)built under a lock whenever the requested nodes reach above its
-    upper end (nothing in it depends on the lower end).
+    laws, one per epoch before the last block start (``_law_rows``),
+    depend on the spec only and are built once, here.  The operator-step
+    discretization is (re)built under a lock whenever the requested nodes
+    reach above its upper end (nothing in it depends on the lower end).
 
     In every representation a block is A(n_i, z_i)^T B(n_j, z_j) minus
     the walk term, with A and B from ``_line_factors``.  Both depend on
@@ -260,9 +257,9 @@ class ExtendedKernelEval:
     line, under one discretization for the whole assembly, and keeps no
     factor after the call; ``block`` takes A from line i's pair and B from
     line j's.  A determinant needs no N x N matrix from the factors (see
-    ``fredholm``); ``matrix`` multiplies them out.  A line's atom rows
-    come from one Hermite recurrence (``_atom_factors``), its law rows
-    from the module's ``_s`` and ``_sbar``.
+    ``fredholm``); ``matrix`` multiplies them out.  A hitting line's rows
+    at one level come from one Hermite recurrence, and its law terms from
+    one Sbar per law node (``_hitting_factors``).
     """
 
     def __init__(self, spec: KernelSpec):
@@ -274,12 +271,11 @@ class ExtendedKernelEval:
         self._evals = 0
         self._profile = blocks(fin.ic)
         t, n_max = fin.t, fin.n_max
-        # oscillation scales of psi_n: edge (Airy) width, and the eta panels
-        # at 1.5 bulk wavelengths
-        self._airy_w = math.sqrt(t) * max(n_max, 1) ** (-1.0 / 6.0)
-        self._reach = 2.0 * math.sqrt(n_max * t) + 12.0 * self._airy_w + 5.0
+        # oscillation scales of psi_n: 12 edge (Airy) widths past the bulk,
+        # and panels of 1.5 bulk wavelengths
+        self._reach = 2.0 * math.sqrt(n_max * t) + 12.0 * (
+            math.sqrt(t) * n_max ** (-1.0 / 6.0)) + 5.0
         self._panel = max(1.5 * (math.pi * math.sqrt(t / n_max)), 1e-3)
-        self._layer = None
         if fin.representation == "biorth":
             self._phi_tables = {
                 nj: [_bo.phi_n_k(_bo.h_family(fin.ic, nj), k, t)
@@ -287,9 +283,7 @@ class ExtendedKernelEval:
                 for nj in fin.indices
             }
         elif fin.representation == "hitting":
-            levels = [b.level for b in self._profile.blocks_within(n_max)]
-            if levels[0] > levels[-1]:
-                self._layer = self._law_layer(levels[-1], levels[0], levels)
+            self._laws = self._law_rows()
 
     @property
     def evaluations(self) -> int:
@@ -372,146 +366,142 @@ class ExtendedKernelEval:
                 if schemes[j] is not None and schemes[k] is not None}
         return schemes, legs
 
-    def _law_layer(self, law_lo, law_hi, splits):
-        """The eta nodes and weights on [law_lo, law_hi] and, per epoch ell,
-        the folded law weights (rows, cols, W): the law expectation of
-        Sbar(t, n - ell; b, z) at the eta nodes eta[rows] is W @ Sbar(t,
-        n - ell; eta[cols], z), so Sbar is evaluated on the eta scheme's
-        own nodes b and never on the law nodes u.
-
-        W is the epoch's weighted law densities (eta x u) times the matrix
-        that interpolates from the b nodes of u's panel onto u.  Sbar =
-        e^{z-b} psibar(b - z) with psibar a polynomial, so the factor
-        e^{b-u} in that matrix leaves the polynomial part to interpolate:
-        exact below the panel order, and spectrally accurate above it,
-        since the panels are sized by the bulk wavelength.  rows and cols
-        span the eta nodes the epoch's laws start from and the panels its
-        law nodes fall in.
-        """
-        sch = build_scheme(law_lo, law_hi, order=_ETA_ORDER, splits=splits,
-                           max_panel=self._panel)
-        refx, lam = _bary_ref(_ETA_ORDER)
-        edges = sch.edges
+    def _law_rows(self):
+        """[(s, u, V), ...] per block past the first, in start order: its
+        start epoch s, law nodes u and V (s x u), row p the weighted density
+        over e^{u - c_p} of first hitting it from c_p at epoch p.  That law
+        runs on the later blocks shifted by p; the walk steps strictly down,
+        so every law first hits a block on the same nodes, between its level
+        and the level above."""
+        fin = self._fin
+        blks = self._profile.blocks_within(fin.n_max)
         per_block = {}
-        for a, e in enumerate(sch.nodes):
-            law = hitting_law_exact(self._profile, float(e), self._fin.n_max,
-                                    panel_max=min(_B_PANEL, 4 * self._airy_w))
+        for p in range(blks[-1].start):
+            later = StepProfile(0, tuple(replace(b, start=b.start - p)
+                                         for b in blks if b.start > p))
+            law = hitting_law_exact(later, fin.ic.curve(p), fin.n_max - p,
+                                    panel_max=self._panel)
             for ell, comp in law.components.items():
-                per_block.setdefault(ell, []).append(
-                    (np.full(comp.nodes.size, a), comp.nodes,
-                     comp.weights * comp.values))
-        epochs = {}
-        for ell, items in per_block.items():
-            src, u, wv = (np.concatenate(v) for v in zip(*items))
-            if u.min() < edges[0] or u.max() > edges[-1]:
-                raise RuntimeError(
-                    f"epoch {ell} law nodes [{u.min()!r}, {u.max()!r}] leave "
-                    f"the eta scheme [{edges[0]!r}, {edges[-1]!r}]")
-            p = np.minimum(np.searchsorted(edges, u, side="right") - 1,
-                           edges.size - 2)
-            lo, hi = edges[p], edges[p + 1]
-            interp = _bary_eval_matrix((2.0 * u - (lo + hi)) / (hi - lo),
-                                       refx, lam)
-            col = p[:, None] * _ETA_ORDER + np.arange(_ETA_ORDER)
-            rows = slice(src.min(), src.max() + 1)
-            cols = slice(p.min() * _ETA_ORDER, (p.max() + 1) * _ETA_ORDER)
-            shape = (rows.stop - rows.start, cols.stop - cols.start)
-            flat = (src - rows.start)[:, None] * shape[1] + col - cols.start
-            vals = wv[:, None] * interp * np.exp(sch.nodes[col] - u[:, None])
-            w = np.bincount(flat.ravel(), vals.ravel(),
-                            minlength=shape[0] * shape[1])
-            epochs[ell] = (rows, cols, w.reshape(shape))
-        return sch.nodes, sch.weights, epochs
+                per_block.setdefault(p + ell, {})[p] = comp
+        out = []
+        for s, comps in sorted(per_block.items()):
+            u = next(iter(comps.values())).nodes
+            v = np.zeros((s, u.size))
+            for p, comp in comps.items():
+                if not np.array_equal(comp.nodes, u):
+                    raise RuntimeError(f"the laws hitting the block at epoch "
+                                       f"{s} are sampled on different nodes")
+                v[p] = comp.weights * comp.values * np.exp(fin.ic.curve(p) - u)
+            out.append((s, u, v))
+        return out
 
     def _line_factors(self, lines):
-        """[(A, B), ...], one pair per (n, z) in ``lines``: the factors of
-        line n of the finite particles on nodes z.
-
-        The rows are the representation's layer: the atom rows and law eta
-        nodes (hitting), every block's eta nodes under the highest of the
-        lines' nodes (operator_step, ``_chain_factors``) or k = 1..n_max
-        (biorth, ``_biorth_factors``).
-
-        In the hitting representation the atom rows (``_atom_factors``)
-        come first.  On the law eta nodes A is the weighted S(t, n; eta, z)
-        and B the hitting-law expectation of Sbar(t, n - ell; b, z): per
-        epoch ell < n, Sbar on the eta nodes the epoch's law nodes fall
-        among, times its folded weights (``_law_layer``).
-        """
-        rep, t = self._fin.representation, self._fin.t
-        if rep == "operator_step":
+        """[(A, B), ...], one pair per (n, z) in ``lines``: line n's factors
+        on nodes z, on the representation's layer (``_hitting_factors``,
+        ``_chain_factors``, ``_biorth_factors``)."""
+        if self._fin.representation == "operator_step":
             z_hi = max(float(z.max()) for _, z in lines)
             with self._lock:
                 if self._z_hi is None or z_hi > self._z_hi:
                     self._state, self._z_hi = self._build(z_hi), z_hi
                 chains = self._state
             return [self._chain_factors(n, z, chains) for n, z in lines]
-        if rep == "biorth":
+        if self._fin.representation == "biorth":
             return [self._biorth_factors(n, z) for n, z in lines]
-        out = self._atom_factors(lines)
-        if self._layer is None:
-            return out
-        eta, w_eta, epochs = self._layer
-        for k, (n, z) in enumerate(lines):
-            g = np.zeros((eta.size, z.size))
-            for ell, (r, c, w) in epochs.items():
-                if ell < n:
-                    g[r] += w @ _sbar(t, n - ell, eta[c, None] - z[None, :])
-            a, b = out[k]
-            out[k] = (np.concatenate(
-                          [a, _s(t, n, eta[:, None] - z[None, :])
-                           * w_eta[:, None]]),
-                      np.concatenate([b, g]))
-        return out
+        return self._hitting_factors(lines)
 
-    def _atom_factors(self, lines):
-        """The exact epoch-0 atom rows (A, B) of every (n, z) in
-        ``lines``.
+    def _hitting_factors(self, lines):
+        """The hitting factors (A, B) of every (n, z) in ``lines``, one row
+        per curve epoch p = 0..n_max-1 at its level c_p.
 
-        The atom adds int_{c0}^inf S(t, n_i; eta, z_i) Sbar(t, n_j; eta,
-        z_j) deta to block (i, j).  The exponentials multiply to
-        e^{z_j - z_i}, psi_n = (-d)^n p_t and d psibar_m = psibar_{m-1}, so
-        n_j integrations by parts give sum_{k < n_j} S(t, n_i - 1 - k; c0,
-        z_i) Sbar(t, n_j - k; c0, z_j).  Rows k < n are the degrees of one
-        recurrence at c0 - z; rows k >= n are J_m in A (as in ``_s``), 0 in
-        B.  Row k of A gives B e^r and its degree's constant on line n_max,
-        which cancel in A^T B, and one power of 2 per row for all the lines
-        balances A and B (``_pow2_rows``).
+        Row p of A is S(t, n - 1 - p; c_p, z) (J_m as in ``_s`` for p >= n);
+        of B, Sbar(t, n - p; c_p, z) less E[Sbar(t, n - tau; B_tau, z); tau
+        < n] for the walk started at c_p at epoch p, tau its first later
+        hit, and 0 for p >= n.  This is int S(t, n_i; eta, z_i) Sbar_epi(eta,
+        z_j) deta summed by parts at every level (psi_n = (-d)^n p_t, d
+        psibar_m = psibar_{m-1}), each block's level rows cancelling the
+        lower-index rows of the block above; on one block, the epoch-0 atom.
+        A line's rows at one level are the degrees of one Hermite
+        recurrence.  Row p of A gives B e^r and the constant of its degree
+        on line n_max, which cancel in A^T B, and one power of 2 per row for
+        all the lines balances A and B (``_pow2_rows``).
         """
-        c0 = self._fin.ic.curve(0)
         t, n_max = self._fin.t, self._fin.n_max
         log_t, rt = math.log(t), math.sqrt(t)
         r = 2.0 * math.sqrt(n_max * t)
         c = 0.5 * (math.log(2.0 * math.pi) + log_t)
-        logs = []
+        blks = self._profile.blocks_within(n_max)
+        ends = [b.start for b in blks[1:]] + [n_max]
+        logs, leads = [], []
         for n, z in lines:
-            x = c0 - z
-            y = x - r
-            la, sg = special.hermite_normed_log_all(n - 1, x / rt)
-            la, sg = la[::-1], sg[::-1]      # row k is degree n - 1 - k
-            d = np.arange(n - 1.0, -1.0, -1.0)[:, None]
-            # (lgamma(d + 1) - d log t)/2 of line n less that of line n_max
-            dc = 0.5 * (gammaln(d + 1.0) - gammaln(d + 1.0 + n_max - n)
-                        + (n_max - n) * log_t)
-            lg = (la - x * x / (2.0 * t)) + y + (dc - c)
-            lb = (la - y) - dc
-            if n < n_max:
-                # row n - 1 + m: S(t, -m) = e^x t^{(m-1)/2} J_m(-x/sqrt(t)),
-                # less the constant of degree dm = n_max - n - m
-                dm = np.arange(n_max - n - 1.0, -1.0, -1.0)[:, None]
-                lg = np.concatenate([lg, _bo.log_gauss_repeated_integrals(
-                    n_max - n, -x / rt) + y + 0.5 * (
-                        (n_max - n - 1) * log_t - gammaln(dm + 1.0))])
-            pad = ((0, n_max - n), (0, 0))
-            logs.append((lg, np.pad(sg, pad, constant_values=1.0),
-                         np.pad(lb, pad), np.pad(sg, pad)))
+            # rows p < h take law terms, h the last block start below n
+            h = max([s for s, _, _ in self._laws if s < n], default=0)
+            rows, lead = [], []
+            for blk, end in zip(blks, ends):
+                s, x = blk.start, blk.level - z
+                y = x - r
+                if s < n:
+                    k = min(end, n) - s
+                    la, sg = special.hermite_normed_log_all(n - 1 - s, x / rt)
+                    # row p is degree n - 1 - p
+                    la, sg = la[::-1][:k], sg[::-1][:k]
+                    d = np.arange(n - 1.0 - s, n - 1.0 - s - k, -1.0)[:, None]
+                    # (lgamma(d + 1) - d log t)/2 of line n less that of
+                    # line n_max
+                    dc = 0.5 * (gammaln(d + 1.0) - gammaln(d + 1.0 + n_max - n)
+                                + (n_max - n) * log_t)
+                    rows.append(((la - x * x / (2.0 * t)) + y + (dc - c), sg,
+                                 (la - y) - dc, sg))
+                    if s < h:
+                        # log psibar_d(t, x): Sbar = e^{-x} psibar_d
+                        lead.append(la - 0.5 * (gammaln(d + 1.0) - d * log_t))
+                if end > n:
+                    # row p = n - 1 + m: S(t, -m) = e^x t^{(m-1)/2} J_m(-x/
+                    # sqrt(t)), less the constant of degree n_max - 1 - p
+                    lo = max(s, n)
+                    dm = np.arange(n_max - 1.0 - lo, n_max - 1.0 - end,
+                                   -1.0)[:, None]
+                    lj = _bo.log_gauss_repeated_integrals(
+                        end - n, -x / rt)[lo - n:] + y + 0.5 * (
+                            (n_max - n - 1) * log_t - gammaln(dm + 1.0))
+                    rows.append((lj, np.ones_like(lj), np.zeros_like(lj),
+                                 np.zeros_like(lj)))
+            logs.append([np.concatenate(f) for f in zip(*rows)])
+            leads.append(np.concatenate(lead) if lead else None)
         amax, bmax = (np.max([np.where(f[k + 1] != 0, f[k], -np.inf).max(1)
                               for f in logs], axis=0) for k in (0, 2))
         # B is 0 past every line's n there: bring A's largest entry to 1
         shift = np.round(np.where(np.isfinite(bmax), 0.5 * (amax - bmax),
                                   amax) / math.log(2.0))
-        return [(_pow2_rows(la, sa, shift), _pow2_rows(lb, sb, -shift))
-                for la, sa, lb, sb in logs]
+        # B's row constant e^r Gamma(D + 1)^{1/2} t^{-D/2}, D = n_max - 1 - p
+        dd = np.arange(n_max - 1.0, -1.0, -1.0)[:, None]
+        g = r + 0.5 * (gammaln(dd + 1.0) - dd * log_t)
+        out = []
+        for (n, z), (la, sa, lb, sb), lp in zip(lines, logs, leads):
+            b = _pow2_rows(lb, sb, -shift)
+            if lp is not None:
+                # rows p < h less their law terms V @ psibar_{n-s-1}(u - z)
+                # (Sbar = e^{z-b} psibar), summed in the frame of each
+                # entry's largest term: e^{z - c_p} and the row constant go
+                # on after the terms cancel, and add no rounding to them
+                h = lp.shape[0]
+                frame = lp.copy()
+                sums = []
+                for s, u, v in [law for law in self._laws if law[0] < n]:
+                    lu, su = special.psibar_log(n - s - 1, t,
+                                                u[:, None] - z[None, :])
+                    top = lu.max(axis=0)
+                    sums.append((s, v @ (su * np.exp(lu - top)), top))
+                    frame[:s] = np.maximum(frame[:s], top)
+                net = sb[:h] * np.exp(lp - frame)
+                for s, e, top in sums:
+                    net[:s] -= e * np.exp(top - frame[:s])
+                x = self._fin.ic.curve_array(h)[:, None] - z[None, :]
+                with np.errstate(divide="ignore"):
+                    b[:h] = _pow2_rows(np.log(np.abs(net)) + frame - x
+                                       + g[:h], np.sign(net), -shift[:h])
+            out.append((_pow2_rows(la, sa, shift), b))
+        return out
 
     def _chain_factors(self, n, z, chains):
         """Operator-step factors of line n, one row group per block k with

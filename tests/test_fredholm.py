@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -463,13 +464,24 @@ class TestFactoredDeterminant:
     @pytest.mark.parametrize("eps, x", [(0.1, (-0.5,)), (0.1, (-0.5, 0.5)),
                                         (0.09, (-0.5,))])
     def test_two_wedges_hitting_matches_operator_step(self, eps, x):
-        # line 48 at eps = 0.09: Sbar's degree is past the eta panel order,
-        # so the law layer's interpolation onto the law nodes is not exact
+        # line 48 at eps = 0.09: Sbar's degree on the law nodes is past
+        # their panel order
         spec, a = _nw_spec((0.0, -1.0), eps, x)
         hit = rbm_probability(spec, a).value
         step = rbm_probability(replace(spec, representation="operator_step"),
                                a).value
         assert abs(hit - step) <= 1e-13
+
+    @pytest.mark.parametrize("eps, ref", [(0.05, 0.974704703757723),
+                                          (0.03, 0.9671106328727139)])
+    def test_two_wedges_match_the_closed_form(self, eps, ref):
+        # lines 109 and 226 of the wedges (0, -1) at x = -0.5: their hitting
+        # laws from the first level once lost their mass balance (1.2e-6 at
+        # eps = 0.05) and raised.  The references sum the two-block kernel
+        # in closed form, with no quadrature of the law
+        res = rbm_probability(*_nw_spec((0.0, -1.0), eps, (-0.5,)),
+                              target=1e-10)
+        assert abs(res.value - ref) <= 1e-13
 
     def test_two_point_narrow_wedge_under_brownian_scaling(self):
         # lines 125 and 193 of one wedge at eps = 0.03; the repeated
@@ -682,11 +694,26 @@ class TestMemoryBound:
         assert (info.value.value, info.value.error_estimate) == (None, None)
         assert len(rounds) == 1
 
-    def test_one_line_has_no_walk_block(self, scripted_det, monkeypatch):
-        # the m x m route of one line allocates no N x N block at all
-        monkeypatch.setattr(fr, "_MAX_BLOCK_BYTES", 0)
+    def test_one_line_counts_its_layer(self, scripted_det, monkeypatch):
+        # one line has no walk block, but its m x m matrix and m x N factor
+        # count: m = 5 rows on N >= 5 nodes, so m x N is the largest
+        spec = KernelSpec(t=1.0, indices=(5,), ic=idata.packed(0.0))
+        first, _ = _first_round(monkeypatch, spec, [-3.0])
+        size = 8 * 5 * first.size
         scripted_det((0.5, 0.0))
-        assert _rbm_query().value == 0.5
+        monkeypatch.setattr(fr, "_MAX_BLOCK_BYTES", size)
+        assert rbm_probability(spec, [-3.0]).value == 0.5
+        monkeypatch.setattr(fr, "_MAX_BLOCK_BYTES", size - 1)
+        with pytest.raises(ConvergenceError, match="byte bound"):
+            rbm_probability(spec, [-3.0])
+
+    def test_large_layer_stops_before_assembly(self):
+        # packed n = 20,000: m x m alone is 2.98 GiB, and no round starts
+        spec = KernelSpec(t=1.0, indices=(20000,), ic=idata.packed(0.0))
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="2.98 GiB"):
+            rbm_probability(spec, [-2.0 * math.sqrt(20000)])
+        assert time.perf_counter() - start < 1.0
 
 
 def test_fixed_point_floor_is_its_own(scripted_det):

@@ -109,27 +109,53 @@ class TestExactLaw:
             total = law.total_mass() + law.unhit_mass
             assert total == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("span, raises", [(40, False), (80, True)])
+    @pytest.mark.parametrize("span, raises", [(40, False), (80, False),
+                                              (160, True)])
     def test_sweep_off_its_mass_balance_raises(self, span, raises):
-        # unit blocks X0(k) = -k from the middle of the span: the balance is
-        # off by 2.9e-9 at span 40 and by 6.9 at span 80
+        # unit blocks X0(k) = -k from the top, eta = -1.5: the walk runs
+        # down the whole span.  With its first piece expanded about the
+        # midpoint, the balance was off by 4.4e-8 at span 80 (and by 6.9
+        # from the middle of the span); at span 160 the pieces still lose
+        # the law
         prof = idata.blocks(idata.from_positions(
             [-float(k) for k in range(1, span + 1)], extend_last=True))
         if raises:
             with pytest.raises(ConvergenceError):
-                ht.hitting_law_exact(prof, -0.5 * span, span)
+                ht.hitting_law_exact(prof, -1.5, span)
         else:
-            law = ht.hitting_law_exact(prof, -0.5 * span, span)
-            total = law.total_mass() + law.unhit_mass
-            assert total == pytest.approx(1.0, abs=1e-6)
+            law = ht.hitting_law_exact(prof, -1.5, span)
+            assert abs(law.total_mass() + law.unhit_mass - 1.0) <= 1e-12
+            assert all(np.all(c.values >= 0)
+                       for c in law.components.values())
 
-    def test_two_narrow_wedges_at_eps_005_raise(self):
-        # the law behind the hitting kernel of two wedges (0, -1) at
-        # eps = 0.05, T = 1, x = -0.5, whose determinant was off by 1.2e-3
-        # with an estimate of 1e-16 before the sweep checked its balance
-        ic = idata.narrow_wedge_approx([0.0, -1.0], eps=0.05)
-        with pytest.raises(ConvergenceError):
-            ht.hitting_law_exact(idata.blocks(ic), -0.11, 109)
+    @pytest.mark.parametrize("eps, horizon", [(0.05, 109), (0.03, 226)])
+    def test_two_narrow_wedges_balance(self, eps, horizon):
+        # the law behind the hitting kernel of two wedges (0, -1) at T = 1,
+        # x = -0.5: it hits only the second block, 40 (eps = 0.05) or 67
+        # walk units below eta.  Once off its balance by 1.2e-6 and
+        # raising, it now balances and equals inclusion-exclusion
+        prof = idata.blocks(idata.narrow_wedge_approx([0.0, -1.0], eps=eps))
+        law = ht.hitting_law_exact(prof, -0.11, horizon)
+        ref = ht.hitting_law_exact(prof, -0.11, horizon,
+                                   method="inclusion_exclusion")
+        assert abs(law.total_mass() + law.unhit_mass - 1.0) <= 1e-14
+        assert set(law.components) == set(ref.components) == {
+            prof.blocks[1].start}
+        for ell, comp in law.components.items():
+            assert abs(comp.mass - ref.components[ell].mass) <= 1e-14
+        assert abs(law.unhit_mass - ref.unhit_mass) <= 1e-14
+
+    def test_negative_component_mass_raises(self):
+        # a hit piece whose mass is below -1e-12 has lost the law; it is
+        # not dropped as if it were an empty component
+        piece = ht._Piece(-1.0, 0.0, 0.0, np.array([-1e-9]))
+        with pytest.raises(ConvergenceError, match="negative mass"):
+            ht._pieces_to_component([piece], 0.0, 2.0)
+        tiny = ht._Piece(-1.0, 0.0, 0.0, np.array([-1e-13]))
+        assert ht._pieces_to_component([tiny], 0.0, 2.0) is None
+        kept = ht._pieces_to_component([ht._Piece(-1.0, 0.0, 0.0,
+                                                  np.array([1.0]))], 0.0, 2.0)
+        assert kept.mass == pytest.approx(1.0 - math.exp(-1.0), rel=1e-15)
 
     def test_support_only_at_block_starts(self):
         ic = idata.from_positions([2.0, 2.0, 0.5, -1.0, -1.0],

@@ -1,5 +1,6 @@
-"""Every name a program module imports is used in that module, and every
-parameter of a program function is read by it.
+"""Every name a program module imports is used in that module, every
+parameter of a program function is read by it, and every private name a
+program module defines at its top level is read by some program module.
 
 No linter ships with the project, so this parses each module of
 ``src/rbmdet`` with ``ast``.  An import line marked ``# noqa`` is kept on
@@ -77,3 +78,46 @@ def test_check_sees_an_unused_parameter():
               "        return g, kw\n"
               "def h(cls, x):\n    return [x for _ in ()]\n")
     assert unused_parameters(source) == ["f.b", "f.rest", "g.d"]
+
+
+def unread_private_names(sources: dict) -> list[str]:
+    """``module.name`` for every private name bound at the top level of a
+    module in ``sources`` ({module: source}) by a def, a class or an
+    assignment that no module there loads, as a name or an attribute."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    out = []
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                    else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            out += [f"{mod}.{name}" for name in names
+                    if name.startswith("_") and not name.startswith("__")
+                    and name not in read]
+    return out
+
+
+def test_no_unread_private_name():
+    assert unread_private_names({p.stem: p.read_text()
+                                 for p in sorted(SRC.glob("*.py"))}) == []
+
+
+def test_check_sees_an_unread_private_name():
+    sources = {"a": ("_A, _B = 1, 2\n_C: int = 3\n__all__ = []\n"
+                     "def _f():\n    return _B\nclass _K:\n    pass\n"),
+               "b": "from . import a\nx = a._K\n"}
+    assert unread_private_names(sources) == ["a._A", "a._C", "a._f"]

@@ -32,6 +32,23 @@ STEP_BASES = ((-1.25, -5.0), (-0.75, -4.5), (-0.25, -3.5), (0.25, -3.0),
 WEDGE_IC = idata.narrow_wedge_approx([-0.5, -1.0], eps=0.7)
 # two wedges at eps = 0.1: ten particles at +inf, then levels -10 and -20
 TWO_WEDGE_IC = idata.narrow_wedge_approx([-0.5, -1.0], eps=0.1)
+# float.hex of entries (0, 0), (1, 15) and (2, 30) of A_1, B_1, A_2 and B_2
+# on one-block data (by their particles at +inf: packed, and one wedge at
+# eps = 0.1), lines (3, 9) and (12, 24) at t = 1, as the epoch-0 atom gave
+# them before the hitting laws moved onto the levels
+ONE_BLOCK_PINS = {
+    0: ['0x1.f44c86d957fe7p-85', '0x1.5bc3e07bc7344p-15',
+        '0x1.13ebd4cba0ad8p-5', '0x1.1cb386333d05ep-8',
+        '0x1.41e182783cf2dp-4', '0x1.cbc705983a591p+2',
+        '0x1.7c2a35aaba7bap-79', '0x1.8e47d6069c5bcp-4',
+        '0x1.13ebd4cba0ae3p-1', '0x1.85b3e05cd813dp-2',
+        '0x1.e864bd6556117p-3', '0x1.46f3ed390d0c8p-3'],
+    10: ['0x1.86c43fcf7cdb0p+5', '0x1.48c71146e6819p-15',
+         '0x1.a27754b97b853p-8', '0x1.21c1baffe1a8cp-8',
+         '0x1.a19af8c8cffa2p-2', '0x0.0p+0', '-0x1.d26903c28b908p+20',
+         '0x1.dbc522fce9ffap+7', '-0x1.5b0cffb440824p-59',
+         '-0x1.8949cb3b489f1p-25', '0x1.dc26579393020p-13',
+         '-0x1.4cffbfa2d34c8p+19']}
 
 
 class TestSOps:
@@ -242,10 +259,12 @@ class TestKernelEval:
         assert mismatches == []
 
     def test_one_recurrence_per_line_for_the_atom(self, monkeypatch):
-        # a line's atom rows are the degrees 0..n-1 of one recurrence at
-        # c0 - z: per assembly, one all-degree call per line and no
-        # recurrence argument run twice
+        # a line's rows at one level, the atom's at c0 and those of every
+        # later block start s < n at its level, are the degrees 0..n-1-s
+        # of one recurrence at level - z: per assembly, one all-degree
+        # call per line and level, and no recurrence argument run twice
         spec = KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC)
+        starts = [b.start for b in blocks(STEP_IC).blocks]
         calls = []
 
         def counting(name):
@@ -265,7 +284,8 @@ class TestKernelEval:
             NystromSystem(intervals=((-7.0, 1.0), (-6.0, -2.5)), order=order,
                           kernel=kern.matrix, max_panel=1.0).matrix()
             alls = [n for name, n, _ in calls if name.endswith("all")]
-            assert sorted(alls) == [n - 1 for n in spec.indices]
+            assert sorted(alls) == sorted(n - 1 - s for n in spec.indices
+                                          for s in starts if s < n)
             assert not any(name.endswith("pair") for name, _, _ in calls)
             args = [x for _, _, x in calls]
             assert len(set(args)) == len(args)
@@ -463,23 +483,41 @@ class TestKernelEval:
             assert (max if k == 0 else min)(gaps) <= 1e-10
 
 
-def _atom_by_eta_quadrature(kern, lines, z_hi):
-    """Block (i, j) of the epoch-0 atom as the eta integral int_{c0}^inf
-    S(t, n_i; eta, z_i) Sbar(t, n_j; eta, z_j) deta on Gauss-Legendre
-    panels of [c0, z_hi + reach]: the quadrature the exact sum replaces."""
-    t = kern.spec.t
-    c0 = kern.spec.ic.curve(0)
-    levels = [b.level for b in kern._profile.blocks_within(kern.spec.n_max)]
-    sch = build_scheme(c0, z_hi + kern._reach, order=16, splits=levels,
-                       max_panel=kern._panel)
-    eta = sch.nodes[:, None]
-    return {(i, j): (s_ops("S", t, ni, eta, zi) * sch.weights[:, None]).T
-            @ s_ops("Sbar", t, nj, eta, zj)
+def _kernel_by_eta_quadrature(kern, lines, z_hi):
+    """Block (i, j) of the kernel's integral term, int S(t, n_i; eta, z_i)
+    Sbar_epi(eta, z_j) deta, on Gauss-Legendre panels of [last level, z_hi
+    + reach] split at the levels, with Sbar_epi at every node from that
+    node's own exact hitting law (above c0 the epoch-0 atom, the plain
+    Sbar): the quadrature that the rows at the levels sum exactly."""
+    fin = kern.spec.finite
+    t, prof = fin.t, blocks(fin.ic)
+    levels = [b.level for b in prof.blocks_within(fin.n_max)]
+    sch = build_scheme(levels[-1], z_hi + kern._reach, order=16,
+                       splits=levels, max_panel=kern._panel)
+    laws = [hitting_law_exact(prof, float(eta), fin.n_max)
+            for eta in sch.nodes]
+    epi = {}
+    for n, z in lines:
+        rows = []
+        for eta, law in zip(sch.nodes, laws):
+            row = law.atom_mass * s_ops("Sbar", t, n, eta, z)
+            for ell, comp in law.components.items():
+                if ell < n:
+                    row = row + (comp.weights * comp.values) @ s_ops(
+                        "Sbar", t, n - ell, comp.nodes[:, None], z[None, :])
+            rows.append(row)
+        epi[n] = np.array(rows)
+    return {(i, j): (s_ops("S", t, ni, sch.nodes[:, None], zi[None, :])
+                     * sch.weights[:, None]).T @ epi[nj]
             for i, (ni, zi) in enumerate(lines)
-            for j, (nj, zj) in enumerate(lines)}
+            for j, (nj, _) in enumerate(lines)}
 
 
 class TestExactAtom:
+    """The hitting rows, one per curve epoch p at its level c_p: on one
+    block the epoch-0 atom summed by parts, on more the whole integral
+    term."""
+
     @pytest.mark.parametrize("ic, t, lines", [
         (idata.packed(0.0), 1.0,
          [(30, np.linspace(-2.0 * math.sqrt(30) - 10.0, -9.0, 41))]),
@@ -492,74 +530,86 @@ class TestExactAtom:
                                (9, np.linspace(-9.0, -1.0, 15))])])
     def test_matches_the_eta_quadrature(self, ic, t, lines):
         # one line, lines n_i < n_j with negative-degree rows, and step
-        # data whose law layer shares the assembly
+        # data, whose laws enter B
         kern = kernel_eval(KernelSpec(t=t, indices=tuple(n for n, _ in lines),
                                       ic=ic))
-        facs = kern._atom_factors(lines)
+        facs = kern._hitting_factors(lines)
         assert all(a.shape == b.shape == (kern.spec.n_max, z.size)
                    for (a, b), (_, z) in zip(facs, lines))
         scale = np.abs(kern.matrix([z for _, z in lines])).max()
         z_hi = max(float(z.max()) for _, z in lines)
-        for (i, j), ref in _atom_by_eta_quadrature(kern, lines,
-                                                   z_hi).items():
+        for (i, j), ref in _kernel_by_eta_quadrature(kern, lines,
+                                                     z_hi).items():
             got = facs[i][0].T @ facs[j][1]
             assert np.abs(got - ref).max() <= 1e-13 * scale
 
     def test_atom_rows_behind_particles_at_infinity(self):
         # the two particles at +inf are dropped, so c0 is the first finite
-        # level and lines 3 and 6 are lines 1 and 4: 4 atom rows, then the
-        # law layer on [last level, c0]
+        # level and lines 3 and 6 are lines 1 and 4 of two blocks: 4 rows,
+        # one per epoch, and one law, from c0 onto the block at epoch 1
         kern = kernel_eval(KernelSpec(t=0.9, indices=(3, 6), ic=WEDGE_IC))
-        [(a, b)] = kern._atom_factors([(1, np.zeros(2))])
-        assert a.shape == b.shape == (4, 2)
-        eta = kern._layer[0]
-        levels = sorted(set(WEDGE_IC.levels))
-        assert levels[0] < eta.min() < eta.max() < levels[-1]
         facs, _ = kern.factors([np.linspace(-8.0, 0.5, 4)] * 2)
-        assert facs[0][0].shape[0] == 4 + eta.size
+        assert all(a.shape == b.shape == (4, 4) for a, b in facs)
+        assert [(s, v.shape[0]) for s, _, v in kern._laws] == [(1, 1)]
 
     def test_far_rows_flushed_not_subnormal(self):
         # at t = 1, n = 60, nodes far below the edge leave most of a row's
         # entries below 2^-1021 of its shared scale: they are exactly 0
         kern = kernel_eval(KernelSpec(t=1.0, indices=(60,),
                                       ic=idata.packed(0.0)))
-        [(a, b)] = kern._atom_factors([(60, np.linspace(-60.0, -10.0, 200))])
+        [(a, b)] = kern._hitting_factors(
+            [(60, np.linspace(-60.0, -10.0, 200))])
         for f in (a, b):
             tiny = (f != 0) & (np.abs(f) < np.finfo(float).tiny)
             assert not tiny.any()
         assert (a == 0).any()
 
+    @pytest.mark.parametrize("ic, indices", [
+        (idata.packed(0.0), (3, 9)),
+        (idata.narrow_wedge_approx([-0.5], eps=0.1), (12, 24))])
+    def test_one_block_factors_are_pinned(self, ic, indices):
+        # packed and one-wedge data have no law: their rows are the atom's,
+        # bit for bit as before the laws moved onto the levels
+        kern = kernel_eval(KernelSpec(t=1.0, indices=indices, ic=ic))
+        assert kern._laws == []
+        facs, _ = kern.factors([np.linspace(-12.0 - k, 1.0, 31)
+                                for k in range(2)])
+        got = [f[r, c].hex() for a, b in facs for f in (a, b)
+               for r, c in ((0, 0), (1, 15), (2, 30))]
+        assert got == ONE_BLOCK_PINS[ic.n_inf]
 
-def _column_factor_per_node(kern, ns, z):
-    """The law rows of B (its last rows) of each line n in ns with Sbar
-    evaluated on every law node of every eta and scattered row by row with
-    np.add.at: the reduction the law layer's folded weights replace.
-    Returns {n: (B, M)}, M the same scatter of |W||Sbar|, the scale of the
-    rounding that B's sums carry."""
-    t = kern.spec.t
-    per_block = {}
-    eta = kern._layer[0]
-    for a, e in enumerate(eta):
-        law = hitting_law_exact(
-            blocks(kern.spec.ic), float(e), kern.spec.n_max,
-            panel_max=min(kernel_mod._B_PANEL, 4 * kern._airy_w))
-        for ell, comp in law.components.items():
-            per_block.setdefault(ell, []).append(
-                (np.full(comp.nodes.size, a), comp.nodes,
-                 comp.weights * comp.values))
-    out = {}
-    for n in ns:
-        g = np.zeros((eta.size, z.size))
-        g_abs = np.zeros((eta.size, z.size))
-        for ell, items in per_block.items():
-            if ell < n:
-                src, nodes, wv = (np.concatenate(v) for v in zip(*items))
-                terms = kernel_mod._sbar(t, n - ell, nodes[:, None] - z) \
-                    * wv[:, None]
-                np.add.at(g, src, terms)
-                np.add.at(g_abs, src, np.abs(terms))
-        out[n] = g, g_abs
-    return out
+
+def _rows_per_epoch(kern, n, z):
+    """(A, B, M) of line n on nodes z in plain floats, row p at c_p: B's
+    law term from a law of its own per epoch, on data with +inf at epoch
+    p and the curve after it, sampled at the default panels.  M is the
+    scale of B's rounding, |Sbar| + sum |W Sbar| per entry."""
+    fin = kern.spec.finite
+    t, n_max = fin.t, fin.n_max
+    curve = fin.ic.curve_array(n_max)
+    a, b, mag = [], [], []
+    for p in range(n_max):
+        x = curve[p] - z
+        a.append(kernel_mod._s(t, n - 1 - p, x))
+        row = np.zeros_like(z)
+        acc = np.zeros_like(z)
+        if p < n:
+            row = kernel_mod._sbar(t, n - p, x)
+            acc = np.abs(row)
+            if p + 1 < n_max:
+                ic = idata.from_positions([math.inf, *curve[p + 1:]])
+                law = hitting_law_exact(blocks(ic), float(curve[p]),
+                                        n_max - p)
+                for ell, comp in law.components.items():
+                    if p + ell < n:
+                        terms = (comp.weights * comp.values)[:, None] \
+                            * kernel_mod._sbar(t, n - p - ell,
+                                               comp.nodes[:, None] - z)
+                        row = row - terms.sum(axis=0)
+                        acc = acc + np.abs(terms).sum(axis=0)
+        b.append(row)
+        mag.append(acc)
+    return np.array(a), np.array(b), np.array(mag)
 
 
 def _counting_laws(monkeypatch):
@@ -575,35 +625,46 @@ def _counting_laws(monkeypatch):
 
 
 class TestLawLayer:
-    def test_one_law_per_eta_node_over_five_thresholds(self, monkeypatch):
-        # the layer is built with the evaluator, one law per eta node, and
+    """The hitting kernel's law rows (``_law_rows``): per block past the
+    first, the weighted law densities of the walks started at the earlier
+    epochs' levels, stacked on the block's law nodes."""
+
+    def test_one_law_per_epoch_over_five_thresholds(self, monkeypatch):
+        # eight unit blocks within line 9: one law per epoch before the
+        # last block start, from its level, all built with the evaluator;
         # five queries on it compute no other
         spec = KernelSpec(t=1.0, indices=(3, 9), ic=EIGHT_BLOCK_IC)
         fresh = [rbm_probability(spec, list(a)).value for a in STEP_BASES]
         calls = _counting_laws(monkeypatch)
         kern = kernel_eval(spec)
-        assert len(calls) == len(set(calls)) == kern._layer[0].size == 112
+        assert calls == list(EIGHT_BLOCK_IC.levels[:7])
         shared = [rbm_probability(spec, list(a), kern=kern).value
                   for a in STEP_BASES]
-        assert len(calls) == 112
+        assert len(calls) == 7
         assert max(abs(a - b) for a, b in zip(shared, fresh)) <= 1e-15
 
     @pytest.mark.parametrize("ic, indices", [(WEDGE_IC, (3, 6)),
                                              (TWO_WEDGE_IC, (12, 24))])
     def test_layer_spans_the_levels_whatever_the_nodes(self, ic, indices,
                                                        monkeypatch):
-        # the layer spans [last level, c0] of the data without their
-        # particles at +inf, and nodes however high compute no law
+        # the law nodes lie between the levels of the data without their
+        # particles at +inf, the rows are the n_max epochs of those data,
+        # and nodes however high compute no law
         spec = KernelSpec(t=0.9, indices=indices, ic=ic)
         kern = kernel_eval(spec)
-        eta = kern._layer[0]
-        assert ic.levels[-1] < eta.min() < eta.max() < ic.levels[0]
+        assert kern._laws
+        for s, u, v in kern._laws:
+            assert ic.levels[-1] <= u.min() < u.max() <= ic.levels[0]
+            assert v.shape == (s, u.size)
         calls = _counting_laws(monkeypatch)
         z = np.linspace(-8.0, -0.5, 5)
+        rows = spec.finite.n_max
         for top in (-0.5, 1.5, 20.0, 60.0):
             zt = np.append(z, top)
-            kern.block(*spec.indices, zt, zt)
-        assert calls == [] and kern._layer[0] is eta
+            facs, _ = kern.factors([zt, zt])
+            assert all(a.shape == b.shape == (rows, zt.size)
+                       for a, b in facs)
+        assert calls == []
 
     def test_rebuilt_layer_under_threads(self):
         # every round raises the upper end, so the four threads race to
@@ -642,39 +703,43 @@ class TestLawLayer:
         (EIGHT_BLOCK_IC, (3, 9), np.linspace(-6.0, 1.0, 7)),
         (idata.narrow_wedge_approx([0.0, -1.0], eps=0.1), (10, 24),
          np.linspace(-24.0, 1.0, 9)),
-        # line 48: Sbar's degree in b is past the eta panel order
+        # line 48: Sbar's degree in b is past the law panel order
         (idata.narrow_wedge_approx([0.0, -1.0], eps=0.09), (48,),
-         np.linspace(-30.0, 1.0, 9))])
-    def test_folded_weights_match_per_node_scatter(self, ic, indices, z):
-        kern = kernel_eval(KernelSpec(t=1.0, indices=indices, ic=ic))
-        refs = _column_factor_per_node(kern, indices, z)
-        # line 10 of the wedges has no epoch below it (its law rows are 0)
-        assert np.abs(refs[indices[-1]][0]).max() > 0
-        for n in indices:
-            [(_, got)] = kern._line_factors([(n, z)])
-            ref, _ = refs[n]
-            got = got[-len(ref):]
-            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
-
-    def test_folded_weights_under_cancelling_terms(self):
+         np.linspace(-30.0, 1.0, 9)),
         # unit blocks X0(k) = -k: Sbar of degree up to 29 changes sign in
-        # b, so the terms of B outweigh it by 5e3 here, and B carries that
-        # much rounding in any order of summation; bound the fold by the
-        # terms it sums
-        ic = idata.from_positions([-float(k) for k in range(1, 30)],
-                                  extend_last=True)
-        kern = kernel_eval(KernelSpec(t=1.0, indices=(12, 30), ic=ic))
-        z = np.linspace(-30.0, 1.0, 9)
-        for n, (ref, mag) in _column_factor_per_node(
-                kern, (12, 30), z).items():
-            [(_, got)] = kern._line_factors([(n, z)])
-            got = got[-len(ref):]
-            assert np.abs(got - ref).max() <= 1e-14 * mag.max()
+        # b, so B's terms outweigh B by up to 5e3
+        (idata.from_positions([-float(k) for k in range(1, 30)],
+                              extend_last=True), (12, 30),
+         np.linspace(-30.0, 1.0, 9))])
+    def test_law_rows_match_per_epoch_laws(self, ic, indices, z):
+        # both sides round at the scale of the terms they sum, in any order
+        # of summation: bound the gap by those terms
+        kern = kernel_eval(KernelSpec(t=1.0, indices=indices, ic=ic))
+        facs = kern._hitting_factors([(n, z) for n in indices])
+        refs = [_rows_per_epoch(kern, n, z) for n in indices]
+        for (a, _), (ra, _, _) in zip(facs, refs):
+            for (_, b), (_, rb, mag) in zip(facs, refs):
+                gap = np.abs(a.T @ b - ra.T @ rb)
+                assert np.all(gap <= 1e-13 * (np.abs(ra).T @ mag))
 
-    def test_sbar_once_per_eta_node(self, monkeypatch):
-        # every epoch's law nodes lie between two levels, among the eta
-        # panels there; the lines' column factors evaluate Sbar on at most
-        # the eta nodes, summed over epochs
+    def test_laws_on_other_nodes_raise(self, monkeypatch):
+        # every law that hits a block samples it on the same nodes, so one
+        # Sbar per node serves them all; a law on other nodes raises
+        def lifted(profile, eta, *args, **kw):
+            law = hitting_law_exact(profile, eta, *args, **kw)
+            if eta != EIGHT_BLOCK_IC.levels[0]:
+                return law
+            return dataclasses.replace(law, components={
+                ell: dataclasses.replace(c, nodes=c.nodes + 1e-3)
+                for ell, c in law.components.items()})
+
+        monkeypatch.setattr(kernel_mod, "hitting_law_exact", lifted)
+        with pytest.raises(RuntimeError, match="on different nodes"):
+            kernel_eval(KernelSpec(t=1.0, indices=(3, 9), ic=EIGHT_BLOCK_IC))
+
+    def test_sbar_once_per_law_node(self, monkeypatch):
+        # a line evaluates Sbar on the law nodes of every block that starts
+        # before its index, once each, and nowhere else
         spec = KernelSpec(t=1.0, indices=(3, 9), ic=EIGHT_BLOCK_IC)
         kern = kernel_eval(spec)
         zs = [np.linspace(-6.0, 1.0, 40), np.linspace(-7.0, -0.5, 40)]
@@ -688,19 +753,9 @@ class TestLawLayer:
         monkeypatch.setattr(special, "psibar_log", counting)
         for n, z in zip(spec.indices, zs):
             del rows[:]
-            kern._line_factors([(n, z)])
-            assert 0 < sum(rows) <= kern._layer[0].size == 112
-
-    def test_law_node_outside_the_eta_scheme_raises(self, monkeypatch):
-        def lifted(*args, **kw):
-            law = hitting_law_exact(*args, **kw)
-            return dataclasses.replace(law, components={
-                ell: dataclasses.replace(c, nodes=c.nodes + 10.0)
-                for ell, c in law.components.items()})
-
-        monkeypatch.setattr(kernel_mod, "hitting_law_exact", lifted)
-        with pytest.raises(RuntimeError, match="leave the eta scheme"):
-            kernel_eval(KernelSpec(t=1.0, indices=(3, 9), ic=EIGHT_BLOCK_IC))
+            kern._hitting_factors([(n, z)])
+            assert sum(rows) == sum(u.size for s, u, _ in kern._laws
+                                    if s < n) > 0
 
 
 def _volterra_leg_per_target(m, src, tgt):
