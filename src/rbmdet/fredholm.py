@@ -12,11 +12,11 @@ the fixed-point probabilities each supply only their system and schedule.
 The RBM kernel factors through a layer, K = A^T B minus a walk term
 (``ExtendedKernelEval.factors``), and a system given those factors never
 forms the N x N matrix: by Sylvester's identity its determinant is that of
-an m x m matrix on the m layer rows, balanced before it is factored.  The
-hitting and biorthogonal kernels take that route; the operator-step kernel
-(whose layer outgrows N), the fixed-point kernel (whose heat term between
-points is block upper triangular only where the x decrease) and the Airy
-kernel, which has no ``factors``, factor their N x N matrices.
+an m x m matrix on the m layer rows, balanced before it is factored.  All
+three RBM representations take that route; the fixed-point kernel (whose
+heat term between points is block upper triangular only where the x
+decrease) and the Airy kernel, which has no ``factors``, factor their
+N x N matrices.
 """
 
 from __future__ import annotations
@@ -362,18 +362,12 @@ def rbm_probability(spec: KernelSpec, a, target: float = 1e-6,
     # levels; a threshold far above it must not drag the window away
     reach = spec.ic.min_level - 2.0 * math.sqrt(fin.n_max * t)
 
-    # the operator-step layer has one eta scheme per block and outgrows N:
-    # on 8-block step data m = 1,856 against N = 1,120, and m x m takes
-    # 2.9 s cold against 1.0 s for N x N
-    factors = None if spec.representation == "operator_step" else kern.factors
-
     def system_at(order, pad):
         intervals = tuple((min(aj, reach) - pad, aj) for aj in a)
         return NystromSystem(intervals=intervals, order=order,
                              kernel=kern.matrix, splits=splits,
-                             max_panel=max_panel, factors=factors)
+                             max_panel=max_panel, factors=kern.factors)
 
     return refine(system_at, order, pad,
                   lambda pad: pad + 3.0 * math.sqrt(t) + 2.0,
-                  target, max_rounds, floor=1e-14,
-                  rows=0 if factors is None else fin.n_max)
+                  target, max_rounds, floor=1e-14, rows=kern.rows)

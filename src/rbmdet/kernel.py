@@ -25,12 +25,15 @@ a layer on which each factor depends on one index line only:
 * ``biorth``       - sum_{k=1}^{n_j} Psi^{n_i}_{n_i-k}(z_i) Phi^{n_j}_{n_j-k}(z_j)
   e^{z_j-z_i} with exact polynomial Phi's (moderate n only); the layer is
   the index k = 1..n_max.
-* ``operator_step``- inclusion-exclusion over block subsets,
-  (S)* chi Q^... chi ... Sbar, quadrature-discretized; the layer is every
-  block's eta nodes.  The signed chains ending at block k sum to
-  C_k = S_{n_i-s_k} - sum_{j<k} Leg_{jk} C_j, so L blocks cost L carries
-  and L(L-1)/2 legs where there were 2^L - 1 chains; practical as a
-  cross-check of ``hitting`` on step data.
+* ``operator_step``- the integral split at c0: above it the walk is hit at
+  epoch 0, which gives the same n_max atom rows at c0 as ``hitting`` (from
+  plain per-degree S and Sbar); below it, inclusion-exclusion over the
+  later blocks, (S)* chi Q^... chi ... Sbar, quadrature-discretized on
+  each block's eta nodes in [L_k, c0].  The signed chains ending at block
+  k sum to C_k = S_{n_i-s_k} - Q_k A_atom - sum_{j<k} Leg_{jk} C_j, so L
+  blocks cost L - 1 carries and (L-1)(L-2)/2 legs where there were
+  2^{L-1} - 1 chains; a cross-check of ``hitting`` that shares none of its
+  law or log-space rows.
 """
 
 from __future__ import annotations
@@ -54,14 +57,14 @@ REPRESENTATIONS = ("hitting", "biorth", "operator_step")
 
 def factored_matrix(facs, walk) -> np.ndarray:
     """The kernel multiplied out of ``(facs, walk)``, the form ``factors``
-    returns: block (i, j) is A_i[:m_j]^T B_j - walk.get((i, j), 0), with
-    facs[i] = (A_i, B_i) and m_j the height of B_j."""
+    returns: block (i, j) is A_i^T B_j - walk.get((i, j), 0), with
+    facs[i] = (A_i, B_i)."""
     offs = np.cumsum([0] + [a.shape[1] for a, _ in facs])
     out = np.empty((offs[-1], offs[-1]))
     for i, (a, _) in enumerate(facs):
         for j, (_, b) in enumerate(facs):
             out[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = \
-                a[:len(b)].T @ b - walk.get((i, j), 0.0)
+                a.T @ b - walk.get((i, j), 0.0)
     return out
 
 
@@ -102,7 +105,6 @@ def _volterra_leg_matrix(m: int, src: Scheme, tgt: np.ndarray) -> np.ndarray:
     """
     order = src.order
     refx, lam = _bary_ref(order)
-    glx, glw = _gl_rule(order)
     edges = src.edges
     T = np.zeros((tgt.size, src.nodes.size))
     for p in range(len(edges) - 1):
@@ -116,12 +118,10 @@ def _volterra_leg_matrix(m: int, src: Scheme, tgt: np.ndarray) -> np.ndarray:
             lo = tgt[j]
             if b - lo < 1e-14:
                 continue
-            half = 0.5 * (b - lo)
-            xs = 0.5 * (b + lo) + half * glx
-            q = q_exp_pow(m, xs, lo)
-            u = (2.0 * xs - (a + b)) / (b - a)
+            sub = build_scheme(lo, b, order)
+            u = (2.0 * sub.nodes - (a + b)) / (b - a)
             r = _bary_eval_matrix(u, refx, lam)
-            T[j, cols] = (half * glw * q) @ r
+            T[j, cols] = (sub.weights * q_exp_pow(m, sub.nodes, lo)) @ r
     return T
 
 
@@ -245,38 +245,37 @@ class ExtendedKernelEval:
     ``spec`` stays as given; the kernel lines are those of ``spec.finite``,
     and an index at or below the particles at +inf has none (ValueError).
 
-    Pure and safe for concurrent evaluation.  The hitting representation's
-    laws, one per epoch before the last block start (``_law_rows``),
-    depend on the spec only and are built once, here.  The operator-step
-    discretization is (re)built under a lock whenever the requested nodes
-    reach above its upper end (nothing in it depends on the lower end).
+    Pure and safe for concurrent evaluation: everything a representation
+    needs beyond the nodes depends on the spec only and is built once,
+    here (the hitting laws, one per epoch before the last block start,
+    ``_law_rows``; the operator-step schemes and legs, ``_build``; the
+    biorthogonal Phi tables), and no evaluation changes it.
 
     In every representation a block is A(n_i, z_i)^T B(n_j, z_j) minus
-    the walk term, with A and B from ``_line_factors``.  Both depend on
-    one index line only, so ``factors`` builds the pair (A, B) once per
-    line, under one discretization for the whole assembly, and keeps no
-    factor after the call; ``block`` takes A from line i's pair and B from
-    line j's.  A determinant needs no N x N matrix from the factors (see
-    ``fredholm``); ``matrix`` multiplies them out.  A hitting line's rows
-    at one level come from one Hermite recurrence, and its law terms from
-    one Sbar per law node (``_hitting_factors``).
+    the walk term, with A and B from ``_line_factors`` on a layer of
+    ``rows`` rows, which every line's A and B fill.  Both depend on one
+    index line only, so ``factors`` builds the pair (A, B) once per line
+    and keeps no factor after the call; ``block`` takes A from line i's
+    pair and B from line j's.  A determinant needs no N x N matrix from
+    the factors (see ``fredholm``); ``matrix`` multiplies them out.  A
+    hitting line's rows at one level come from one Hermite recurrence, and
+    its law terms from one Sbar per law node (``_hitting_factors``).
     """
 
     def __init__(self, spec: KernelSpec):
         self.spec = spec
         self._fin = fin = spec.finite
         self._lock = threading.Lock()
-        self._state = None
-        self._z_hi = None
         self._evals = 0
         self._profile = blocks(fin.ic)
         t, n_max = fin.t, fin.n_max
-        # oscillation scales of psi_n: 12 edge (Airy) widths past the bulk,
-        # and panels of 1.5 bulk wavelengths
-        self._reach = 2.0 * math.sqrt(n_max * t) + 12.0 * (
-            math.sqrt(t) * n_max ** (-1.0 / 6.0)) + 5.0
+        # panels of 1.5 bulk wavelengths of psi_n
         self._panel = max(1.5 * (math.pi * math.sqrt(t / n_max)), 1e-3)
-        if fin.representation == "biorth":
+        self.rows = n_max
+        if fin.representation == "operator_step":
+            self._chains = self._build()
+            self.rows += sum(sch.size for sch in self._chains[0])
+        elif fin.representation == "biorth":
             self._phi_tables = {
                 nj: [_bo.phi_n_k(_bo.h_family(fin.ic, nj), k, t)
                      for k in range(nj)]
@@ -310,7 +309,7 @@ class ExtendedKernelEval:
         self._count(zi.size * zj.size)
         (a, _), (_, b) = self._line_factors([(ni - n_inf, zi),
                                              (nj - n_inf, zj)])
-        out = a[:len(b)].T @ b
+        out = a.T @ b
         if ni < nj:
             out = out - q_exp_pow(nj - ni, zi[:, None], zj[None, :])
         return out
@@ -326,10 +325,9 @@ class ExtendedKernelEval:
         ``zs`` holds one node array per kernel line: per index of the spec
         past its particles at +inf.  Returns ([(A_1, B_1), ...], walk) with
         one factor pair per line and walk[i, j] = Q_exp^{n_j-n_i}(z_i, z_j)
-        for i < j.  Every A_i is m x N_i on the representation's layer
-        (``_line_factors``) and B_j holds its first m_j <= m rows, so that
-        block (i, j) of ``matrix(zs)`` is A_i[:m_j]^T B_j - walk[i, j] (no
-        walk term for i >= j).  m_j < m only for operator_step.
+        for i < j.  A_i and B_i are m x N_i, m = ``rows``, on the
+        representation's layer (``_line_factors``), so that block (i, j) of
+        ``matrix(zs)`` is A_i^T B_j - walk[i, j] (no walk term for i >= j).
         """
         idx = self._fin.indices
         zs = [np.atleast_1d(np.asarray(z, dtype=float)) for z in zs]
@@ -349,22 +347,23 @@ class ExtendedKernelEval:
 
     # -- the operator-step discretization ---------------------------------
 
-    def _build(self, z_hi: float):
-        """(schemes, legs): one eta scheme per block on [level, z_hi +
-        reach] (None above that upper end) and one Volterra leg per block
-        pair; a rebuild replaces them all."""
-        blks = self._profile.blocks_within(self._fin.n_max)
-        upper = z_hi + self._reach
-        levels = [b.level for b in blks]
-        schemes = [build_scheme(b.level, upper, order=_ETA_ORDER,
-                                splits=levels, max_panel=self._panel)
-                   if upper > b.level else None for b in blks]
+    def _build(self):
+        """(schemes, legs, tops) over the blocks k >= 1 past the first, in
+        start order: an eta scheme on [L_k, c0] split at the levels, one
+        Volterra leg per pair of them, and tops[k][:, p] = Q_exp^{s_k -
+        p}(c0, eta) on block k's nodes for p < s_k."""
+        first, *later = self._profile.blocks_within(self._fin.n_max)
+        c0, levels = first.level, [b.level for b in later]
+        schemes = [build_scheme(b.level, c0, order=_ETA_ORDER, splits=levels,
+                                max_panel=self._panel) for b in later]
         legs = {(j, k): _volterra_leg_matrix(
-                    blks[k].start - blks[j].start, schemes[j],
+                    later[k].start - later[j].start, schemes[j],
                     schemes[k].nodes)
-                for k in range(len(blks)) for j in range(k)
-                if schemes[j] is not None and schemes[k] is not None}
-        return schemes, legs
+                for k in range(len(later)) for j in range(k)}
+        tops = [np.column_stack([q_exp_pow(b.start - p, c0, sch.nodes)
+                                 for p in range(b.start)])
+                for b, sch in zip(later, schemes)]
+        return schemes, legs, tops
 
     def _law_rows(self):
         """[(s, u, V), ...] per block past the first, in start order: its
@@ -400,12 +399,7 @@ class ExtendedKernelEval:
         on nodes z, on the representation's layer (``_hitting_factors``,
         ``_chain_factors``, ``_biorth_factors``)."""
         if self._fin.representation == "operator_step":
-            z_hi = max(float(z.max()) for _, z in lines)
-            with self._lock:
-                if self._z_hi is None or z_hi > self._z_hi:
-                    self._state, self._z_hi = self._build(z_hi), z_hi
-                chains = self._state
-            return [self._chain_factors(n, z, chains) for n, z in lines]
+            return [self._chain_factors(n, z) for n, z in lines]
         if self._fin.representation == "biorth":
             return [self._biorth_factors(n, z) for n, z in lines]
         return self._hitting_factors(lines)
@@ -503,32 +497,39 @@ class ExtendedKernelEval:
             out.append((_pow2_rows(la, sa, shift), b))
         return out
 
-    def _chain_factors(self, n, z, chains):
-        """Operator-step factors of line n, one row group per block k with
-        an eta scheme, in start order.
+    def _chain_factors(self, n, z):
+        """Operator-step factors of line n: the n_max atom rows at c0, then
+        one row group per block k >= 1 on its scheme, in start order.
 
-        A holds the weighted carries C_k w_k, where C_k = S(n - s_k) -
-        sum_{j<k} Leg_{jk} C_j sums every signed chain of blocks ending at
-        k.  B holds Sbar(n - s_k) for the leading blocks with s_k < n only:
-        the later blocks' rows would be zero.
+        Atom row p of A is S(t, n - 1 - p; c0, z), of B Sbar(t, n - p; c0,
+        z) and 0 for p >= n: int_{c0}^inf S(n_i) Sbar(n_j) deta by parts,
+        the walk from above c0 being hit at epoch 0.  From below c0 it is
+        hit at the start s_k of some block k >= 1, on [L_k, c0].  A's block
+        rows hold the weighted carries C_k w_k, where C_k = S(n - s_k) -
+        Q_k A_atom[:s_k] - sum_{j<k} Leg_{jk} C_j sums every signed chain
+        of blocks ending at k: int_{eta < c0} S(n; eta) Q^s(eta, b) deta is
+        S(n - s; b) less sum_{p<s} S(n - 1 - p; c0) Q^{s-p}(c0, b).  B's
+        are Sbar(n - s_k), 0 for s_k >= n.
         """
-        t = self._fin.t
-        schemes, legs = chains
-        blks = self._profile.blocks_within(self._fin.n_max)
-        carries = {}
-        rows, cols = [np.empty((0, z.size))], [np.empty((0, z.size))]
-        for k, (blk, sch) in enumerate(zip(blks, schemes)):
-            if sch is None:
-                continue
+        t, n_max = self._fin.t, self._fin.n_max
+        schemes, legs, tops = self._chains
+        first, *later = self._profile.blocks_within(n_max)
+        x = first.level - z
+        atom = np.array([_s(t, n - 1 - p, x) for p in range(n_max)])
+        rows = [atom]
+        cols = [np.array([_sbar(t, n - p, x) if p < n else np.zeros(z.size)
+                          for p in range(n_max)])]
+        carries = []
+        for k, (blk, sch, top) in enumerate(zip(later, schemes, tops)):
             x = sch.nodes[:, None] - z[None, :]
             # all leading walk powers collapsed into the index
-            carry = _s(t, n - blk.start, x)
-            for j, prev in carries.items():
+            carry = _s(t, n - blk.start, x) - top @ atom[:blk.start]
+            for j, prev in enumerate(carries):
                 carry -= legs[j, k] @ prev
-            carries[k] = carry
+            carries.append(carry)
             rows.append(carry * sch.weights[:, None])
-            if blk.start < n:
-                cols.append(_sbar(t, n - blk.start, x))
+            cols.append(_sbar(t, n - blk.start, x) if blk.start < n
+                        else np.zeros_like(x))
         return np.concatenate(rows), np.concatenate(cols)
 
     def _biorth_factors(self, n, z):

@@ -12,7 +12,7 @@ from rbmdet import scaling as sc
 from rbmdet.errors import ConvergenceError
 from rbmdet.fredholm import (DetResult, NystromSystem, fredholm_det,
                              rbm_probability)
-from rbmdet.kernel import KernelSpec, kernel_eval
+from rbmdet.kernel import REPRESENTATIONS, KernelSpec, kernel_eval
 from rbmdet.quad import build_scheme
 from rbmdet.scaling import tracy_widom_gue_cdf
 
@@ -369,8 +369,8 @@ def _nw_spec(wedges, eps, x, scale=1.0):
     return spec, [r * sc.scaled_threshold(eps, 1.0, xx, 0.0) for xx in pts]
 
 
-def _first_round(monkeypatch, spec, a):
-    """The system and shrink of a query's first refinement round."""
+def _first_round(monkeypatch, query):
+    """The system and shrink of the first refinement round of ``query()``."""
     seen = []
 
     def accept(system, shrink=2.0):
@@ -378,7 +378,7 @@ def _first_round(monkeypatch, spec, a):
         return DetResult(0.5, 0.0, system.order, 0.0)
 
     monkeypatch.setattr(fr, "fredholm_det", accept)
-    rbm_probability(spec, a)
+    query()
     monkeypatch.undo()
     return seen[0]
 
@@ -434,9 +434,14 @@ class TestFactoredDeterminant:
         _nw_spec((0.0, -1.0), 0.1, (-0.5, 0.5)),
         (KernelSpec(t=1.0, indices=(3, 9), ic=EIGHT_BLOCK_IC,
                     representation="biorth"), [-0.25, -3.5]),
-    ], ids=["packed15", "step39", "three_lines", "two_wedges", "biorth"])
+        # m = 457 rows: the atom's 9 and 448 eta nodes on [L_k, c0]
+        (KernelSpec(t=1.0, indices=(3, 9), ic=EIGHT_BLOCK_IC,
+                    representation="operator_step"), [-0.25, -3.5]),
+    ], ids=["packed15", "step39", "three_lines", "two_wedges", "biorth",
+            "operator_step"])
     def test_matches_the_full_matrix(self, spec, a, monkeypatch):
-        system, shrink = _first_round(monkeypatch, spec, a)
+        system, shrink = _first_round(monkeypatch,
+                                      lambda: rbm_probability(spec, a))
         assembled = system.assemble()
         small = assembled.matrix()
         assert small.shape[0] < system.size
@@ -460,6 +465,17 @@ class TestFactoredDeterminant:
             KernelSpec(t=float(n), indices=(n,), ic=idata.packed(0.0)),
             [-2.0 * n])
         assert abs(unit.value - canonical.value) <= 1e-13
+
+    @pytest.mark.parametrize("n", [60, 120])
+    def test_packed_edge_operator_step_matches_hitting(self, n):
+        # operator_step's own atom rows, from plain per-degree S and Sbar at
+        # c0: its eta quadrature above c0 was 1.1e-8 off at n = 60 and
+        # diverged at n = 120
+        spec = KernelSpec(t=1.0, indices=(n,), ic=idata.packed(0.0))
+        vals = [rbm_probability(replace(spec, representation=rep),
+                                [-2.0 * math.sqrt(n)]).value
+                for rep in ("hitting", "operator_step")]
+        assert abs(vals[0] - vals[1]) <= 1e-14
 
     @pytest.mark.parametrize("eps, x", [(0.1, (-0.5,)), (0.1, (-0.5, 0.5)),
                                         (0.09, (-0.5,))])
@@ -526,8 +542,7 @@ class TestFactoredDeterminant:
         assert math.isfinite(res.value) and 0.0 <= res.value <= 1.0
         assert res.error_estimate < 1e-6
 
-    @pytest.mark.parametrize("kind", ["operator_step", "fixed_point",
-                                      "tracy_widom"])
+    @pytest.mark.parametrize("kind", ["fixed_point", "tracy_widom"])
     def test_other_kernels_keep_the_full_matrix(self, kind, monkeypatch):
         calls = []
         real = NystromSystem.matrix
@@ -541,21 +556,20 @@ class TestFactoredDeterminant:
             sc.fixedpoint_probability(
                 sc.FixedPointSpec(wedges=(0.0,), T=1.0, x=(0.0,),
                                   a_out=(0.0,)), target=1.0, max_rounds=1)
-        elif kind == "tracy_widom":
-            tracy_widom_gue_cdf(-1.0)
         else:
-            spec = KernelSpec(t=1.0, indices=(1, 3), ic=idata.from_positions(
-                [0.5, 0.0, -0.5], extend_last=True), representation=kind)
-            rbm_probability(spec, [-1.0, -2.5])
+            tracy_widom_gue_cdf(-1.0)
         assert calls
 
     def test_hitting_queries_build_no_full_matrix(self, monkeypatch):
+        # every RBM representation takes the m x m route, operator_step too
         def matrix(self):
             raise AssertionError("N x N matrix assembled")
 
         monkeypatch.setattr(NystromSystem, "matrix", matrix)
-        spec = KernelSpec(t=1.0, indices=(3, 9), ic=EIGHT_BLOCK_IC)
-        assert 0.0 < rbm_probability(spec, [-0.25, -3.5]).value < 1.0
+        for rep in REPRESENTATIONS:
+            spec = KernelSpec(t=1.0, indices=(3, 9), ic=EIGHT_BLOCK_IC,
+                              representation=rep)
+            assert 0.0 < rbm_probability(spec, [-0.25, -3.5]).value < 1.0
 
 
 # The two callers of the refinement driver, each on a query whose kernel is
@@ -670,27 +684,45 @@ class TestRefine:
 
 class TestMemoryBound:
     @pytest.mark.parametrize("rep, dense", [("hitting", False),
-                                            ("operator_step", True)])
+                                            ("biorth", False),
+                                            ("operator_step", False),
+                                            ("fixed_point", True)])
     def test_round_past_the_bound_ends_the_loop(self, rep, dense,
                                                  scripted_det, monkeypatch):
         # the bound is set to the first round's largest block: N x N on the
-        # operator-step route, the walk block N_1 N_2 on the m x m route;
-        # the second round doubles the order and is never assembled
-        spec = KernelSpec(t=1.0, indices=(1, 3), ic=idata.packed(0.0),
-                          representation=rep)
-        first, _ = _first_round(monkeypatch, spec, [-1.0, -2.5])
-        n1, n2 = (s.size for s in first.schemes)
-        size = 8 * ((n1 + n2) ** 2 if dense else n1 * n2)
+        # fixed point's dense route; on the m x m route, with m the
+        # evaluator's rows, the largest of m x m, m x N_i and the walk block
+        # N_1 N_2.  A pad of 1 keeps N small: for operator_step m x m is
+        # the largest (m = 457), for the others N_1 N_2.  The second round
+        # doubles the order and is never assembled
+        if dense:
+            query = _fp_query
+        else:
+            spec = KernelSpec(t=1.0, indices=(3, 9), ic=EIGHT_BLOCK_IC,
+                              representation=rep)
+            kern = kernel_eval(spec)
+
+            def query():
+                return rbm_probability(spec, [-0.25, -3.5], pad=1.0,
+                                       kern=kern)
+        first, _ = _first_round(monkeypatch, query)
+        n = [s.size for s in first.schemes]
+        if dense:
+            size = 8 * sum(n) ** 2
+        else:
+            m = kern.rows
+            size = 8 * max([m * m, n[0] * n[1]] + [m * k for k in n])
+            assert (size == 8 * m * m) == (rep == "operator_step")
         monkeypatch.setattr(fr, "_MAX_BLOCK_BYTES", size)
         rounds = scripted_det((0.3, 1e-3), (0.4, 1e-4))
         with pytest.raises(ConvergenceError, match="byte bound") as info:
-            rbm_probability(spec, [-1.0, -2.5])
-        assert [order for order, _, _ in rounds] == [40]
+            query()
+        assert [order for order, _, _ in rounds] == [first.order]
         assert (info.value.value, info.value.error_estimate) == (0.3, 1e-3)
         # a first round past the bound has no value to carry
         monkeypatch.setattr(fr, "_MAX_BLOCK_BYTES", size - 1)
         with pytest.raises(ConvergenceError, match="byte bound") as info:
-            rbm_probability(spec, [-1.0, -2.5])
+            query()
         assert (info.value.value, info.value.error_estimate) == (None, None)
         assert len(rounds) == 1
 
@@ -698,7 +730,8 @@ class TestMemoryBound:
         # one line has no walk block, but its m x m matrix and m x N factor
         # count: m = 5 rows on N >= 5 nodes, so m x N is the largest
         spec = KernelSpec(t=1.0, indices=(5,), ic=idata.packed(0.0))
-        first, _ = _first_round(monkeypatch, spec, [-3.0])
+        first, _ = _first_round(monkeypatch,
+                                lambda: rbm_probability(spec, [-3.0]))
         size = 8 * 5 * first.size
         scripted_det((0.5, 0.0))
         monkeypatch.setattr(fr, "_MAX_BLOCK_BYTES", size)

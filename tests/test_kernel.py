@@ -13,8 +13,7 @@ from rbmdet import special
 from rbmdet.fredholm import NystromSystem, rbm_probability
 from rbmdet.hitting import hitting_law_exact, q_exp_pow
 from rbmdet.initial_data import blocks
-from rbmdet.kernel import (ExtendedKernelEval, KernelSpec, kernel_eval, s_ops,
-                           sbar_epi)
+from rbmdet.kernel import KernelSpec, kernel_eval, s_ops, sbar_epi
 from rbmdet.quad import _gl_rule, build_scheme
 
 STEP_IC = idata.from_positions([1.5, 1.5, 0.0, 0.0, -1.2, -1.2, -1.2, -2.0],
@@ -216,8 +215,7 @@ class TestKernelEval:
         got = kern.matrix(zs)
         assert kern.evaluations == 16 ** 2
         assert np.array_equal(got, by_blocks(zs))
-        # nodes reaching above the discretization rebuild it; the assembly
-        # uses the new one throughout
+        # and on nodes reaching higher, past every level
         zs = (zs[0], np.linspace(-6.0, 2.0, 6))
         got = kern.matrix(zs)
         assert np.array_equal(got, by_blocks(zs))
@@ -290,41 +288,6 @@ class TestKernelEval:
             args = [x for _, _, x in calls]
             assert len(set(args)) == len(args)
 
-    def test_one_build_when_a_later_line_reaches_higher(self, monkeypatch):
-        # line 9's window ends at -0.5, above line 3's at -3: the assembly
-        # takes its operator-step discretization from all lines, so no
-        # factor is left on one built for line 3 alone
-        spec = KernelSpec(t=1.0, indices=(3, 9), ic=idata.from_positions(
-            [2.0, 1.5, 1.0, 0.5, 0.0, -0.5, -1.0, -1.5], extend_last=True),
-            representation="operator_step")
-        kern = kernel_eval(spec)
-        builds, assemblies = [], []
-        real_build = ExtendedKernelEval._build
-        real_factors = ExtendedKernelEval.factors
-
-        def build(self, *args):
-            builds.append(args)
-            return real_build(self, *args)
-
-        def factors(self, zs):
-            out = real_factors(self, zs)
-            assemblies.append((zs, out))
-            return out
-
-        monkeypatch.setattr(ExtendedKernelEval, "_build", build)
-        monkeypatch.setattr(ExtendedKernelEval, "factors", factors)
-        rbm_probability(spec, [-3.0, -0.5], kern=kern)
-        assert len(builds) == 1
-        zs, (facs, walk) = assemblies[0]
-        top = max(float(z.max()) for z in zs)
-        ref = kernel_eval(spec)
-        ref.block(3, 3, np.array([top]), np.array([top]))
-        ref_facs, ref_walk = real_factors(ref, zs)
-        for (a, b), (ra, rb) in zip(facs, ref_facs):
-            assert np.array_equal(a, ra) and np.array_equal(b, rb)
-        assert walk.keys() == ref_walk.keys() == {(0, 1)}
-        assert np.array_equal(walk[0, 1], ref_walk[0, 1])
-
     @pytest.mark.parametrize("indices", [(3, 9), (2, 5, 9)])
     def test_factors_give_the_matrix(self, indices):
         rng = np.random.default_rng(7)
@@ -335,78 +298,68 @@ class TestKernelEval:
                                           representation=rep))
             facs, walk = kern.factors(zs)
             assert kern.evaluations == sum(z.size for z in zs) ** 2
-            # one layer of m rows; B_j holds its first m_j rows, all of
-            # them except in the operator-step kernel
-            m = {a.shape[0] for a, b in facs}
-            heights = {b.shape[0] for a, b in facs}
-            assert len(m) == 1 and max(heights) <= min(m)
-            assert rep == "operator_step" or heights == m
-            got = np.block([[facs[i][0][:len(facs[j][1])].T @ facs[j][1]
+            # one layer of m rows, which every A and B fills
+            assert all(a.shape == b.shape == (kern.rows, z.size)
+                       for (a, b), z in zip(facs, zs))
+            got = np.block([[facs[i][0].T @ facs[j][1]
                              - walk.get((i, j), 0.0)
                              for j in range(len(zs))]
                             for i in range(len(zs))])
             assert np.array_equal(got, kern.matrix(zs))
 
-    def test_falling_lower_end_does_not_rebuild(self, monkeypatch):
-        spec = KernelSpec(t=1.0, indices=(3, 9), ic=STEP_IC,
+    def test_operator_step_discretization_built_once(self, monkeypatch):
+        # the eta schemes on [L_k, c0] of the blocks past the first, and
+        # one leg per pair of them, depend on the spec only: (L - 1)(L -
+        # 2)/2 = 21 legs on L = 8 blocks, all built with the evaluator, and
+        # five queries with rising thresholds build no scheme or leg; each
+        # equals hitting
+        spec = KernelSpec(t=1.0, indices=(3, 9), ic=EIGHT_BLOCK_IC,
                           representation="operator_step")
-        kern = kernel_eval(spec)
-        builds = []
-        real_build = ExtendedKernelEval._build
-
-        def build(self, *args):
-            builds.append(args)
-            return real_build(self, *args)
-
-        monkeypatch.setattr(ExtendedKernelEval, "_build", build)
-        z = np.linspace(-5.0, 0.5, 6)
-        first = kern.block(3, 9, z, z)
-        for lo in (-6.0, -9.0, -20.0):
-            kern.block(3, 9, np.linspace(lo, 0.5, 6), z)
-        assert len(builds) == 1
-        assert np.array_equal(kern.block(3, 9, z, z), first)
-
-    def test_operator_step_chains_replaced_on_rebuild(self):
-        kern = kernel_eval(KernelSpec(t=1.0, indices=(2, 5, 8),
-                                      ic=FOUR_BLOCK_IC,
-                                      representation="operator_step"))
-        assert len(blocks(FOUR_BLOCK_IC).blocks_within(8)) == 4
-        seen = []
-        for k in range(3):   # each evaluation raises the upper end
-            kern((2, -3.0), (8, -2.0 + 0.5 * k))
-            schemes, legs = kern._state
-            # one scheme per block, at most one leg per block pair
-            assert len(schemes) == 4
-            assert 0 < len(legs) <= 6
-            seen.append((schemes, legs))
-        # a rebuild replaces every scheme and leg with the discretization
-        for (old_s, old_l), (new_s, new_l) in zip(seen, seen[1:]):
-            assert not any(a is b for a, b in zip(old_s, new_s)
-                           if a is not None)
-            assert not any(new_l[p] is old_l.get(p) for p in new_l)
-
-    def test_operator_step_one_leg_per_block_pair(self, monkeypatch):
-        # the chains of all block subsets share their legs: one Volterra
-        # leg per block pair and discretization, not one per subset
-        legs, builds = [], []
-        real_leg = kernel_mod._volterra_leg_matrix
-        real_build = ExtendedKernelEval._build
+        legs, schemes = [], []
+        real_leg, real_scheme = (kernel_mod._volterra_leg_matrix,
+                                 kernel_mod.build_scheme)
 
         def leg(m, src, tgt):
             legs.append(m)
             return real_leg(m, src, tgt)
 
-        def build(self, *args):
-            builds.append(args)
-            return real_build(self, *args)
+        def scheme(*args, **kw):
+            schemes.append(args)
+            return real_scheme(*args, **kw)
 
         monkeypatch.setattr(kernel_mod, "_volterra_leg_matrix", leg)
-        monkeypatch.setattr(ExtendedKernelEval, "_build", build)
+        monkeypatch.setattr(kernel_mod, "build_scheme", scheme)
+        kern = kernel_eval(spec)
+        assert len(legs) == 21
+        etas, _, _ = kern._chains
+        levels = EIGHT_BLOCK_IC.levels
+        assert [(s.edges[0], s.edges[-1]) for s in etas] == [
+            (lv, levels[0]) for lv in levels[1:]]
+        assert kern.rows == 9 + sum(s.size for s in etas) == 457
+        built = len(schemes)
+        for a in STEP_BASES:
+            hit = rbm_probability(dataclasses.replace(
+                spec, representation="hitting"), list(a)).value
+            assert abs(rbm_probability(spec, list(a), kern=kern).value
+                       - hit) <= 1e-13
+        assert (len(legs), len(schemes)) == (21, built)
+
+    def test_operator_step_one_leg_per_block_pair(self, monkeypatch):
+        # the chains of all subsets of the blocks past the first share
+        # their legs: one Volterra leg per pair of them, 3 on four blocks
+        # (starts 0, 2, 4, 6), not one per subset
+        legs = []
+        real_leg = kernel_mod._volterra_leg_matrix
+
+        def leg(m, src, tgt):
+            legs.append(m)
+            return real_leg(m, src, tgt)
+
+        monkeypatch.setattr(kernel_mod, "_volterra_leg_matrix", leg)
         rbm_probability(KernelSpec(t=1.0, indices=(2, 8), ic=FOUR_BLOCK_IC,
                                    representation="operator_step"),
                         [-1.0, -3.0])
-        assert len(builds) >= 1
-        assert len(legs) == 6 * len(builds)
+        assert sorted(legs) == [2, 2, 4]
 
     def test_operator_step_determinant_matches_hitting(self):
         vals = [rbm_probability(KernelSpec(t=1.0, indices=(2, 8),
@@ -415,7 +368,7 @@ class TestKernelEval:
                                 [-1.0, -3.0]).value
                 for rep in ("hitting", "operator_step")]
         assert 0.05 < vals[0] < 0.95
-        assert abs(vals[0] - vals[1]) < 1e-12
+        assert abs(vals[0] - vals[1]) < 1e-13
 
     def test_biorth_determinants_match_hitting(self):
         # both m x m; with the biorthogonal determinant N x N they differ by
@@ -443,6 +396,24 @@ class TestKernelEval:
             kern((3, 0.0), (1, 0.0))
 
     @pytest.mark.parametrize("rep", kernel_mod.REPRESENTATIONS)
+    def test_evaluation_leaves_the_evaluator_as_built(self, rep):
+        # all that an evaluation needs beyond its nodes is built with the
+        # evaluator: no attribute but the counter is replaced, whatever the
+        # nodes, which here reach ever higher
+        kern = kernel_eval(KernelSpec(t=1.0, indices=(3, 9),
+                                      ic=EIGHT_BLOCK_IC, representation=rep))
+        before = dict(vars(kern))
+        z = np.linspace(-7.0, 1.0, 6)
+        kern.factors([z, z - 1.0])
+        kern.block(3, 9, z, z + 2.0)
+        kern.matrix([z + 3.0, z])
+        kern((9, 5.0), (3, -8.0))
+        after = vars(kern)
+        assert after.keys() == before.keys()
+        assert [k for k, v in before.items() if after[k] is not v] == [
+            "_evals"]
+
+    @pytest.mark.parametrize("rep", kernel_mod.REPRESENTATIONS)
     def test_particles_at_infinity_dropped(self, rep):
         # four particles at +inf: line 6 is line 2 of the data without
         # them, bitwise, in every representation (biorth included)
@@ -465,10 +436,10 @@ class TestKernelEval:
     def test_two_wedge_entries_match_a_reference(self):
         # the two-wedge data at eps = 0.1 behind ten particles at +inf; at
         # (24, -1.916; 24, -20.544) a law layer that climbed to the nodes'
-        # reach gave -4.1e-2 for -6.9e-10.  Each reference has a point of
-        # its own where it is off (operator_step 1.2e-8 at (24, -3.44; 24,
-        # -13.37), biorth 3.4e-9 at (24, -9.92; 24, -19.22), both
-        # relative), so hitting must match one of them at every point
+        # reach gave -4.1e-2 for -6.9e-10.  Operator_step, once 1.2e-8 off
+        # at (24, -3.44; 24, -13.37) with its eta quadrature above c0, is
+        # within 6.7e-13 at every point; biorth is 3.4e-9 off at (24,
+        # -9.92; 24, -19.22), within 1e-10 at the others (both relative)
         spec = KernelSpec(t=1.0, indices=(12, 24), ic=TWO_WEDGE_IC)
         kerns = [kernel_eval(dataclasses.replace(spec, representation=rep))
                  for rep in ("hitting", "operator_step", "biorth")]
@@ -477,10 +448,13 @@ class TestKernelEval:
             (int(rng.choice(spec.indices)), float(rng.uniform(-23.0, 1.0)),
              int(rng.choice(spec.indices)), float(rng.uniform(-23.0, 1.0)))
             for _ in range(39)]
-        for k, (ni, zi, nj, zj) in enumerate(points):
-            hit, *refs = (kern((ni, zi), (nj, zj)) for kern in kerns)
-            gaps = [abs(hit - r) / max(1.0, abs(r)) for r in refs]
-            assert (max if k == 0 else min)(gaps) <= 1e-10
+        gaps = []
+        for ni, zi, nj, zj in points:
+            hit, step, bio = (kern((ni, zi), (nj, zj)) for kern in kerns)
+            scale = max(1.0, abs(hit))
+            assert abs(hit - step) <= 1e-11 * scale
+            gaps.append(abs(hit - bio) / scale)
+        assert sorted(gaps)[-2] <= 1e-10
 
 
 def _kernel_by_eta_quadrature(kern, lines, z_hi):
@@ -488,11 +462,15 @@ def _kernel_by_eta_quadrature(kern, lines, z_hi):
     Sbar_epi(eta, z_j) deta, on Gauss-Legendre panels of [last level, z_hi
     + reach] split at the levels, with Sbar_epi at every node from that
     node's own exact hitting law (above c0 the epoch-0 atom, the plain
-    Sbar): the quadrature that the rows at the levels sum exactly."""
+    Sbar): the quadrature that the rows at the levels sum exactly.  The
+    reach, 12 edge (Airy) widths past the bulk of psi_n and 5 more, is
+    where S(t, n_i; eta, z_i) has decayed."""
     fin = kern.spec.finite
     t, prof = fin.t, blocks(fin.ic)
     levels = [b.level for b in prof.blocks_within(fin.n_max)]
-    sch = build_scheme(levels[-1], z_hi + kern._reach, order=16,
+    reach = 2.0 * math.sqrt(fin.n_max * t) + 12.0 * (
+        math.sqrt(t) * fin.n_max ** (-1.0 / 6.0)) + 5.0
+    sch = build_scheme(levels[-1], z_hi + reach, order=16,
                        splits=levels, max_panel=kern._panel)
     laws = [hitting_law_exact(prof, float(eta), fin.n_max)
             for eta in sch.nodes]
@@ -667,9 +645,9 @@ class TestLawLayer:
         assert calls == []
 
     def test_rebuilt_layer_under_threads(self):
-        # every round raises the upper end, so the four threads race to
-        # rebuild the operator-step chains; each gets what a fresh
-        # evaluator gives
+        # every round raises the nodes' upper end, and four threads
+        # assemble on one operator-step evaluator at once; each gets what a
+        # fresh evaluator gives
         spec = KernelSpec(t=0.9, indices=(3, 6), ic=WEDGE_IC,
                           representation="operator_step")
         rounds = [(np.linspace(-8.0, top, 9), np.linspace(-6.0, -1.0, 5))
