@@ -26,7 +26,6 @@ import math
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.special import log_ndtr
 
 from . import special
 from .hitting import hitting_law_exact
@@ -107,7 +106,7 @@ def log_gauss_repeated_integrals(m: int, w):
     w = np.asarray(w, dtype=float)
     wf = w.ravel()
     out = np.zeros((m, wf.size))
-    out[0] = log_ndtr(wf)
+    out[0] = special.log_ndtr(wf)
     # the other solution gains 2 artanh(c/a_k) at step k, c = |w|, a_k =
     # sqrt(c^2 + 4(k-1)): F(a_m) - F(c) by step m, F' = a artanh(c/a) >= c
     c = np.abs(wf)

@@ -25,8 +25,8 @@ from itertools import combinations
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.special import gammaincc, gammaln
 
+from . import special
 from .errors import ConvergenceError
 from .initial_data import InitialCondition, StepProfile
 from .quad import build_scheme
@@ -43,7 +43,7 @@ def q_exp_pow(m: int, x, y):
     d = x - y
     with np.errstate(divide="ignore", invalid="ignore"):
         logv = (y - x) + (m - 1) * np.log(np.where(d > 0, d, 1.0)) \
-            - gammaln(m)
+            - special.log_factorial(m - 1)
         out = np.where(d > 0, np.exp(logv), 0.0)
     if out.ndim == 0:
         return float(out)
@@ -149,15 +149,28 @@ def _split_pieces(pieces, level):
     return below, above
 
 
+# the longest free run whose coefficient 1/(m-1)! = 1/170! is a normal double
+_MAX_FREE_RUN = 171
+
+
 def _point_mass_spread(eta, m, cut):
     """Density of the walk after m free steps from eta: one piece on [cut,
     eta], centred at eta, where (eta - b)^{m-1}/(m-1)! is one monomial (it
-    cancels about any other centre), and the mass already below cut."""
+    cancels about any other centre), and the mass already below cut.
+
+    A piece holds plain coefficients, so a run longer than
+    ``_MAX_FREE_RUN`` steps, whose 1/(m-1)! is below the normal double
+    range, raises ConvergenceError."""
     if eta <= cut:
         return [], 1.0
+    if m > _MAX_FREE_RUN:
+        raise ConvergenceError(
+            f"the exact hitting law from eta={eta!r} starts with a free run "
+            f"of {m} steps; its coefficient 1/{m - 1}! is below the double "
+            f"range, which holds runs of at most {_MAX_FREE_RUN} steps")
     base = np.zeros(m)
     base[-1] = (-1.0) ** (m - 1) / math.gamma(m)
-    dead = float(gammaincc(m, eta - cut))
+    dead = special.gamma_q(m, eta - cut)
     return [_Piece(cut, eta, eta, base)], dead
 
 

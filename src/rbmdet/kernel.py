@@ -44,7 +44,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import biorth as _bo
 from . import special
@@ -440,15 +439,16 @@ class ExtendedKernelEval:
                     # row p is degree n - 1 - p
                     la, sg = la[::-1][:k], sg[::-1][:k]
                     d = np.arange(n - 1.0 - s, n - 1.0 - s - k, -1.0)[:, None]
-                    # (lgamma(d + 1) - d log t)/2 of line n less that of
-                    # line n_max
-                    dc = 0.5 * (gammaln(d + 1.0) - gammaln(d + 1.0 + n_max - n)
+                    # (log d! - d log t)/2 of line n less that of line
+                    # n_max
+                    lf = special.log_factorial(d)
+                    dc = 0.5 * (lf - special.log_factorial(d + n_max - n)
                                 + (n_max - n) * log_t)
                     rows.append(((la - x * x / (2.0 * t)) + y + (dc - c), sg,
                                  (la - y) - dc, sg))
                     if s < h:
                         # log psibar_d(t, x): Sbar = e^{-x} psibar_d
-                        lead.append(la - 0.5 * (gammaln(d + 1.0) - d * log_t))
+                        lead.append(la - 0.5 * (lf - d * log_t))
                 if end > n:
                     # row p = n - 1 + m: S(t, -m) = e^x t^{(m-1)/2} J_m(-x/
                     # sqrt(t)), less the constant of degree n_max - 1 - p
@@ -457,7 +457,8 @@ class ExtendedKernelEval:
                                    -1.0)[:, None]
                     lj = _bo.log_gauss_repeated_integrals(
                         end - n, -x / rt)[lo - n:] + y + 0.5 * (
-                            (n_max - n - 1) * log_t - gammaln(dm + 1.0))
+                            (n_max - n - 1) * log_t
+                            - special.log_factorial(dm))
                     rows.append((lj, np.ones_like(lj), np.zeros_like(lj),
                                  np.zeros_like(lj)))
             logs.append([np.concatenate(f) for f in zip(*rows)])
@@ -469,7 +470,7 @@ class ExtendedKernelEval:
                                   amax) / math.log(2.0))
         # B's row constant e^r Gamma(D + 1)^{1/2} t^{-D/2}, D = n_max - 1 - p
         dd = np.arange(n_max - 1.0, -1.0, -1.0)[:, None]
-        g = r + 0.5 * (gammaln(dd + 1.0) - dd * log_t)
+        g = r + 0.5 * (special.log_factorial(dd) - dd * log_t)
         out = []
         for (n, z), (la, sa, lb, sb), lp in zip(lines, logs, leads):
             b = _pow2_rows(lb, sb, -shift)

@@ -1,5 +1,7 @@
-"""Hermite polynomials, heat-dressed Hermite functions, Airy, and contour
-integrals for the one-sided building-block kernels.
+"""Hermite polynomials, heat-dressed Hermite functions, Airy, contour
+integrals for the one-sided building-block kernels, and the scalar
+functions of the walk and the Gaussian integrals: log n!, log Phi and the
+Poisson tail Q(m, x).
 
 Conventions
 -----------
@@ -219,6 +221,110 @@ def oscillator_psi(n: int, x):
     x = np.asarray(x, dtype=float)
     la, sg = hermite_normed_log(n, x)
     return sg * np.exp(la - 0.25 * x * x - 0.25 * _LOG_2PI)
+
+
+# ---------------------------------------------------------------------------
+# Scalar special functions of the walk and the Gaussian integrals: log n!,
+# log Phi and the Poisson tail Q(m, x), from numpy and ``math`` alone.
+# ---------------------------------------------------------------------------
+
+# log k!: correctly rounded from the exact factorial below 170, lgamma
+# (within 6e-16 relative) above
+_LOG_FACT = np.array([math.log(float(math.factorial(k))) for k in range(170)]
+                     + [math.lgamma(k + 1.0) for k in range(170, 4096)])
+_LGAMMA = np.frompyfunc(math.lgamma, 1, 1)
+
+
+def log_factorial(n):
+    """log n! for whole n >= 0, a number or an array of whole numbers."""
+    k = np.asarray(n).astype(np.intp)
+    near = np.minimum(k, _LOG_FACT.size - 1)
+    out = _LOG_FACT[near]
+    if np.any(k != near):
+        out = np.where(k == near, out, _LGAMMA(k + 1.0).astype(float))
+    return out
+
+
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+_SQRT_HALF = math.sqrt(0.5)
+_SQRT_HALF_LO = -4.833646656726457e-17   # sqrt(1/2) - _SQRT_HALF
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+
+
+def _split(a):
+    """Dekker's split of a into a high part of 26 bits and the rest."""
+    c = 134217729.0 * a   # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_SQRT_HALF_SPLIT = _split(_SQRT_HALF)
+
+
+def _normal_tail(v):
+    """Phi(-v) = erfc(v/sqrt 2)/2 for v >= 0, within a few ulps.
+
+    erfc's relative condition number is 2x^2, so the rounding of x = v/sqrt
+    2 alone would cost v^2 ulps (1e-13 at v = 30); it is corrected to first
+    order, x - fl(x) from Dekker's exact product.
+    """
+    x = v * _SQRT_HALF
+    vh, vl = _split(v)
+    sh, sl = _SQRT_HALF_SPLIT
+    dx = ((vh * sh - x) + vh * sl + vl * sh) + vl * sl + v * _SQRT_HALF_LO
+    return 0.5 * (_ERFC(x).astype(float)
+                  - dx * _TWO_OVER_SQRT_PI * np.exp(-x * x))
+
+
+def log_ndtr(w):
+    """log Phi(w), the log of the standard normal distribution function,
+    vectorized over w, within 4e-16 relative on [-60, 30]: the asymptotic
+    series for w <= -20, the log of the tail Phi(w) up to 0 and
+    log1p(-Phi(-w)) above."""
+    w = np.asarray(w, dtype=float)
+    out = np.empty(w.shape)
+    lo, hi = w <= -20.0, w > 0.0
+    mid = ~(lo | hi)
+    out[mid] = np.log(_normal_tail(-w[mid]))
+    out[hi] = np.log1p(-_normal_tail(w[hi]))
+    # Phi(w) = phi(w)/(-w) (1 + sum_i (-1)^i (2i-1)!! w^{-2i}): 12 terms
+    # reach 1e-19 at w = -20
+    a = w[lo]
+    inv = 1.0 / (a * a)
+    s = np.zeros_like(a)
+    for i in range(12, 0, -1):
+        s = -(2 * i - 1) * inv * (1.0 + s)
+    out[lo] = (-0.5 * a * a - np.log(-a) - 0.5 * _LOG_2PI) + np.log1p(s)
+    return out
+
+
+def gamma_q(m: int, x: float) -> float:
+    """Q(m, x) = e^{-x} sum_{k<m} x^k/k!, the regularized upper incomplete
+    gamma function at whole m >= 1 and x >= 0: the chance that m unit
+    exponential steps sum past x.
+
+    The terms follow t_k = t_{k-1} x/k from t_0 = e^{-x}, within 4e-15
+    relative for m <= 200, x <= 600.  Where e^{-x} is below the normal
+    range the sum runs both ways from its largest term, found from logs,
+    which cost about x log(x) ulps (1e-12 at x = 1000).
+    """
+    if x <= 708.0:
+        t = total = math.exp(-x)
+        for k in range(1, m):
+            t = t * x / k
+            total += t
+        return total
+    top = min(m - 1, int(x))
+    peak = math.exp(top * math.log(x) - x - float(log_factorial(top)))
+    t = total = peak
+    for k in range(top, 0, -1):
+        t = t * k / x
+        total += t
+    t = peak
+    for k in range(top + 1, m):
+        t = t * x / k
+        total += t
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -477,6 +477,23 @@ class TestFactoredDeterminant:
                 for rep in ("hitting", "operator_step")]
         assert abs(vals[0] - vals[1]) <= 1e-14
 
+    @pytest.mark.parametrize("first", [170, 175])
+    def test_long_first_block(self, first):
+        # the laws from the first block's levels onto the second start with
+        # a free run of up to `first` steps; past 171 its coefficient
+        # 1/(m-1)! leaves the double range (math.gamma overflowed there)
+        ic = idata.InitialCondition(tuple([0.0] * first + [-1.0] * 30))
+        spec = KernelSpec(t=1.0, indices=(first + 10,), ic=ic)
+        step = rbm_probability(replace(spec, representation="operator_step"),
+                               [-25.0]).value
+        if first > 171:
+            assert step == pytest.approx(4.682824443845139e-06, rel=1e-12)
+            with pytest.raises(ConvergenceError,
+                               match="free run of 175 steps.* at most 171"):
+                rbm_probability(spec, [-25.0])
+        else:
+            assert abs(rbm_probability(spec, [-25.0]).value - step) <= 1e-12
+
     @pytest.mark.parametrize("eps, x", [(0.1, (-0.5,)), (0.1, (-0.5, 0.5)),
                                         (0.09, (-0.5,))])
     def test_two_wedges_hitting_matches_operator_step(self, eps, x):

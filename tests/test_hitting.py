@@ -145,6 +145,23 @@ class TestExactLaw:
             assert abs(comp.mass - ref.components[ell].mass) <= 1e-14
         assert abs(law.unhit_mass - ref.unhit_mass) <= 1e-14
 
+    @pytest.mark.parametrize("run", [171, 172])
+    def test_longest_first_free_run(self, run):
+        # the first free run's monomial 1/(run-1)! is a normal double up to
+        # run = 171; past it the law raises and names both numbers.  The
+        # hit mass is P(Gamma(171) <= 100) = 7.0858e-11
+        prof = idata.StepProfile(0, (idata.Block(start=run, level=-100.0,
+                                                 length=30),))
+        if run > 171:
+            with pytest.raises(ConvergenceError,
+                               match="free run of 172 steps.* at most 171"):
+                ht.hitting_law_exact(prof, 0.0, run + 1)
+        else:
+            law = ht.hitting_law_exact(prof, 0.0, run + 1)
+            assert abs(law.total_mass() + law.unhit_mass - 1.0) <= 1e-14
+            assert abs(law.components[run].mass
+                       - 7.08579952563139e-11) <= 1e-14
+
     def test_negative_component_mass_raises(self):
         # a hit piece whose mass is below -1e-12 has lost the law; it is
         # not dropped as if it were an empty component

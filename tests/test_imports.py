@@ -1,6 +1,7 @@
 """Every name a program module imports is used in that module, every
-parameter of a program function is read by it, and every private name a
-program module defines at its top level is read by some program module.
+parameter of a program function is read by it, every private name a
+program module defines at its top level is read by some program module,
+and no program module imports scipy, at parse time or at run time.
 
 No linter ships with the project, so this parses each module of
 ``src/rbmdet`` with ``ast``.  An import line marked ``# noqa`` is kept on
@@ -9,6 +10,9 @@ purpose (a name that is looked up on the module from outside), and
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,3 +125,72 @@ def test_check_sees_an_unread_private_name():
                      "def _f():\n    return _B\nclass _K:\n    pass\n"),
                "b": "from . import a\nx = a._K\n"}
     assert unread_private_names(sources) == ["a._A", "a._C", "a._f"]
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Line numbers of every ``import scipy...`` and ``from scipy...``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.")
+               for name in names):
+            out.append(node.lineno)
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    # scipy is a test oracle only: the program needs numpy alone
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_check_sees_a_scipy_import():
+    source = ("import math\nimport scipy\n"
+              "def f():\n    from scipy.special import erfc\n"
+              "    import numpy, scipy.linalg as la\n"
+              "from .scipyish import g\nimport scipy_like\n")
+    assert scipy_imports(source) == [2, 4, 5]
+
+
+RUNTIME_QUERIES = """
+import sys
+from dataclasses import replace
+
+import rbmdet
+from rbmdet import cli, scaling, simulate
+from rbmdet.fredholm import rbm_probability
+from rbmdet.initial_data import InitialCondition, packed
+from rbmdet.kernel import KernelSpec
+
+two_blocks = KernelSpec(t=1.0, indices=(2, 4),
+                        ic=InitialCondition((0.0, 0.0, -1.0, -1.0)))
+rbm_probability(two_blocks, [-1.0, -2.0])
+rbm_probability(replace(two_blocks, representation="biorth"), [-1.0, -2.0])
+scaling.fixedpoint_probability(scaling.FixedPointSpec(
+    wedges=(0.0,), T=1.0, x=(0.0,), a_out=(0.0,)), order=4)
+simulate.mc_distribution(packed(0.0), 1.0, [2], [0.0], paths=200, dt=0.1,
+                         seed=1)
+assert cli.main(["prob", "--t", "1", "--levels=0", "--indices", "5",
+                 "--a=-4"]) == 0
+print(sorted(k for k in sys.modules if k.split(".")[0] == "scipy"))
+"""
+
+
+def test_queries_import_no_scipy():
+    # a fresh interpreter, so no test module's scipy import is counted:
+    # the hitting sweep (its Poisson tail), biorth, the fixed point, Monte
+    # Carlo and the CLI each run once
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                             else []))
+    proc = subprocess.run([sys.executable, "-c", RUNTIME_QUERIES], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -43,7 +43,7 @@ ONE_BLOCK_PINS = {
         '0x1.13ebd4cba0ae3p-1', '0x1.85b3e05cd813dp-2',
         '0x1.e864bd6556117p-3', '0x1.46f3ed390d0c8p-3'],
     10: ['0x1.86c43fcf7cdb0p+5', '0x1.48c71146e6819p-15',
-         '0x1.a27754b97b853p-8', '0x1.21c1baffe1a8cp-8',
+         '0x1.a27754b97b853p-8', '0x1.21c1baffe1a9ep-8',
          '0x1.a19af8c8cffa2p-2', '0x0.0p+0', '-0x1.d26903c28b908p+20',
          '0x1.dbc522fce9ffap+7', '-0x1.5b0cffb440824p-59',
          '-0x1.8949cb3b489f1p-25', '0x1.dc26579393020p-13',

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
 from scipy.special import airy as scipy_airy
+from scipy.special import gammaincc, gammaln, log_ndtr
 
 from rbmdet import special as sp
 
@@ -463,6 +465,77 @@ class TestAiry:
         for x, (a, b) in pinned.items():
             (i,) = np.flatnonzero(grid == x)
             assert float(ai[i]).hex() == a and float(aip[i]).hex() == b
+
+
+def _mp_rel(got, ref):
+    """|got - ref|/|ref| at mpmath's precision, as a float."""
+    return float(abs((mpmath.mpf(float(got)) - ref) / ref))
+
+
+class TestScalarFunctions:
+    """log n!, log Phi and Q(m, x) against 40-digit mpmath, and against
+    the scipy functions they replace."""
+
+    def test_log_factorial(self):
+        ks = np.arange(1, 3001)
+        got = sp.log_factorial(ks - 1)
+        with mpmath.workdps(40):
+            refs = [mpmath.loggamma(int(k)) for k in ks]
+            # the exact factorials below 170 give the correctly rounded log
+            assert all(float(r) == g for r, g in zip(refs[:170], got[:170]))
+            worst = max(_mp_rel(g, r) for g, r in zip(got, refs) if r != 0)
+        assert worst <= 6e-16
+        assert np.abs(got - gammaln(ks)).max() <= 1e-15 * got.max()
+
+    def test_log_factorial_shapes_and_far_arguments(self):
+        # numbers, whole floats and arrays; arguments past the table too
+        assert sp.log_factorial(5) == math.log(120.0)
+        n = np.array([[3.0], [5000.0], [0.0]])
+        got = sp.log_factorial(n)
+        assert got.shape == (3, 1)
+        assert got[:, 0].tolist() == [math.log(6.0), math.lgamma(5001.0),
+                                      0.0]
+
+    def test_log_ndtr(self):
+        w = np.concatenate([np.linspace(-60.0, 30.0, 1801),
+                            [-20.0, np.nextafter(-20.0, 0.0), -1e-300,
+                             1e-300, 5.9, 6.0]])
+        got = sp.log_ndtr(w)
+        assert got.shape == w.shape
+        with mpmath.workdps(40):
+            # log1p(-Phi(-w)) keeps the digits of log Phi near 0
+            refs = [mpmath.log1p(-mpmath.ncdf(-v)) if v > 0
+                    else mpmath.log(mpmath.ncdf(v))
+                    for v in map(mpmath.mpf, w)]
+            worst = max(_mp_rel(g, r) for g, r in zip(got, refs))
+        assert worst <= 2e-14
+        assert np.abs(got / log_ndtr(w) - 1.0).max() <= 2e-13
+        assert sp.log_ndtr(np.zeros((2, 3))).shape == (2, 3)
+
+    def test_gamma_q(self):
+        cases = []
+        for m in [*range(1, 11), *range(11, 200, 9), 200]:
+            xs = {0.0, 1e-3, 0.5, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 600.0,
+                  m - 10.0, m - 1.0, float(m), m + 1.0, m + 10.0, 1.5 * m}
+            cases += [(m, x) for x in sorted(xs) if 0.0 <= x <= 600.0]
+        worst = 0.0
+        with mpmath.workdps(40):
+            for m, x in cases:
+                ref = mpmath.gammainc(m, x, mpmath.inf, regularized=True)
+                if ref > mpmath.mpf("1e-290"):
+                    got = sp.gamma_q(m, x)
+                    worst = max(worst, _mp_rel(got, ref))
+                    assert abs(got - gammaincc(m, x)) <= 1e-12 * ref
+        assert worst <= 4e-15
+
+    def test_gamma_q_past_the_exponential_range(self):
+        # e^{-x} below the normal range: the sum starts at its largest term
+        with mpmath.workdps(40):
+            for m, x in [(3, 709.5), (700, 750.0), (800, 750.0),
+                         (1200, 1000.0), (900, 708.0), (900, 708.5)]:
+                ref = mpmath.gammainc(m, x, mpmath.inf, regularized=True)
+                assert _mp_rel(sp.gamma_q(m, x), ref) <= 1e-11
+        assert sp.gamma_q(1, 800.0) == 0.0
 
 
 class TestContour:
