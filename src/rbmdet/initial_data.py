@@ -137,8 +137,8 @@ def from_positions(positions, extend_last: bool = False) -> InitialCondition:
             raise ValueError(f"NaN level at index {n_inf + off + 1}")
         if math.isinf(v):
             raise ValueError(
-                f"+inf level at index {n_inf + off + 1} is not in the "
-                "leading run")
+                f"{v:+} level at index {n_inf + off + 1}: only a leading run "
+                "of +inf is allowed")
     for off in range(1, len(finite)):
         if finite[off] > finite[off - 1]:
             raise ValueError(

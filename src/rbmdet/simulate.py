@@ -153,12 +153,13 @@ def lpp_value(noise: NoiseField, start_row: int, end_row: int,
     """Last passage value G[(0, start_row) -> (t, end_row)] on the grid.
 
     Rows are 1-based; the supremum over up-right paths of collected
-    increments becomes a running-max dynamic program on the grid.
+    increments becomes a running-max dynamic program on the grid.  t is 0
+    or a whole number of grid steps (to a relative 1e-9).
     """
     if not 1 <= start_row <= end_row <= noise.n_particles:
         raise ValueError("need 1 <= start_row <= end_row <= particles")
-    i = int(round(t / noise.dt))
-    if not 0 <= i <= noise.n_steps:
+    i = 0 if t == 0 else _grid_steps(t, noise.dt)
+    if i > noise.n_steps:
         raise ValueError(f"t={t} off the grid")
     g = _lpp_rows(noise, start_row, end_row)
     return float(g[i])

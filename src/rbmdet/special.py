@@ -19,22 +19,12 @@ psi_n solves the forward heat equation in (t, x), psibar_n the backward one,
 and integral of psi_n * psibar_m over x is delta_{nm}.
 
 For large degree everything is computed in log scale: the recurrence carries
-H_k(x)/sqrt(k!) with a running exponent, which stays representable for
-k <= 2000 and |x| <= 3 sqrt(k).  One run to degree n records any of the
-degrees it passes: degree n - 1 too (:func:`hermite_normed_log_pair`),
-which S_n and Sbar_n = psibar_{n-1} on one argument share, or every degree
-0..n (:func:`hermite_normed_log_all`), the kernel's exact atom rows.
-
-Both hot loops walk their input in blocks of ``_CHUNK`` elements and update
-preallocated buffers in place, with the same floating-point operations in
-the same order as a whole-array loop, so every value is bitwise the same:
-
-* the Hermite recurrence runs all n steps on one block before the next, and
-  scans a block for values to rescale only once a bound on |h_k| computed
-  from max|x| of the block can exceed the rescale threshold;
-* the exponential-tail series of Ai and Ai' (x > 12) stops, per block, at
-  the first term whose bound is below 2^-55: every later term is below half
-  an ulp of the partial sum and would not change it.
+H_k(x)/sqrt(k!) with a running exponent, so large degrees stay in range
+(README, "Numerical notes", gives its accuracy up to k = 20000).  One run
+to degree n records any of the degrees it passes: degree n - 1 too
+(:func:`hermite_normed_log_pair`), which S_n and Sbar_n = psibar_{n-1} on
+one argument share, or every degree 0..n (:func:`hermite_normed_log_all`),
+the kernel's exact atom rows.
 """
 
 from __future__ import annotations
@@ -50,10 +40,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # rescale bound for the running-exponent recurrence
 _BIG = 1e120
 
-# elements per block of the Hermite recurrence and the Airy tail series:
-# their three float64 work buffers (192 KiB) stay in a per-core L2 cache
-_CHUNK = 8192
-
 
 def hermite_normed_log(n: int, x):
     """(log|H_n(x)/sqrt(n!)|, sign), vectorized over x.
@@ -61,13 +47,6 @@ def hermite_normed_log(n: int, x):
     The normalized recurrence h_{k+1} = (x h_k - sqrt(k) h_{k-1})/sqrt(k+1)
     keeps magnitudes near exp(x^2/4) scale; a running per-element exponent
     absorbs growth beyond double range.  sign is 0 where H_n(x) = 0 exactly.
-
-    x is walked in chunks of ``_CHUNK`` elements, each run through all n
-    steps in preallocated buffers.  Elements do not interact, so the result
-    does not depend on the chunking.  The rescale scan of a chunk starts
-    only once the bound B_{k+1} = (X B_k + sqrt(k) B_{k-1})/sqrt(k+1),
-    B_0 = 1, B_1 = X = max|x|, on the exact |h_{k+1}| passes _BIG/2 (the
-    margin covers rounding), and then runs on every step.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -104,55 +83,36 @@ def _row(la, sg, k):
 
 def _hermite_logs(n, x, lowest):
     """(log|h_k|, sign) of the degrees k = lowest..n, one row each, from
-    one run of the recurrence to degree n."""
+    one run of the normalized recurrence to degree n, which writes h_k and
+    its running exponent into row k - lowest as soon as it reaches degree k.
+    The rescale scan starts once the bound B_{k+1} = (X B_k + sqrt(k)
+    B_{k-1})/sqrt(k+1), B_0 = 1, B_1 = X = max|x|, on the exact |h_{k+1}|
+    passes _BIG/2 (the margin covers rounding), and then runs every step."""
     x = np.asarray(x, dtype=float)
-    xf = np.atleast_1d(x).ravel()
+    xf = x.ravel()
     count = n - lowest + 1
     hs = np.empty((count, xf.size))
     ls = np.zeros((count, xf.size))
     roots = [math.sqrt(k) for k in range(n + 1)]
-    size = min(xf.size, _CHUNK)
-    bufs = [np.empty(size) for _ in range(4)]
-    for lo in range(0, xf.size, _CHUNK):
-        hi = min(lo + _CHUNK, xf.size)
-        _hermite_chunk(n, xf[lo:hi], roots, bufs, hs[:, lo:hi],
-                       ls[:, lo:hi], lowest)
-    logabs = np.abs(hs)
-    with np.errstate(divide="ignore"):
-        np.log(logabs, out=logabs)
-    logabs += ls
-    np.sign(hs, out=hs)
-    shape = (count,) + x.shape
-    return logabs.reshape(shape), hs.reshape(shape)
-
-
-def _hermite_chunk(n, x, roots, bufs, hs, ls, lowest):
-    """Run the normalized recurrence to degree n on one chunk, writing h_k
-    and its running exponent into row k - lowest of ``hs`` and ``ls``, for
-    every k >= lowest, as soon as the run reaches degree k."""
-    m = x.size
-    h, h_prev, tmp, logscale = (b[:m] for b in bufs)
-    h[:] = x
-    h_prev.fill(1.0)
-    logscale.fill(0.0)
+    h, h_prev = xf.copy(), np.ones(xf.size)
+    tmp, logscale = np.empty(xf.size), np.zeros(xf.size)
     for k, v in ((0, h_prev), (1, h)):
         if lowest <= k <= n:
             hs[k - lowest] = v
-    bound_limit = 0.5 * _BIG
-    big_x = float(np.max(np.abs(x)))
+    big_x = float(np.max(np.abs(xf), initial=0.0))
     b_prev, b = 1.0, big_x
     # "not <=" so that a NaN or infinite bound turns the scan on
-    scan = not b <= bound_limit
+    scan = not b <= 0.5 * _BIG
     for k in range(1, n):
         # h_prev <- (x h - sqrt(k) h_prev)/sqrt(k+1), then swap
         np.multiply(h_prev, roots[k], out=h_prev)
-        np.multiply(x, h, out=tmp)
+        np.multiply(xf, h, out=tmp)
         np.subtract(tmp, h_prev, out=h_prev)
         np.divide(h_prev, roots[k + 1], out=h_prev)
         h, h_prev = h_prev, h
         if not scan:
             b_prev, b = b, (big_x * b + roots[k] * b_prev) / roots[k + 1]
-            scan = not b <= bound_limit
+            scan = not b <= 0.5 * _BIG
         if scan:
             np.abs(h, out=tmp)
             # one reduction in place of an elementwise test on most steps;
@@ -167,6 +127,13 @@ def _hermite_chunk(n, x, roots, bufs, hs, ls, lowest):
         if k + 1 >= lowest:
             hs[k + 1 - lowest] = h
             ls[k + 1 - lowest] = logscale
+    logabs = np.abs(hs)
+    with np.errstate(divide="ignore"):
+        np.log(logabs, out=logabs)
+    logabs += ls
+    np.sign(hs, out=hs)
+    shape = (count,) + x.shape
+    return logabs.reshape(shape), hs.reshape(shape)
 
 
 def _psi_logabs(la, n, t, x):
@@ -393,43 +360,23 @@ def _airy_taylor_batch(c, a, b, h, nterms=26):
     return y, yp
 
 
-# The tail series runs only for x > _AIRY_HI, where zeta >= 27.7 and the
-# bounds _ASY_BOUND[k] zeta^-k fall monotonically over k < _ASY_TERMS: once
-# one is below 2^-55, every later term is below half an ulp of a partial sum
-# near 1, and adding it would not change the sum.
 _ASY_TERMS = 26
-_ASY_BOUND = np.maximum(np.abs(_ASY_C), np.abs(_ASY_D))[:_ASY_TERMS]
-_ASY_TOL = 2.0 ** -55
 
 
 def _airy_tail_sums(zeta, with_deriv=True):
     """sum_k C_k (-1/zeta)^k and, with ``with_deriv``, sum_k D_k (-1/zeta)^k
-    for zeta > 27.7, summed in chunks of ``_CHUNK`` and stopped per chunk
-    at the first term bound below 2^-55 (so bitwise equal to all
-    ``_ASY_TERMS`` terms)."""
+    over k < ``_ASY_TERMS``, for zeta > 27.7."""
     s_ai = np.zeros_like(zeta)
     s_aip = np.zeros_like(zeta) if with_deriv else None
-    size = min(zeta.size, _CHUNK)
-    term_buf, ratio_buf, tmp_buf = (np.empty(size) for _ in range(3))
-    for lo in range(0, zeta.size, _CHUNK):
-        hi = min(lo + _CHUNK, zeta.size)
-        m = hi - lo
-        term, ratio, tmp = term_buf[:m], ratio_buf[:m], tmp_buf[:m]
-        np.divide(1.0, zeta[lo:hi], out=ratio)
-        bounds = _ASY_BOUND * float(ratio.max()) ** np.arange(_ASY_TERMS)
-        small = np.flatnonzero(bounds < _ASY_TOL)
-        nterms = int(small[0]) if small.size else _ASY_TERMS
-        np.negative(ratio, out=ratio)    # -1/zeta, from one term to the next
-        term.fill(1.0)
-        sa = s_ai[lo:hi]
-        sd = None if s_aip is None else s_aip[lo:hi]
-        for k in range(nterms):
-            np.multiply(term, _ASY_C[k], out=tmp)
-            sa += tmp
-            if sd is not None:
-                np.multiply(term, _ASY_D[k], out=tmp)
-                sd += tmp
-            term *= ratio
+    ratio = -1.0 / zeta    # from one term to the next
+    term, tmp = np.ones_like(zeta), np.empty_like(zeta)
+    for k in range(_ASY_TERMS):
+        np.multiply(term, _ASY_C[k], out=tmp)
+        s_ai += tmp
+        if with_deriv:
+            np.multiply(term, _ASY_D[k], out=tmp)
+            s_aip += tmp
+        term *= ratio
     return s_ai, s_aip
 
 
@@ -470,8 +417,7 @@ _AIRY_ANCHORS = _build_airy_anchors()  # (grid, Ai values, Ai' values)
 def airy_pair(x):
     """(Ai(x), Ai'(x)), vectorized over x."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x).astype(float).ravel()
+    xv = x.ravel()
     ai = np.empty_like(xv)
     aip = np.empty_like(xv)
     grid, tai, taip = _AIRY_ANCHORS
@@ -494,11 +440,9 @@ def airy_pair(x):
                 grid[ju], tai[ju], taip[ju], xm[sel] - grid[ju])
         ai[mid] = am
         aip[mid] = apm
-    ai = ai.reshape(np.atleast_1d(x).shape)
-    aip = aip.reshape(np.atleast_1d(x).shape)
-    if scalar:
+    if x.ndim == 0:
         return float(ai[0]), float(aip[0])
-    return ai, aip
+    return ai.reshape(x.shape), aip.reshape(x.shape)
 
 
 def airy_eval(x):
@@ -510,8 +454,7 @@ def airy_log_pos(x):
     """log Ai(x) for x > 0, valid far beyond double underflow of Ai itself.
     Vectorized."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x).ravel()
+    xv = x.ravel()
     if np.any(xv <= 0):
         raise ValueError("airy_log_pos requires x > 0")
     out = np.empty_like(xv)
@@ -525,8 +468,7 @@ def airy_log_pos(x):
         s, _ = _airy_tail_sums(zeta, with_deriv=False)
         out[far] = -zeta - 0.25 * np.log(xf) \
             - math.log(2.0 * math.sqrt(math.pi)) + np.log(s)
-    out = out.reshape(np.atleast_1d(x).shape)
-    return float(out[0]) if scalar else out
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
@@ -116,6 +117,43 @@ class TestGram:
             lv = np.sort(rng.uniform(-2, 2, n))[::-1]
             g = bo.gram(idata.from_positions(lv), n, t)
             assert np.max(np.abs(g - np.eye(n))) < 1e-8
+
+
+class TestPinv:
+    @pytest.mark.parametrize("m", [1, 2, 30, 171, 172, 200, 400])
+    def test_against_mpmath(self, m):
+        # (m-1)! leaves the double range at m = 172, where 4^171/171! is
+        # still 1e-206
+        tiny = np.finfo(float).tiny
+        d = np.concatenate([np.linspace(-50.0, 50.0, 101), [1e-3, 0.3]])
+        got_delta = bo.pinv_delta(m, d, 0.0)
+        got_ext = bo.pinv_ext(m, d, 0.0)
+        for di, a, b in zip(d, got_delta, got_ext):
+            ref = mpmath.mpf(float(di)) ** (m - 1) / mpmath.factorial(m - 1)
+            for got, want in ((b, ref), (a, ref if di > 0 else 0)):
+                if abs(want) >= tiny:
+                    assert abs(got - want) <= 1e-12 * abs(want)
+                elif abs(want) < 2.0 ** -1075:
+                    assert got == 0.0
+                else:   # subnormal: the spacing 2^-1074 adds to the bound
+                    assert abs(got - want) <= 1e-12 * abs(want) + 2.0 ** -1074
+
+    def test_unit_and_diagonal(self):
+        assert bo.pinv_delta(1, 0.7, 0.2) == 1.0
+        assert bo.pinv_ext(1, -0.7, 0.2) == 1.0
+        assert bo.pinv_ext(1, 0.2, 0.2) == 1.0
+        for m in (1, 2, 200):
+            assert bo.pinv_delta(m, 0.2, 0.2) == 0.0
+            assert bo.pinv_delta(m, -0.3, 0.2) == 0.0
+        assert bo.pinv_ext(2, 0.2, 0.2) == 0.0
+        assert bo.pinv_ext(200, 0.2, 0.2) == 0.0
+        assert bo.pinv_delta(200, 1.0, 0.0) == 0.0   # 1/199! underflows
+
+    def test_high_degree_g0n_is_finite(self):
+        ic = idata.from_positions([0.0, -1.0], extend_last=True)
+        for n in (172, 200):
+            v = bo.g0n_eval(ic, n, -0.5, 0.3, method="hitting")
+            assert math.isfinite(v)
 
 
 class TestG0n:

@@ -531,18 +531,18 @@ class TestFactoredDeterminant:
         # the atom ran n steps per (eta, z) pair
         from rbmdet import kernel, special
         steps, nodes = [], []
-        real_chunk, real_factors = special._hermite_chunk, \
+        real_logs, real_factors = special._hermite_logs, \
             kernel.ExtendedKernelEval.factors
 
-        def chunk(n, x, *args):
-            steps.append(n * x.size)
-            return real_chunk(n, x, *args)
+        def logs(n, x, lowest):
+            steps.append(n * np.size(x))
+            return real_logs(n, x, lowest)
 
         def factors(self, zs):
             nodes.append(sum(np.size(z) for z in zs))
             return real_factors(self, zs)
 
-        monkeypatch.setattr(special, "_hermite_chunk", chunk)
+        monkeypatch.setattr(special, "_hermite_logs", logs)
         monkeypatch.setattr(kernel.ExtendedKernelEval, "factors", factors)
         n = 192
         res = rbm_probability(KernelSpec(t=1.0, indices=(n,),

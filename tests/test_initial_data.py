@@ -31,6 +31,13 @@ class TestFromPositions:
         with pytest.raises(ValueError):
             idata.from_positions([1.0, math.inf, 0.0])
 
+    def test_infinite_level_named_by_its_sign(self):
+        with pytest.raises(ValueError, match=r"^\+inf level at index 2"):
+            idata.from_positions([1.0, math.inf, 0.0])
+        for levels in ([0.0, -math.inf], [math.inf, -math.inf]):
+            with pytest.raises(ValueError, match=r"^-inf level at index 2"):
+                idata.from_positions(levels)
+
     def test_length_guard(self):
         ic = idata.from_positions([1.0, 0.0])
         with pytest.raises(ValueError, match="extend_last"):

@@ -125,6 +125,19 @@ class TestLpp:
         noise = sim.sample_noise(4, 1.0, 0.01, seed=7)
         assert sim.lpp_value(noise, 1, 3, 0.0) == 0.0
 
+    def test_time_off_the_grid_rejected(self):
+        noise = sim.sample_noise(2, 0.01, 1e-3, seed=7)
+        with pytest.raises(ValueError, match="whole number"):
+            sim.lpp_value(noise, 1, 2, 0.0015)
+        with pytest.raises(ValueError, match="whole number"):
+            sim.lpp_value(noise, 1, 2, -0.002)
+        with pytest.raises(ValueError, match="off the grid"):
+            sim.lpp_value(noise, 1, 2, 0.011)
+        # a whole number of steps up to rounding in t / dt
+        g = sim._lpp_rows(noise, 1, 2)
+        assert sim.lpp_value(noise, 1, 2, 0.003 * (1 + 1e-12)) == g[3]
+        assert sim.lpp_value(noise, 1, 2, 0.0) == 0.0
+
     def test_two_by_two_exhaustive(self):
         inc = np.array([[0.5, -0.2], [0.1, 0.4]])
         noise = sim.NoiseField(dt=1.0, increments=inc)

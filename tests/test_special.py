@@ -72,7 +72,7 @@ class TestHermite:
 
 def reference_hermite_normed_log(n, x):
     """The whole-array recurrence with a rescale scan on every step: the
-    loop the chunked, bound-gated one must reproduce bit for bit."""
+    loop the bound-gated, in-place one must reproduce bit for bit."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     h_prev = np.ones_like(x)
     logscale = np.zeros_like(x)
@@ -114,7 +114,7 @@ def assert_bitwise(got, ref):
     assert np.array_equal(got[1], ref[1], equal_nan=True)
 
 
-C = sp._CHUNK
+C = 8192
 
 
 class TestHermiteChunked:
@@ -142,8 +142,8 @@ class TestHermiteChunked:
         assert (la, sg) == (ref[0][0], ref[1][0])
 
     def test_only_some_chunks_rescale(self):
-        # chunk 0 stays far below the rescale bound, chunks 1 and 2 cross
-        # it at different steps, chunk 3 is partial
+        # points far below the rescale bound next to points that cross it
+        # at different steps: one bound from max|x| gates the scan of all
         rng = np.random.default_rng(3)
         x = np.concatenate([rng.uniform(-1.0, 1.0, C),
                             rng.uniform(-60.0, 60.0, C),
@@ -156,8 +156,8 @@ class TestHermiteChunked:
         assert np.max(got[0]) > math.log(sp._BIG)   # the rescale did run
 
     def test_non_finite_points_leave_the_others_alone(self):
-        # a NaN or inf makes the chunk's bound non-finite: it scans from the
-        # first step, as the whole-array loop does
+        # a NaN or inf makes the bound non-finite: the scan runs from the
+        # first step, as in the reference loop
         x = np.array([np.nan, 60.0, -60.0, np.inf, 0.3])
         with np.errstate(invalid="ignore"):
             got = sp.hermite_normed_log(400, x)
@@ -305,13 +305,6 @@ class TestHermiteAllDegrees:
 
 
 class TestAiryTail:
-    def test_term_bounds_fall_past_the_switch(self):
-        # the truncation rule needs bound_k zeta^-k to fall over k < 26 for
-        # every zeta at or above the switch point x = 12
-        zeta = 2.0 / 3.0 * sp._AIRY_HI ** 1.5
-        b = sp._ASY_BOUND * zeta ** -np.arange(sp._ASY_TERMS, dtype=float)
-        assert np.all(np.diff(b) < 0)
-
     @pytest.mark.parametrize("size", [1, C - 1, C + 1, 3 * C + 5])
     def test_series_matches_all_26_terms(self, size):
         rng = np.random.default_rng(size)
@@ -341,6 +334,105 @@ class TestAiryTail:
                + np.log(s_ai))
         assert np.array_equal(log_ai[far[pos]], ref)
         assert np.array_equal(log_ai[~far[pos]], np.log(ai[pos & ~far]))
+
+
+# float.hex of the special functions on fixed inputs, recorded from the
+# blocked loops that the whole-array ones replaced: they hold every bit
+# without leaning on a reference loop of this file.  Degree 900 on |x| up
+# to 70 runs the recurrence through the 1e120 rescale; the Airy points
+# sit on both sides of the switch to the tail series at x = 12 and far
+# past it.
+PIN_X900 = ['-0x1.1501e6853133dp+6', '-0x1.fe29f5e7cb0ccp+5',
+            '0x1.c8457f5ca395cp+5', '-0x1.7a10d1d55d3c2p+5',
+            '0x1.28b0fd0468402p+5', '-0x1.1098a14025200p-2',
+            '0x1.59221b6b43e7ep+5', '-0x1.591b2be4d90f2p+5']
+PIN_ALL900 = {
+    2: ['0x1.041e74b6f33cfp+3', '0x1.fdae44cdf8f95p+2',
+        '0x1.ef62e82df184dp+2', '0x1.d74f91737b24ep+2',
+        '0x1.b844d38441935p+2', '-0x1.ae28759501d5bp-2',
+        '0x1.cba3b5341c373p+2', '0x1.cba122551ac36p+2'],
+    451: ['0x1.6e891b12b7890p+9', '0x1.5984223d59f49p+9',
+          '0x1.3c0fdbb1cb19bp+9', '0x1.05f369c206001p+9',
+          '0x1.56676d88ee644p+8', '-0x1.14162ef4dd208p+1',
+          '0x1.ce35ac79e66d3p+8', '0x1.ce2678b10a4aap+8'],
+    899: ['0x1.10d6266cfd501p+10', '0x1.edc108db5ea63p+9',
+          '0x1.955dab7fb1ba6p+9', '0x1.164415d345be8p+9',
+          '0x1.5350ff7d7b49ep+8', '-0x1.cdd9f06606a0bp+0',
+          '0x1.ce7e1802ff1bep+8', '0x1.ce9d41f86859cp+8'],
+    900: ['0x1.10f94d9df516dp+10', '0x1.edee72da9d7a8p+9',
+          '0x1.95b5ed47ad8c4p+9', '0x1.1661a6ed0bc90p+9',
+          '0x1.55f5b60569ec5p+8', '-0x1.e71f9bad8a9e7p+1',
+          '0x1.cf8b47d37a795p+8', '0x1.cf8164bec5babp+8']}
+PIN_ALL900_SIGN = {
+    2: [1, 1, 1, 1, 1, -1, 1, 1],
+    451: [-1, -1, 1, -1, 1, -1, 1, -1],
+    899: [-1, -1, 1, 1, 1, 1, -1, 1],
+    900: [1, 1, 1, -1, 1, -1, -1, -1]}
+PIN_X1500 = ['-0x1.3e7f68de454c6p+6', '-0x1.2a4816f51afebp+6',
+             '-0x1.0b15652ebb148p+3', '0x1.2149e37283facp+4',
+             '-0x1.5cc57718ec2a0p+5', '0x1.f9ba7124d8900p+4']
+PIN_PAIR1500 = (
+    ['0x1.887c293012c94p+10', '0x1.5b24d35561d24p+10', '0x1.dfe979ff2e439p+3',
+     '0x1.3ef9aa56cd01ap+6', '0x1.d887405bfb0b2p+8', '0x1.edebbc9217fbfp+7'],
+    [1, 1, -1, -1, 1, -1],
+    ['0x1.886ce1e9f5128p+10', '0x1.5b31b20ba81e9p+10', '0x1.e9faeec72d967p+3',
+     '0x1.3cb360cd51246p+6', '0x1.d94ee59e175a0p+8', '0x1.efbe02bc859bap+7'],
+    [-1, -1, 1, -1, -1, -1])
+PIN_AIRY_X = [-30.0, -4.5, 11.75, 12.0, math.nextafter(12.0, 13.0), 12.5,
+              40.0, 100.0]
+PIN_AIRY = (
+    ['-0x1.685154c82af7ap-4', '0x1.2b2a1940487f0p-2', '0x1.752b1f07bd59ap-42',
+     '0x1.39b7a11f5a8f7p-43', '0x1.39b7a11f5a8cfp-43',
+     '0x1.afc62c7a4a980p-46', '0x1.708d235f57b1bp-247',
+     '0x1.a4a3f4c99a5dep-966'],
+    ['0x1.3a86e13b8513fp+0', '-0x1.0bf62c807eeadp-1',
+     '-0x1.41be955edb6b0p-40', '-0x1.114c208e15bebp-41',
+     '-0x1.114c208e15bcap-41', '-0x1.7fc46fe0f2fb4p-44',
+     '-0x1.23a7127c1f402p-244', '-0x1.06f749a991442p-962'])
+PIN_AIRY_LOG_X = [0.5, 11.75, 12.0, math.nextafter(12.0, 13.0), 12.5, 40.0,
+                  1e3, 1e6]
+PIN_AIRY_LOG = ['-0x1.765be0ae85057p+0', '-0x1.cbc3e8785107dp+4',
+                '-0x1.d9a1d95e554f6p+4', '-0x1.d9a1d95e554f8p+4',
+                '-0x1.f5caefe270836p+4', '-0x1.55af974862ff1p+7',
+                '-0x1.49735fc43cf32p+14', '-0x1.3de4357b16a4cp+29']
+
+
+def _floats(pins):
+    return np.array([float.fromhex(v) for v in pins])
+
+
+class TestPinnedBits:
+    def test_hermite_all_degrees(self):
+        x = _floats(PIN_X900)
+        la, sg = sp.hermite_normed_log_all(900, x)
+        assert np.max(la) > math.log(sp._BIG)   # the rescale did run
+        for k, pins in PIN_ALL900.items():
+            assert [v.hex() for v in la[k]] == pins
+            assert list(sg[k]) == PIN_ALL900_SIGN[k]
+
+    def test_hermite_pair(self):
+        (la, sg), (lb, sb) = sp.hermite_normed_log_pair(1500,
+                                                        _floats(PIN_X1500))
+        got = ([v.hex() for v in la], list(sg), [v.hex() for v in lb],
+               list(sb))
+        assert got == PIN_PAIR1500
+
+    def test_airy(self):
+        ai, aip = sp.airy_pair(np.array(PIN_AIRY_X))
+        assert ([v.hex() for v in ai], [v.hex() for v in aip]) == PIN_AIRY
+        log_ai = sp.airy_log_pos(np.array(PIN_AIRY_LOG_X))
+        assert [v.hex() for v in log_ai] == PIN_AIRY_LOG
+
+    def test_empty_input(self):
+        empty = np.array([])
+        for la, sg in (sp.hermite_normed_log(0, empty),
+                       sp.hermite_normed_log(40, empty),
+                       *sp.hermite_normed_log_pair(40, empty),
+                       sp.airy_pair(empty)):
+            assert la.shape == sg.shape == (0,)
+        la, sg = sp.hermite_normed_log_all(40, empty)
+        assert la.shape == sg.shape == (41, 0)
+        assert sp.airy_log_pos(empty).shape == (0,)
 
 
 def psi_pair(n, t, x):
