@@ -97,9 +97,11 @@ def log_gauss_repeated_integrals(m: int, w):
     """log J_k(w), k = 1..m, as rows of shape (m,) + w.shape (w finite):
     the ratios r_k = J_k / J_{k-1} from log J_1 = log Phi(w), upward where
     J grows against the recurrence's other solution (w >= 0) or loses at
-    most e^3 to it by step m, and downward (Miller, r = 0 at a depth where
-    the other solution has lost e^38 by step m) where it is the minimal
+    most e^3 to it by step m, and downward where it is the minimal
     solution, which the upward run loses (J_30(-5) by a factor 1.7e3).
+    The downward run (Miller) starts all its points together from r = 0 at
+    the deepest depth any of them needs for the other solution to have lost
+    e^38 by step m; a deeper start than a point needs only adds accuracy.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -121,17 +123,15 @@ def log_gauss_repeated_integrals(m: int, w):
         r = (wf[up] + q) / (k - 1)
         out[k - 1, up] = np.log(r)
         q = 1.0 / r
-    # each point starts at its own depth, the deepest first
-    top = np.ceil(((a_m[down] + 38.0 / c[down]) ** 2 - c[down] ** 2) / 4.0)
-    order = np.argsort(-top, kind="stable")
-    top, cs, r = top[order], c[down][order], np.zeros(down.size)
-    for k in range(int(top[0]) if top.size else 0, 1, -1):
-        ra = r[:np.searchsorted(-top, -k, side="right")]   # top >= k
-        ra *= k
-        ra += cs[:ra.size]
-        np.reciprocal(ra, out=ra)
-        if k <= m:      # every point is running by now
-            out[k - 1, down[order]] = np.log(r)
+    # one start, deep enough for every point
+    cs, r = c[down], np.zeros(down.size)
+    top = np.ceil(((a_m[down] + 38.0 / cs) ** 2 - cs ** 2) / 4.0)
+    for k in range(int(top.max()) if top.size else 0, 1, -1):
+        r *= k
+        r += cs
+        np.reciprocal(r, out=r)
+        if k <= m:
+            out[k - 1, down] = np.log(r)
     return np.cumsum(out, axis=0).reshape((m,) + w.shape)
 
 

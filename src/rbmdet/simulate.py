@@ -62,7 +62,8 @@ def _grid_steps(t: float, dt: float) -> int:
 
 
 def _levels(ic: InitialCondition, n: int) -> np.ndarray:
-    """X0(1..n), which reflection needs finite and nonincreasing."""
+    """X0(1..n), which reflection and the variational formula need finite
+    and nonincreasing."""
     levels = np.array([ic.level(i) for i in range(1, n + 1)], dtype=float)
     if not np.all(np.isfinite(levels)):
         raise ValueError("reflection requires finite levels for all particles")
@@ -90,14 +91,12 @@ class NoiseField:
     def n_steps(self) -> int:
         return self.increments.shape[1]
 
-    def paths(self, start=None) -> np.ndarray:
-        """Brownian paths W_k(t_i) on the grid (column 0 is the start)."""
+    def paths(self) -> np.ndarray:
+        """Brownian paths W_k(t_i) from 0 on the grid (column 0 is t = 0)."""
         n, m = self.increments.shape
         out = np.empty((n, m + 1))
-        out[:, 0] = 0.0 if start is None else start
+        out[:, 0] = 0.0
         np.cumsum(self.increments, axis=1, out=out[:, 1:])
-        if start is not None:
-            out[:, 1:] += np.asarray(start)[:, None]
         return out
 
     def negated(self) -> "NoiseField":
@@ -181,9 +180,7 @@ def rbm_variational(ic: InitialCondition, noise: NoiseField) -> np.ndarray:
     G[(0,l) -> (t,n)]) with the dual field carrying the negated
     increments."""
     n = noise.n_particles
-    levels = np.array([ic.level(i) for i in range(1, n + 1)], dtype=float)
-    if not np.all(np.isfinite(levels)):
-        raise ValueError("variational path requires finite levels")
+    levels = _levels(ic, n)
     w = noise.negated().paths()
     x = np.full(w.shape, np.inf)
     for l in range(1, n + 1):

@@ -346,7 +346,8 @@ def _build_airy_anchors():
 
 
 def _airy_taylor_batch(c, a, b, h, nterms=26):
-    """Taylor march from a single anchor to offsets h (array or scalar)."""
+    """Taylor march from anchors c, with (Ai, Ai') = (a, b) there, to
+    offsets h; elementwise over arrays, so one call serves many anchors."""
     T = [a, b]
     for k in range(nterms - 2):
         prev = T[k - 1] if k >= 1 else 0.0
@@ -432,14 +433,8 @@ def airy_pair(x):
         xm = xv[mid]
         j = np.clip(np.round((xm - _AIRY_LO) / _AIRY_STEP).astype(int),
                     0, grid.size - 1)
-        am = np.empty_like(xm)
-        apm = np.empty_like(xm)
-        for ju in np.unique(j):
-            sel = j == ju
-            am[sel], apm[sel] = _airy_taylor_batch(
-                grid[ju], tai[ju], taip[ju], xm[sel] - grid[ju])
-        ai[mid] = am
-        aip[mid] = apm
+        ai[mid], aip[mid] = _airy_taylor_batch(
+            grid[j], tai[j], taip[j], xm - grid[j])
     if x.ndim == 0:
         return float(ai[0]), float(aip[0])
     return ai.reshape(x.shape), aip.reshape(x.shape)

@@ -254,6 +254,18 @@ class TestRepeatedGaussianIntegral:
             assert np.all(np.abs(rows[m - 1] - last)
                           <= 1e-14 * np.maximum(1.0, np.abs(last)))
 
+    @pytest.mark.parametrize("m", [2, 6, 30, 115])
+    def test_batch_equals_each_point_alone(self, m):
+        # the left tail runs from the deepest start any of its points needs
+        # (21 to 20,569 steps here, from w = -80 to w = -0.02): a point
+        # batched with deeper ones gets what it gets alone
+        w = -np.concatenate([np.geomspace(0.02, 80.0, 60), [0.5, 3.0, 1e3]])
+        rows = bo.log_gauss_repeated_integrals(m, w)
+        alone = np.stack([bo.log_gauss_repeated_integrals(m, x) for x in w],
+                         axis=1)
+        assert np.all(np.abs(rows - alone)
+                      <= 1e-15 * np.maximum(1.0, np.abs(alone)))
+
     def test_tail_underflows_to_zero_without_overflow(self):
         # S(t, -m) at x = z1 - z2 is e^x t^{(m-1)/2} J_m(-x/sqrt(t)); at
         # x = 800, e^x alone overflows, and the product was inf * 0

@@ -235,6 +235,42 @@ class TestHitting:
         assert code == 2
         assert "3 particles" in err
 
+    def test_grid_and_mc_match_exact(self, capsys):
+        argv = ("hitting", "--levels", "2,2,0.5,0.5,-1", "--eta", "1.7",
+                "--horizon", "6")
+        exact = json.loads(run(capsys, *argv, "--method", "exact")[1])
+        assert exact["masses"] == pytest.approx(
+            {"2": 0.3373726, "4": 0.0888602}, abs=1e-6)
+        code, out, _ = run(capsys, *argv, "--method", "grid")
+        assert code == 0
+        grid = json.loads(out)
+        assert grid["masses"].keys() == exact["masses"].keys()
+        for k, v in exact["masses"].items():
+            assert abs(grid["masses"][k] - v) <= 1e-6
+        code, out, _ = run(capsys, *argv, "--method", "mc", "--paths",
+                           "20000", "--seed", "3")
+        assert code == 0
+        mc = json.loads(out)
+        for k, v in exact["masses"].items():
+            se = math.sqrt(v * (1 - v) / 20000)
+            assert abs(mc["masses"][k] - v) <= 4 * se
+
+    def test_default_horizon(self, capsys):
+        # the largest of --indices, else 8; the levels fall at every
+        # particle, so each horizon adds a component
+        base = ("hitting", "--levels", "1,0,-1,-2,-3,-4,-5,-6,-7,-8",
+                "--eta", "0.5")
+
+        def masses(*extra):
+            code, out, _ = run(capsys, *base, *extra)
+            assert code == 0
+            return json.loads(out)["masses"]
+
+        assert masses() == masses("--horizon", "8")
+        assert masses("--indices", "3,7") == masses("--horizon", "7")
+        assert masses("--horizon", "7") != masses("--horizon", "8")
+
+
 class TestValidate:
     def test_duality_suite(self, capsys):
         code, out, _ = run(capsys, "validate", "--suite", "duality",
@@ -332,6 +368,18 @@ class TestGueAndScaling:
         assert lines[0] == "eps,prob_rbm,prob_fp,abs_err,det_err_rbm," \
                            "det_err_fp"
         assert len(lines) == 3
+
+
+class TestNonConvergence:
+    def test_target_below_the_floor_exits_3(self, capsys):
+        code, out, err = run(capsys, "prob", "--t", "1", "--levels", "0",
+                             "--indices", "30", "--a=-10.95",
+                             "--target", "1e-17")
+        assert code == 3
+        assert out == ""
+        body = json.loads(err)
+        assert body["error"] == "non-convergence"
+        assert "floor" in body["detail"]
 
 
 class TestIoErrors:

@@ -54,6 +54,14 @@ class TestFredholmDet:
         assert res.value == pytest.approx(0.5, abs=1e-9)
         assert res.error_estimate < 1e-8
 
+    def test_nan_kernel_raises(self):
+        system = NystromSystem(intervals=((0.0, 5.0),), order=16,
+                               kernel=lambda xs: np.full((xs[0].size,) * 2,
+                                                         np.nan))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ConvergenceError, match="non-finite"):
+                fredholm_det(system)
+
     def test_airy_kernel_stability_under_order_doubling(self):
         v40 = tracy_widom_gue_cdf(-1.0, order=40)
         v80 = tracy_widom_gue_cdf(-1.0, order=80)

@@ -120,13 +120,31 @@ class TestExactLaw:
         prof = idata.blocks(idata.from_positions(
             [-float(k) for k in range(1, span + 1)], extend_last=True))
         if raises:
-            with pytest.raises(ConvergenceError):
+            # the pieces go negative before the balance is summed
+            with pytest.raises(ConvergenceError, match="negative mass"):
                 ht.hitting_law_exact(prof, -1.5, span)
         else:
             law = ht.hitting_law_exact(prof, -1.5, span)
             assert abs(law.total_mass() + law.unhit_mass - 1.0) <= 1e-12
             assert all(np.all(c.values >= 0)
                        for c in law.components.values())
+
+    def test_sweep_mass_lost_below_the_cut_raises(self, monkeypatch):
+        # a step that reports half the mass it pushes below the cut leaves
+        # the law off by -0.219 (it balances to 1e-14 otherwise)
+        real = ht._propagate_one_step
+
+        def leaky(pieces, cut, eta):
+            pieces, dead = real(pieces, cut, eta)
+            return pieces, 0.5 * dead
+
+        prof = idata.blocks(idata.from_positions([0, 0, -1, -1, -3],
+                                                 extend_last=True))
+        law = ht.hitting_law_exact(prof, -0.5, 12)
+        assert abs(law.total_mass() + law.unhit_mass - 1.0) <= 1e-12
+        monkeypatch.setattr(ht, "_propagate_one_step", leaky)
+        with pytest.raises(ConvergenceError, match="off its mass balance"):
+            ht.hitting_law_exact(prof, -0.5, 12)
 
     @pytest.mark.parametrize("eps, horizon", [(0.05, 109), (0.03, 226)])
     def test_two_narrow_wedges_balance(self, eps, horizon):

@@ -67,6 +67,15 @@ class TestScaledKernels:
                 prev, prev_b = abs(se - tgt), abs(sbe - tgt_b)
             assert prev < 0.02
 
+    def test_arrays_equal_scalar_calls(self):
+        v = np.array([0.2, 0.0, -1.0])
+        u = np.array([-0.4, 0.8, 0.3])
+        se, sbe = sc.scaled_kernels(0.01, 1.4, 0.35, v, u)
+        ref = [sc.scaled_kernels(0.01, 1.4, 0.35, a, b) for a, b in zip(v, u)]
+        assert se.shape == sbe.shape == (3,)
+        assert np.array_equal(se, [r[0] for r in ref])
+        assert np.array_equal(sbe, [r[1] for r in ref])
+
     def test_exponential_decay_bound(self):
         # |S^eps(w)| <= C e^{-w} in the convolution argument w = v - u,
         # with the fitted C stable as eps decreases
@@ -475,6 +484,14 @@ class TestConvergenceStudy:
         gaps = [r.abs_err for r in rows]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 5e-4
+
+    def test_colliding_indices_skipped_with_report(self):
+        # at eps = 0.2, x = 0 and x = 0.01 both scale to index 11
+        rows = sc.convergence_study([0.0], 1.0, [0.0, 0.01], [0.0, 0.0],
+                                    [0.2])
+        assert len(rows) == 1
+        assert rows[0].skipped == "scaled indices collide"
+        assert rows[0].prob_rbm is None and 0.0 < rows[0].prob_fp < 1.0
 
     def test_infeasible_eps_skipped_with_report(self):
         rows = sc.convergence_study([0.0], 1.0, [0.6], [0.0], [0.9, 0.04])

@@ -81,7 +81,7 @@ class TestReflect:
     def test_one_particle_is_driving_path(self):
         noise = sim.sample_noise(1, 1.0, 0.01, seed=2)
         x = sim.rbm_reflect(idata.from_positions([0.8]), noise)
-        assert np.allclose(x[0], noise.paths(np.array([0.8]))[0])
+        assert np.allclose(x[0], 0.8 + noise.paths()[0])
 
     def test_two_particle_hand_example(self):
         noise = sim.NoiseField(dt=1.0, increments=np.array([[0.3], [0.5]]))
@@ -103,6 +103,13 @@ class TestReflect:
         noise = sim.sample_noise(2, 1.0, 0.01, seed=2)
         with pytest.raises(ValueError, match="nonincreasing"):
             sim.rbm_reflect(idata.InitialCondition((0.0, 1.0)), noise)
+
+    def test_variational_rejects_increasing_levels(self):
+        # built directly, so nothing upstream checks the order; the
+        # variational formula would start these paths at (0, 0)
+        noise = sim.sample_noise(2, 1.0, 0.01, seed=2)
+        with pytest.raises(ValueError, match="nonincreasing"):
+            sim.rbm_variational(idata.InitialCondition((0.0, 1.0)), noise)
 
     def test_ordering_invariant(self):
         rng = np.random.default_rng(9)

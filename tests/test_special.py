@@ -108,6 +108,27 @@ def reference_tail_sums(x):
     return zeta, s_ai, s_aip
 
 
+def reference_airy_pair(x):
+    """airy_pair with one Taylor call per anchor, as the table was first
+    read: the one elementwise call must give the same bits."""
+    grid, tai, taip = sp._AIRY_ANCHORS
+    ai, aip = np.empty_like(x), np.empty_like(x)
+    hi, lo = x > sp._AIRY_HI, x < sp._AIRY_LO
+    mid = ~(hi | lo)
+    ai[hi], aip[hi] = sp._airy_asy_pos_vec(x[hi])
+    ai[lo], aip[lo] = sp._airy_asy_neg_vec(x[lo])
+    xm = x[mid]
+    j = np.clip(np.round((xm - sp._AIRY_LO) / sp._AIRY_STEP).astype(int),
+                0, grid.size - 1)
+    am, apm = np.empty_like(xm), np.empty_like(xm)
+    for ju in np.unique(j):
+        sel = j == ju
+        am[sel], apm[sel] = sp._airy_taylor_batch(
+            grid[ju], tai[ju], taip[ju], xm[sel] - grid[ju])
+    ai[mid], aip[mid] = am, apm
+    return ai, aip
+
+
 def assert_bitwise(got, ref):
     assert got[0].shape == ref[0].shape
     assert np.array_equal(got[0], ref[0], equal_nan=True)
@@ -542,6 +563,19 @@ class TestAiry:
         err_shift = np.max(np.abs(shifted - sp.airy_eval(xs)))
         assert err_shift < 5e-3
 
+
+    def test_one_taylor_call_equals_per_anchor_loop(self):
+        # on every anchor, half a step either side (where the nearest
+        # anchor changes), just inside those and past both table ends
+        grid = sp._AIRY_ANCHORS[0]
+        h = 0.5 * sp._AIRY_STEP
+        offs = np.array([-h, -np.nextafter(h, 0.0), -0.01, 0.0, 1e-9, 0.07,
+                         np.nextafter(h, 0.0), h])
+        x = np.concatenate([(grid[:, None] + offs).ravel(),
+                            np.linspace(-25.0, 15.0, 4001)])
+        np.random.default_rng(4).shuffle(x)
+        assert_bitwise(sp.airy_pair(x), reference_airy_pair(x))
+        assert_bitwise(sp.airy_pair(x[:1]), reference_airy_pair(x[:1]))
 
     def test_anchor_table_pinned(self):
         # entries of the marched anchor table as the table built by a
