@@ -165,29 +165,35 @@ class _Factored:
         k[ok] = np.round(0.5 * (np.log2(amax[ok]) - np.log2(bmax[ok])))
         self.a = [x * np.exp2(-k)[:, None] for x in a]
         self.b = [x * np.exp2(k)[:, None] for x in b]
-        self.walk = {(i, j): roots[i][:, None] * q * roots[j][None, :]
-                     for (i, j), q in walk.items()}
+        self.walk, self.roots = walk, roots
         self.offs = np.cumsum([0] + [r.size for r in roots])
 
     def matrix(self, keep=None) -> np.ndarray:
         """I_m - G, on the nodes ``keep`` only if given: the determinant of
-        the principal submatrix of I - D K D on those nodes."""
-        a, b, walk = self.a, self.b, self.walk
+        the principal submatrix of I - D K D on those nodes, which must be
+        a suffix of every line's nodes (``NystromSystem.shrunk_cut``)."""
+        a, b, walk, roots = self.a, self.b, self.walk, self.roots
         if keep is not None:
-            sel = [keep[(keep >= lo) & (keep < hi)] - lo
-                   for lo, hi in zip(self.offs[:-1], self.offs[1:])]
+            n = np.diff(np.searchsorted(keep, self.offs))
+            tails = [np.arange(hi - k, hi) for hi, k in zip(self.offs[1:], n)]
+            if not np.array_equal(keep, np.concatenate(tails)):
+                raise ValueError("keep must be a suffix of every line's nodes")
+            sel = [slice(r.size - k, None) for r, k in zip(roots, n)]
             a = [x[:, s] for x, s in zip(a, sel)]
             b = [x[:, s] for x, s in zip(b, sel)]
-            walk = {(i, j): q[np.ix_(sel[i], sel[j])]
-                    for (i, j), q in walk.items()}
+            roots = [r[s] for r, s in zip(roots, sel)]
+            walk = {(i, j): q[sel[i], sel[j]] for (i, j), q in walk.items()}
         m = a[0].shape[0]
-        ys = [None] * len(a)
+        dys = [None] * len(a)
         out = np.zeros((m, m))
         for i in reversed(range(len(a))):
+            # Y_i = D_i (A_i^T - sum_j Q_ij D_j Y_j): D scales the N_j x m
+            # rows D_j Y_j, and the walk blocks stay as the kernel gave them
             y = a[i].T
-            for j in range(i + 1, len(a)):
-                y = y - walk[i, j] @ ys[j]
-            ys[i] = y
+            if i + 1 < len(a):
+                y = y - roots[i][:, None] * sum(
+                    walk[i, j] @ dys[j] for j in range(i + 1, len(a)))
+            dys[i] = roots[i][:, None] * y
             out -= b[i] @ y
         out = _balanced(out)
         out[np.diag_indices_from(out)] += 1.0

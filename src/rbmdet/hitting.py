@@ -35,16 +35,19 @@ from .simulate import _philox
 
 def q_exp_pow(m: int, x, y):
     """m-step transition density of the walk: e^{y-x} (x-y)^{m-1}/(m-1)! for
-    x > y, else 0.  Vectorized; log-scale internally for large m."""
+    x > y, else 0.  Vectorized; log-scale internally for large m, with log
+    and exp taken on the entries x > y only."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = x - y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logv = (y - x) + (m - 1) * np.log(np.where(d > 0, d, 1.0)) \
-            - special.log_factorial(m - 1)
-        out = np.where(d > 0, np.exp(logv), 0.0)
+    d = np.subtract(x, y, dtype=float)
+    pos = d > 0
+    out = np.zeros(np.shape(d))
+    np.log(d, out=out, where=pos)
+    with np.errstate(invalid="ignore"):
+        logv = out * (m - 1)
+        logv -= d
+        logv -= special.log_factorial(m - 1)
+    np.exp(logv, out=out, where=pos)
     if out.ndim == 0:
         return float(out)
     return out

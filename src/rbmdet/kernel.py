@@ -415,9 +415,11 @@ class ExtendedKernelEval:
         psibar_m = psibar_{m-1}), each block's level rows cancelling the
         lower-index rows of the block above; on one block, the epoch-0 atom.
         A line's rows at one level are the degrees of one Hermite
-        recurrence.  Row p of A gives B e^r and the constant of its degree
-        on line n_max, which cancel in A^T B, and one power of 2 per row for
-        all the lines balances A and B (``_pow2_rows``).
+        recurrence, and its rows p >= n those of one J_m run over the
+        levels of every block past n.  Row p of A gives B e^r and the
+        constant of its degree on line n_max, which cancel in A^T B, and one
+        power of 2 per row for all the lines balances A and B
+        (``_pow2_rows``).
         """
         t, n_max = self._fin.t, self._fin.n_max
         log_t, rt = math.log(t), math.sqrt(t)
@@ -430,6 +432,13 @@ class ExtendedKernelEval:
             # rows p < h take law terms, h the last block start below n
             h = max([s for s, _, _ in self._laws if s < n], default=0)
             rows, lead = [], []
+            if n < n_max:
+                # rows p >= n, p = n - 1 + m: one J_m run to m = n_max - n
+                # over the nodes of every block that ends past n
+                levels = np.array([[b.level] for b, end in zip(blks, ends)
+                                   if end > n])
+                jrows = iter(_bo.log_gauss_repeated_integrals(
+                    n_max - n, (z - levels) / rt).swapaxes(0, 1))
             for blk, end in zip(blks, ends):
                 s, x = blk.start, blk.level - z
                 y = x - r
@@ -455,10 +464,8 @@ class ExtendedKernelEval:
                     lo = max(s, n)
                     dm = np.arange(n_max - 1.0 - lo, n_max - 1.0 - end,
                                    -1.0)[:, None]
-                    lj = _bo.log_gauss_repeated_integrals(
-                        end - n, -x / rt)[lo - n:] + y + 0.5 * (
-                            (n_max - n - 1) * log_t
-                            - special.log_factorial(dm))
+                    lj = next(jrows)[lo - n:end - n] + y + 0.5 * (
+                        (n_max - n - 1) * log_t - special.log_factorial(dm))
                     rows.append((lj, np.ones_like(lj), np.zeros_like(lj),
                                  np.zeros_like(lj)))
             logs.append([np.concatenate(f) for f in zip(*rows)])
@@ -516,7 +523,15 @@ class ExtendedKernelEval:
         schemes, legs, tops = self._chains
         first, *later = self._profile.blocks_within(n_max)
         x = first.level - z
-        atom = np.array([_s(t, n - 1 - p, x) for p in range(n_max)])
+        atom = [_s(t, n - 1 - p, x) for p in range(n)]
+        if n < n_max:
+            # rows p >= n are S(t, -m) as in ``_s``, m = p + 1 - n, all
+            # from one J_m run
+            m = np.arange(1.0, n_max - n + 1.0)[:, None]
+            atom.extend(np.exp(x + 0.5 * (m - 1) * math.log(t)
+                               + _bo.log_gauss_repeated_integrals(
+                                   n_max - n, -x / math.sqrt(t))))
+        atom = np.array(atom)
         rows = [atom]
         cols = [np.array([_sbar(t, n - p, x) if p < n else np.zeros(z.size)
                           for p in range(n_max)])]

@@ -228,6 +228,14 @@ class TestRepeatedGaussianIntegral:
         (50, 0.0, '-0x1.2841f7833759cp+6'),
         (5, 2.0, '0x1.2a7e9598112e4p-1'),
         (100, 30.0, '-0x1.18604c5a101e9p+4'),
+        # just past the |w| where the run turns downward for its m (2.540,
+        # 0.7267, 0.2425, 0.1410, 0.1065), so the Miller start is deepest
+        (2, -2.55, '-0x1.97960630563fcp+2'),
+        (6, -0.73, '-0x1.5f412e6f83ddfp+2'),
+        (40, -0.25, '-0x1.c5066b2daf691p+5'),
+        (40, -0.5, '-0x1.d1fa8231dd35dp+5'),
+        (115, -0.142, '-0x1.b43eef958471fp+7'),
+        (200, -0.107, '-0x1.b09c6bca69d89p+8'),
     ]
 
     @pytest.mark.parametrize("m, w, ref", PCFD_LOG_J)

@@ -6,6 +6,7 @@ from numpy.polynomial import polynomial as npoly
 
 from rbmdet import hitting as ht
 from rbmdet import initial_data as idata
+from rbmdet import special
 from rbmdet.errors import ConvergenceError
 
 SINGLE_WEDGE_L2_MASS = 1.0 - 2.0 / math.e  # int_0^1 (1-b) e^{b-1} db
@@ -20,7 +21,39 @@ def wedge_profile(start, level):
                                          length=None),))
 
 
+def _reference_q_exp_pow(m, x, y):
+    """The walk density with log and exp over every entry, the positive
+    ones picked afterwards."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    d = x - y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logv = (y - x) + (m - 1) * np.log(np.where(d > 0, d, 1.0)) \
+            - special.log_factorial(m - 1)
+        out = np.where(d > 0, np.exp(logv), 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
 class TestQExpPow:
+    @pytest.mark.parametrize("m", [1, 2, 6, 172, 400])
+    def test_bitwise_the_reference(self, m):
+        # random pairs, d <= 0 (ties included), d of one ulp, and at x = 0
+        # d of subnormal size
+        rng = np.random.default_rng(m)
+        x = rng.normal(0.0, 30.0, (40, 1))
+        x[0] = 0.0
+        y = np.concatenate([rng.normal(0.0, 30.0, 60), x[:20, 0],
+                            np.nextafter(x[:20, 0], -np.inf),
+                            x[:20, 0] - 5e-324, x[:20, 0] - 1e-310])[None, :]
+        got = ht.q_exp_pow(m, x, y)
+        assert got.shape == (40, 140)
+        assert got.tobytes() == _reference_q_exp_pow(m, x, y).tobytes()
+        for xs, ys in [(1.0, 0.5), (0.5, 1.0), (2.0, 2.0),
+                       (1.0, np.nextafter(1.0, 0.0))]:
+            v = ht.q_exp_pow(m, xs, ys)
+            assert type(v) is float
+            assert v == _reference_q_exp_pow(m, xs, ys)
+
     def test_single_step_density(self):
         assert ht.q_exp_pow(1, 1.0, 0.5) == pytest.approx(math.exp(-0.5),
                                                           rel=1e-14)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from rbmdet import biorth as bo
 from rbmdet import initial_data as idata
 from rbmdet import kernel as kernel_mod
 from rbmdet import special
@@ -27,6 +28,8 @@ EIGHT_BLOCK_IC = idata.from_positions(
     [2.0, 1.5, 1.0, 0.5, 0.0, -0.5, -1.0, -1.5], extend_last=True)
 STEP_BASES = ((-1.25, -5.0), (-0.75, -4.5), (-0.25, -3.5), (0.25, -3.0),
               (0.75, -2.5))
+# 10 particles at 0, 15 at -1 and 5 at -2
+THREE_BLOCK_IC = idata.from_positions([0.0] * 10 + [-1.0] * 15 + [-2.0] * 5)
 # two leading +inf particles, which the kernel drops
 WEDGE_IC = idata.narrow_wedge_approx([-0.5, -1.0], eps=0.7)
 # two wedges at eps = 0.1: ten particles at +inf, then levels -10 and -20
@@ -287,6 +290,57 @@ class TestKernelEval:
             assert not any(name.endswith("pair") for name, _, _ in calls)
             args = [x for _, _, x in calls]
             assert len(set(args)) == len(args)
+
+    @pytest.mark.parametrize("ic, lines", [
+        (EIGHT_BLOCK_IC, [(3, np.linspace(-6.0, 1.0, 29)),
+                          (9, np.linspace(-7.0, -0.5, 31))]),
+        (THREE_BLOCK_IC, [(4, np.linspace(-10.0, 0.5, 37)),
+                          (30, np.linspace(-12.0, -1.0, 41))])])
+    def test_one_j_run_per_line(self, ic, lines, monkeypatch):
+        # the rows p >= n of every block past n come from one J_m run to
+        # n_max - n; split into one run per block, to that block's last
+        # row, they agree to 1e-14 of each entry
+        spec = KernelSpec(t=1.0, indices=tuple(n for n, _ in lines), ic=ic)
+        kern = kernel_eval(spec)
+        merged = kern._hitting_factors(lines)
+        blks = blocks(ic).blocks_within(spec.n_max)
+        ends = [b.start for b in blks[1:]] + [spec.n_max]
+        real = bo.log_gauss_repeated_integrals
+        runs = []
+
+        def per_block(m, w):
+            n = spec.n_max - m
+            past = [e - n for e in ends if e > n]
+            assert w.shape[0] == len(past)
+            # rows past a block's own run are never read
+            out = np.full((m,) + w.shape, np.nan)
+            for k, mk in enumerate(past):
+                out[:mk, k] = real(mk, w[k])
+            runs.append(len(past))
+            return out
+
+        monkeypatch.setattr(bo, "log_gauss_repeated_integrals", per_block)
+        alone = kern._hitting_factors(lines)
+        assert runs == [len([e for e in ends if e > n])
+                        for n, _ in lines if n < spec.n_max]
+        assert max(runs) >= 3
+        for (a, b), (ra, rb) in zip(merged, alone):
+            assert np.array_equal(b, rb)
+            assert np.all(np.abs(a - ra) <= 1e-14 * np.abs(ra))
+
+    @pytest.mark.parametrize("ic, indices", [
+        (EIGHT_BLOCK_IC, (3, 9)), (idata.packed(0.0), (5, 60, 120))])
+    def test_operator_step_atom_rows_are_per_row_s(self, ic, indices):
+        # the atom rows p >= n come from one J_m run per line; t != 1, so
+        # the t^{(m-1)/2} of each row counts
+        kern = kernel_eval(KernelSpec(t=1.7, indices=indices, ic=ic,
+                                      representation="operator_step"))
+        n, z = indices[0], np.linspace(-25.0, 2.0, 40)
+        a, _ = kern._chain_factors(n, z)
+        x = ic.level(1) - z
+        ref = np.array([kernel_mod._s(1.7, n - 1 - p, x)
+                        for p in range(indices[-1])])
+        assert np.all(np.abs(a[:indices[-1]] - ref) <= 1e-14 * np.abs(ref))
 
     @pytest.mark.parametrize("indices", [(3, 9), (2, 5, 9)])
     def test_factors_give_the_matrix(self, indices):
